@@ -31,7 +31,7 @@ from .analysis import (
     verify_ddr3,
 )
 from .core.idd import standard_idd_suite
-from .core.trace import evaluate_trace
+from .core.trace import TraceError, evaluate_trace
 from .trace import AddressDecoder, replay_trace_file
 from .description import DramDescription
 from .engine import EvaluationSession
@@ -231,10 +231,14 @@ def _trace_file(args: argparse.Namespace, device, model) -> int:
         offset_bits=args.offset_bits)
     fmt = None if args.format == "auto" else args.format
     started = time.perf_counter()
-    accumulator, backend = replay_trace_file(
-        model, args.trace_file, fmt=fmt, decoder=decoder,
-        clock=parse_quantity(args.clock), strict=args.strict,
-        backend=args.backend, jobs=args.jobs)
+    try:
+        accumulator, backend = replay_trace_file(
+            model, args.trace_file, fmt=fmt, decoder=decoder,
+            clock=parse_quantity(args.clock), strict=args.strict,
+            backend=args.backend, jobs=args.jobs)
+    except TraceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started
     result = accumulator.result()
     commands_seen = accumulator.commands_seen

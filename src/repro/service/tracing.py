@@ -39,7 +39,7 @@ from ..errors import ReproError, ServiceError
 from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, AddressDecoder,
                      ColumnarReplayer, columnar_available,
                      commands_from_records, iter_decompressed,
-                     iter_lines, iter_records)
+                     iter_line_batches, iter_lines, iter_records)
 from ..trace.columnar import LINES_PER_BATCH, record_downgrade
 from .admission import Deadline
 from .jsonapi import _finite, device_from_payload
@@ -305,7 +305,7 @@ def trace_stream_records(session: EvaluationSession,
                                           accumulator.commands_seen)}
 
     def columnar_records(accumulator: TraceAccumulator,
-                         lines: Iterator[str]
+                         blocks: Iterable[bytes]
                          ) -> Iterator[Dict[str, Any]]:
         # One line yields at least one command, so batching
         # ``snapshot_every`` lines guarantees each full batch crosses
@@ -317,16 +317,13 @@ def trace_stream_records(session: EvaluationSession,
             replayer = ColumnarReplayer(accumulator, request.fmt,
                                         decoder, request.clock,
                                         source="<upload>")
-            batch: List[str] = []
-            for line in lines:
-                batch.append(line)
-                if len(batch) < batch_lines:
-                    continue
+            for batch in iter_line_batches(blocks, batch_lines,
+                                           source="<upload>"):
                 replayer.feed_lines(batch)
-                batch = []
                 if deadline is not None:
                     deadline.check()
-                if (accumulator.commands_seen - last_snap
+                if (len(batch) == batch_lines
+                        and accumulator.commands_seen - last_snap
                         >= request.snapshot_every):
                     yield {"index": index,
                            "snapshot": trace_result_row(
@@ -334,10 +331,6 @@ def trace_stream_records(session: EvaluationSession,
                                accumulator.commands_seen)}
                     last_snap = accumulator.commands_seen
                     index += 1
-            if batch:
-                replayer.feed_lines(batch)
-                if deadline is not None:
-                    deadline.check()
         except (ServiceError, ReproError, ValueError) as exc:
             yield _error_record(index, exc)
             return
@@ -347,18 +340,18 @@ def trace_stream_records(session: EvaluationSession,
 
     def records() -> Iterator[Dict[str, Any]]:
         accumulator = TraceAccumulator(model, strict=request.strict)
-        data = (iter_decompressed(chunks) if request.gzipped
-                else chunks)
-        lines = iter_lines(data)
+        blocks = (iter_decompressed(chunks) if request.gzipped
+                  else chunks)
         columnar = (request.backend in ("auto", "vector")
                     and not request.strict)
         if columnar and not columnar_available():
             record_downgrade()
             columnar = False
         if columnar:
-            yield from columnar_records(accumulator, lines)
+            yield from columnar_records(accumulator, blocks)
         else:
-            yield from scalar_records(accumulator, lines)
+            yield from scalar_records(
+                accumulator, iter_lines(blocks, source="<upload>"))
 
     return records()
 

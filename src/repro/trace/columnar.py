@@ -40,6 +40,7 @@ legality needs per-command timing the batch reduction discards.
 
 from __future__ import annotations
 
+import itertools
 from typing import (Dict, FrozenSet, Iterable, List, Optional,
                     Sequence)
 
@@ -390,16 +391,13 @@ def replay_lines_columnar(accumulator: TraceAccumulator,
                           shards: Optional[FrozenSet[int]] = None,
                           batch_lines: int = LINES_PER_BATCH
                           ) -> TraceAccumulator:
-    """Drive a whole line iterable through the columnar replayer."""
+    """Drive a whole line iterable through the columnar replayer in
+    batches of ``batch_lines`` (sliced in C, never line by line)."""
     replayer = ColumnarReplayer(accumulator, fmt, decoder, clock,
                                 source=source, shards=shards)
-    batch: List[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) >= batch_lines:
-            replayer.feed_lines(batch)
-            batch = []
-    if batch:
+    lines = iter(lines)
+    for batch in iter(lambda: list(itertools.islice(lines, batch_lines)),
+                      []):
         replayer.feed_lines(batch)
     return accumulator
 

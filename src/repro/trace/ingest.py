@@ -81,9 +81,8 @@ def read_trace(path, fmt: Optional[str] = None,
     ``fmt`` of ``None`` or ``"auto"`` sniffs the format from the first
     payload line.
     """
-    handle = open_trace_lines(path)
-    try:
-        lines: Iterator[str] = iter(handle)
+    source = source or str(path)
+    with open_trace_lines(path, source) as lines:
         if fmt is None or fmt == "auto":
             fmt = "k6"
             head = []
@@ -94,9 +93,7 @@ def read_trace(path, fmt: Optional[str] = None,
                     fmt = detect_format(line)
                     break
             lines = itertools.chain(head, lines)
-        yield from iter_records(lines, fmt, source=source or str(path))
-    finally:
-        handle.close()
+        yield from iter_records(lines, fmt, source=source)
 
 
 def resolve_trace_format(path, fmt: Optional[str] = None) -> str:
@@ -108,14 +105,11 @@ def resolve_trace_format(path, fmt: Optional[str] = None) -> str:
     """
     if fmt is not None and fmt != "auto":
         return fmt
-    handle = open_trace_lines(path)
-    try:
-        for line in handle:
+    with open_trace_lines(path) as lines:
+        for line in lines:
             stripped = line.strip()
             if stripped and not stripped.startswith(("#", ";")):
                 return detect_format(line)
-    finally:
-        handle.close()
     return "k6"
 
 
@@ -174,12 +168,9 @@ def replay_trace_file(model: DramPowerModel, path,
         backend = "serial"
     if backend == "vector":
         accumulator = TraceAccumulator(model, strict=False)
-        handle = open_trace_lines(path)
-        try:
-            replay_lines_columnar(accumulator, handle, resolved_fmt,
+        with open_trace_lines(path) as lines:
+            replay_lines_columnar(accumulator, lines, resolved_fmt,
                                   decoder, clock, source=str(path))
-        finally:
-            handle.close()
         return accumulator, "vector"
     if backend == "process":
         from .parallel import evaluate_file_sharded

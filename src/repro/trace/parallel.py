@@ -65,14 +65,11 @@ def fold_file_shards(model: DramPowerModel, path, fmt: str,
         return accumulator
     everything = len(wanted) >= decoder.num_shards
     if columnar_available():
-        handle = open_trace_lines(path)
-        try:
+        with open_trace_lines(path) as lines:
             replay_lines_columnar(
-                accumulator, handle, fmt, decoder, clock,
+                accumulator, lines, fmt, decoder, clock,
                 source=str(path),
                 shards=None if everything else wanted)
-        finally:
-            handle.close()
         return accumulator
     records = read_trace(path, fmt)
     if not everything:

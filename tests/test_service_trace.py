@@ -11,12 +11,16 @@ from repro.devices import build_device
 from repro.engine import EvaluationSession
 from repro.errors import ServiceError
 from repro.service import create_service
+from repro.core.trace import TraceAccumulator
 from repro.service.tracing import (MIN_SNAPSHOT_EVERY,
                                    parse_trace_payload,
                                    parse_trace_query, trace_payload,
+                                   trace_result_row,
                                    trace_stream_payload)
 from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
+                         ColumnarReplayer, columnar_available,
                          commands_from_records, iter_records)
+from repro.trace.columnar import LINES_PER_BATCH
 from repro import DramPowerModel
 
 
@@ -173,6 +177,35 @@ class TestJsonMode:
         assert excinfo.value.status == 400
 
 
+def batched_library_records(text, snapshot_every, node=55):
+    """The records a columnar upload must stream: a library replay fed
+    ``min(snapshot_every, LINES_PER_BATCH)`` lines at a time, with a
+    snapshot after each full batch that crosses the cadence."""
+    device = build_device(node)
+    accumulator = TraceAccumulator(DramPowerModel(device), strict=False)
+    replayer = ColumnarReplayer(accumulator, "k6",
+                                AddressDecoder.from_device(device),
+                                DEFAULT_CLOCK)
+    batch_lines = min(snapshot_every, LINES_PER_BATCH)
+    lines = text.splitlines()
+    records, last_snap = [], 0
+    for start in range(0, len(lines), batch_lines):
+        batch = lines[start:start + batch_lines]
+        replayer.feed_lines(batch)
+        seen = accumulator.commands_seen
+        if len(batch) == batch_lines and seen - last_snap \
+                >= snapshot_every:
+            records.append({"index": len(records),
+                            "snapshot": trace_result_row(
+                                accumulator.snapshot(), seen)})
+            last_snap = seen
+    records.append({"done": True, "count": accumulator.commands_seen,
+                    "result": trace_result_row(
+                        accumulator.result(),
+                        accumulator.commands_seen)})
+    return records
+
+
 class TestRawMode:
     def test_gzipped_chunked_upload_matches_library(self, client):
         text = k6_text(2500)
@@ -187,6 +220,11 @@ class TestRawMode:
         assert final["duration_s"] == local.duration
         assert final["row_conflicts"] == local.row_conflicts
         assert any("snapshot" in r for r in records)
+        if columnar_available():
+            # Three parse batches: the snapshot cadence and every
+            # record are those of the batched library replay.
+            assert records == batched_library_records(
+                text, MIN_SNAPSHOT_EVERY)
 
     def test_plain_blob_equals_gzipped_blob(self, client):
         text = k6_text(300)
@@ -231,7 +269,6 @@ class TestConcurrentSnapshot:
         records = iter_records(iter(text.splitlines()), "k6")
         commands = list(commands_from_records(records, decoder,
                                               DEFAULT_CLOCK))
-        from repro.core.trace import TraceAccumulator
         accumulator = TraceAccumulator(model, strict=False)
         done = threading.Event()
         views = []
