@@ -32,6 +32,12 @@ Four kinds cover the ROADMAP's fleet-scale campaigns:
   :class:`~repro.core.trace.TraceAccumulator` states and assembly
   merges them exactly, so the job result is bit-identical to serial
   one-shot replay (and resumable mid-file at shard granularity).
+
+``evaluate`` and ``sweep`` run the service's operation table
+(:data:`~repro.service.jsonapi.EVALUATE` and
+:data:`~repro.service.jsonapi.SWEEPS`) through one generic
+:class:`OperationPlan`: the same eager parse as the endpoints, the
+same units, ``rows`` called once per unit like a stream.
 """
 
 from __future__ import annotations
@@ -41,26 +47,18 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
-from ..analysis.corners import (STANDARD_CORNERS, VENDOR_SPREAD_CORNERS,
-                                corner_sweep)
 from ..analysis.montecarlo import (DEFAULT_SIGMAS, Distribution,
                                    _measure_milliamps, _sample_variant)
-from ..analysis.sensitivity import PARAMETERS, sensitivity
-from ..analysis.trends import generation_trend
 from ..core.idd import IddMeasure
 from ..core.trace import TraceAccumulator
-from ..engine import AUTO, EvaluationSession
-from ..errors import JobError, ReproError, ServiceError
-from ..schemes import ALL_SCHEMES, compare_schemes
-from ..service.jsonapi import (SWEEPS, _evaluation, corner_row,
-                               device_from_payload,
-                               parse_evaluate_request, scheme_row,
-                               sensitivity_row, trend_row)
-from ..service.tracing import trace_result_row
-from ..technology.roadmap import nodes
-from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, AddressDecoder,
+from ..engine import EvaluationSession
+from ..errors import JobError, ServiceError
+from ..service.jsonapi import (EVALUATE, Operation, device_from_payload,
+                               execution_options, sweep_operation)
+from ..service.tracing import decoder_params, trace_result_row
+from ..trace import (DEFAULT_CLOCK, FORMATS, AddressDecoder,
                      fold_file_shards, resolve_trace_format)
 
 #: Default units per journaled chunk.
@@ -131,7 +129,8 @@ class JobPlan:
         return low, min(self.units, low + self.spec.chunk_size)
 
     def units_done(self, chunks: Mapping[int, Any]) -> int:
-        return sum(len(result) for result in chunks.values())
+        return sum(high - low
+                   for low, high in map(self.chunk_range, chunks))
 
     def _merged(self, chunks: Mapping[int, Any]) -> List[Any]:
         """Unit results in index order; raises if a chunk is absent."""
@@ -162,17 +161,6 @@ class JobPlan:
                 "units_total": self.units}
 
 
-def _execution_options(params: Mapping[str, Any]
-                       ) -> Tuple[Optional[int], Optional[str]]:
-    jobs = params.get("jobs")
-    if jobs is not None and not isinstance(jobs, int):
-        raise ServiceError("'jobs' must be an integer worker count")
-    backend = params.get("backend", AUTO)
-    if backend is not None and not isinstance(backend, str):
-        raise ServiceError("'backend' must be a backend name")
-    return jobs, backend
-
-
 class MonteCarloPlan(JobPlan):
     """``montecarlo``: one unit per sampled device variant."""
 
@@ -188,7 +176,7 @@ class MonteCarloPlan(JobPlan):
         sigmas = params.get("sigmas")
         self.sigmas = dict(DEFAULT_SIGMAS if sigmas is None
                            else sigmas)
-        self.jobs, self.backend = _execution_options(params)
+        self.jobs, self.backend = execution_options(params)
         # The deterministic core: the whole draw sequence depends
         # only on the seed, so a resumed plan regenerates the exact
         # device list and evaluates only the missing chunks.
@@ -218,7 +206,7 @@ class MonteCarloPlan(JobPlan):
         except (ValueError, TypeError) as exc:
             raise ServiceError(f"bad measure: {exc}") from exc
         device_from_payload(params.get("device", {}))
-        _execution_options(params)
+        execution_options(params)
 
     def run_chunk(self, index: int) -> List[Any]:
         low, high = self.chunk_range(index)
@@ -260,151 +248,61 @@ class MonteCarloPlan(JobPlan):
         return progress
 
 
-class EvaluatePlan(JobPlan):
-    """``evaluate``: one unit per device of a wide batch."""
+class OperationPlan(JobPlan):
+    """``evaluate``/``sweep``: one unit per unit of a table operation.
 
-    def __init__(self, spec: JobSpec, session: EvaluationSession):
-        super().__init__(spec, session)
-        self.devices, self.pattern = parse_evaluate_request(
-            dict(spec.params))
-        self.units = len(self.devices)
-
-    @classmethod
-    def validate(cls, params: Mapping[str, Any]) -> None:
-        parse_evaluate_request(dict(params))
-
-    def run_chunk(self, index: int) -> List[Any]:
-        low, high = self.chunk_range(index)
-        try:
-            return [_evaluation(self.session.model(device),
-                                self.pattern)
-                    for device in self.devices[low:high]]
-        except ServiceError:
-            raise
-        except ReproError as exc:
-            raise JobError(str(exc)) from exc
-
-    def assemble(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        results = self._merged(chunks)
-        return {"kind": "evaluate", "count": len(results),
-                "results": results}
-
-
-class SweepPlan(JobPlan):
-    """``sweep``: one unit per decomposed slice of a named sweep.
-
-    Mirrors the streaming decomposition (``sensitivity`` per
-    parameter, ``trends`` per node, ``schemes`` per scheme,
-    ``corners`` as a single unit) so resumable rows keep the
-    streaming order.
+    A chunk calls the operation's ``rows`` once per unit, exactly like
+    a stream, and journals the chunk's rows; assembly concatenates
+    them in unit order.
     """
 
     def __init__(self, spec: JobSpec, session: EvaluationSession):
         super().__init__(spec, session)
-        params = spec.params
-        self.sweep = params.get("kind")
-        self.jobs, self.backend = _execution_options(params)
-        self.variation = float(params.get("variation", 0.2))
-        self.vendor = bool(params.get("vendor", False))
-        self.io_width = int(params.get("io_width", 16))
-        if self.sweep in ("sensitivity", "corners", "schemes"):
-            self.device = device_from_payload(
-                params.get("device", {}))
-        else:
-            self.device = None
-        if self.sweep == "sensitivity":
-            self.slices: List[Any] = list(PARAMETERS)
-        elif self.sweep == "trends":
-            node_list = params.get("nodes")
-            if node_list is None:
-                node_list = list(nodes())
-            self.slices = list(node_list)
-        elif self.sweep == "schemes":
-            self.slices = list(ALL_SCHEMES)
-        else:
-            self.slices = [None]  # corners: one indivisible unit
-        self.units = len(self.slices)
+        self.head, self.operation = self.lookup(spec.params)
+        self.request = self.operation.parse(dict(spec.params))
+        self.unit_list = list(self.operation.units(self.request))
+        self.units = len(self.unit_list)
+
+    @staticmethod
+    def lookup(params: Mapping[str, Any]
+               ) -> Tuple[Dict[str, Any], Operation]:
+        """``(result head, table operation)`` for ``params``."""
+        raise NotImplementedError
 
     @classmethod
     def validate(cls, params: Mapping[str, Any]) -> None:
-        sweep = params.get("kind")
-        if sweep not in SWEEPS:
-            raise ServiceError(
-                f"unknown sweep kind {sweep!r}; choose from "
-                + "/".join(sorted(SWEEPS)))
-        node_list = params.get("nodes")
-        if node_list is not None and not isinstance(node_list, list):
-            raise ServiceError("'nodes' must be a list of nodes in nm")
-        if sweep in ("sensitivity", "corners", "schemes"):
-            device_from_payload(params.get("device", {}))
-        _execution_options(params)
-
-    def _slice_rows(self, item: Any) -> List[Any]:
-        if self.sweep == "sensitivity":
-            results = sensitivity(self.device,
-                                  variation=self.variation,
-                                  parameters=(item,),
-                                  session=self.session,
-                                  jobs=self.jobs,
-                                  backend=self.backend)
-            return [sensitivity_row(result) for result in results]
-        if self.sweep == "trends":
-            points = generation_trend(io_width=self.io_width,
-                                      node_list=[item],
-                                      session=self.session,
-                                      jobs=self.jobs,
-                                      backend=self.backend)
-            return [trend_row(point) for point in points]
-        if self.sweep == "schemes":
-            results = compare_schemes(self.device, schemes=(item,),
-                                      session=self.session,
-                                      jobs=self.jobs,
-                                      backend=self.backend)
-            return [scheme_row(result) for result in results]
-        corners = (VENDOR_SPREAD_CORNERS if self.vendor
-                   else STANDARD_CORNERS)
-        bands = corner_sweep(self.device, corners=corners,
-                             session=self.session, jobs=self.jobs,
-                             backend=self.backend)
-        return [corner_row(band) for band in bands]
+        cls.lookup(params)[1].parse(dict(params))
 
     def run_chunk(self, index: int) -> List[Any]:
         low, high = self.chunk_range(index)
-        try:
-            return [self._slice_rows(item)
-                    for item in self.slices[low:high]]
-        except ServiceError:
-            raise
-        except (ReproError, ValueError, TypeError) as exc:
-            raise JobError(str(exc)) from exc
+        return [row for unit in self.unit_list[low:high]
+                for row in self.operation.rows(self.session,
+                                               self.request, [unit])]
 
     def assemble(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        rows = [row for unit in self._merged(chunks) for row in unit]
-        return {"kind": "sweep", "sweep": self.sweep,
-                "count": len(rows), "rows": rows}
+        rows = self._merged(chunks)
+        # "results" for evaluate, "rows" for sweeps: the buffered keys.
+        return dict(self.head, count=len(rows),
+                    **{self.operation.record + "s": rows})
 
 
-def _trace_decoder_params(params: Mapping[str, Any]
-                          ) -> Dict[str, Any]:
-    """Validated decoder keyword arguments from a ``trace`` spec."""
-    decoder = params.get("decoder", {})
-    if not isinstance(decoder, dict):
-        raise ServiceError("'decoder' must be a JSON object")
-    policy = decoder.get("policy", "row-bank-column")
-    if policy not in POLICIES:
-        raise ServiceError(
-            f"unknown decode policy {policy!r}; choose from "
-            + "/".join(POLICIES))
-    kwargs: Dict[str, Any] = {"policy": policy}
-    for key in ("channel_bits", "rank_bits", "offset_bits"):
-        if key not in decoder:
-            continue
-        value = decoder[key]
-        if not isinstance(value, int) or value < 0:
-            raise ServiceError(
-                f"'{key}' must be a non-negative integer")
-        kwargs[key] = value
-    return kwargs
+class EvaluatePlan(OperationPlan):
+    """``evaluate``: one unit per device of a wide batch."""
+
+    @staticmethod
+    def lookup(params: Mapping[str, Any]
+               ) -> Tuple[Dict[str, Any], Operation]:
+        return {"kind": "evaluate"}, EVALUATE
+
+
+class SweepPlan(OperationPlan):
+    """``sweep``: one unit per decomposed slice of a named sweep."""
+
+    @staticmethod
+    def lookup(params: Mapping[str, Any]
+               ) -> Tuple[Dict[str, Any], Operation]:
+        kind, operation = sweep_operation(dict(params))
+        return {"kind": "sweep", "sweep": kind}, operation
 
 
 class TracePlan(JobPlan):
@@ -426,7 +324,7 @@ class TracePlan(JobPlan):
         self.path = str(params["path"])
         self.clock = float(params.get("clock", DEFAULT_CLOCK))
         self.decoder = AddressDecoder.from_device(
-            self.device, **_trace_decoder_params(params))
+            self.device, **decoder_params(params.get("decoder", {})))
         self.fmt = resolve_trace_format(self.path,
                                         params.get("format"))
         self.units = self.decoder.num_shards
@@ -452,7 +350,7 @@ class TracePlan(JobPlan):
                 "sharded trace jobs replay leniently; strict "
                 "legality checking needs the serial CLI path")
         device_from_payload(params.get("device", {}))
-        _trace_decoder_params(params)
+        decoder_params(params.get("decoder", {}))
 
     def run_chunk(self, index: int) -> List[Any]:
         low, high = self.chunk_range(index)
@@ -462,32 +360,17 @@ class TracePlan(JobPlan):
                 self.decoder, self.clock, range(low, high))
         except OSError as exc:
             raise JobError(str(exc)) from exc
-        except ServiceError:
-            raise
-        except ReproError as exc:
-            raise JobError(str(exc)) from exc
         return [accumulator.export_state()]
 
-    def units_done(self, chunks: Mapping[int, Any]) -> int:
-        # One exported state covers the chunk's whole shard range.
-        return sum(self.chunk_range(index)[1]
-                   - self.chunk_range(index)[0]
-                   for index in chunks)
-
-    def _merge(self, chunks: Mapping[int, Any],
-               indices: List[int]) -> TraceAccumulator:
+    def _merge(self, states: Iterable[Any]) -> TraceAccumulator:
         merged = TraceAccumulator(self.session.model(self.device),
                                   strict=False)
-        for index in indices:
-            for state in chunks[index]:
-                merged.merge_state(state)
+        for state in states:
+            merged.merge_state(state)
         return merged
 
     def assemble(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        for index in range(self.chunk_count):
-            if index not in chunks:
-                raise JobError(f"chunk {index} missing at assembly")
-        merged = self._merge(chunks, list(range(self.chunk_count)))
+        merged = self._merge(self._merged(chunks))
         return {"kind": "trace", "path": self.path,
                 "format": self.fmt, "device": self.device.name,
                 "shards": self.units,
@@ -498,8 +381,9 @@ class TracePlan(JobPlan):
     def partial(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
         progress = super().partial(chunks)
         if chunks:
-            merged = self._merge(chunks, sorted(chunks))
-            progress["commands"] = merged.commands_seen
+            progress["commands"] = self._merge(
+                state for index in sorted(chunks)
+                for state in chunks[index]).commands_seen
         return progress
 
 

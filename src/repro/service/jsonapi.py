@@ -5,6 +5,16 @@ Pure functions from parsed JSON payloads to JSON-compatible dicts;
 Keeping the API surface socket-free makes every endpoint unit-testable
 without a server and reusable by other front ends.
 
+Every ``/evaluate`` and ``/sweep`` operation is defined once, as one
+:class:`Operation` of the table below (:data:`EVALUATE` and one
+:data:`SWEEPS` entry per sweep kind): an eager ``parse``, a
+deterministic list of work ``units`` and a ``rows`` evaluator.  The
+three reply modes only differ in how they call ``rows``: a buffered
+reply here calls it once with every unit, while NDJSON streams
+(:mod:`repro.service.streaming`) and durable jobs
+(:mod:`repro.jobs.spec`) call it once per unit.  Adding a sweep kind
+is one table entry.
+
 A *device payload* takes one of three shapes:
 
 * builder keywords — ``{"node": 55, "io_width": 16, ...}`` routed to
@@ -27,11 +37,13 @@ import dataclasses
 import math
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..analysis.corners import (STANDARD_CORNERS, VENDOR_SPREAD_CORNERS,
                                 corner_sweep)
-from ..analysis.sensitivity import sensitivity
+from ..analysis.sensitivity import PARAMETERS, sensitivity
 from ..analysis.trends import generation_trend
 from ..core import DramPowerModel
 from ..description import DramDescription, Pattern
@@ -39,9 +51,11 @@ from ..description.jsonio import from_dict
 from ..description.pattern import Command
 from ..devices import build_device
 from ..dsl import loads
-from ..engine import AUTO, EvaluationSession, fingerprint
+from ..engine import (AUTO, EngineStats, EvaluationSession,
+                      fingerprint, resolve_backend)
 from ..errors import ReproError, ServiceError
-from ..schemes import compare_schemes
+from ..schemes import ALL_SCHEMES, compare_schemes
+from ..technology.roadmap import nodes
 from ..units import parse_quantity
 
 #: Keyword keys accepted by the builder shape of a device payload.
@@ -160,14 +174,47 @@ def _evaluation(model: DramPowerModel,
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class Operation:
+    """One service operation, defined once for every reply mode.
+
+    ``parse`` turns a JSON payload into a validated request and raises
+    :class:`ServiceError` (400) before any work starts; ``units`` lists
+    the request's work units in a deterministic order; ``rows``
+    evaluates a sequence of those units to JSON rows and raises on
+    failure.  ``record`` names one row inside a streamed record.
+    """
+
+    parse: Callable[[Any], Any]
+    units: Callable[[Any], Sequence[Any]]
+    rows: Callable[[EvaluationSession, Any, Sequence[Any]],
+                   List[Dict[str, Any]]]
+    record: str = "row"
+
+
+def _buffered_rows(session: EvaluationSession, operation: Operation,
+                   request: Any) -> List[Dict[str, Any]]:
+    """Every row of ``request`` from one ``rows`` call over all units.
+
+    One call keeps a sweep one vector-kernel batch and in the
+    analysis' own order.  Model-layer failures become 400s; a
+    :class:`ServiceError` (deadline, injected fault) keeps its status.
+    """
+    try:
+        return operation.rows(session, request, operation.units(request))
+    except ServiceError:
+        raise
+    except (ReproError, ValueError, TypeError) as exc:
+        raise ServiceError(str(exc)) from exc
+
+
 def parse_evaluate_request(payload: Any
                            ) -> Tuple[List[DramDescription],
                                       Optional[Pattern]]:
     """Decode an ``/evaluate`` body into ``(devices, pattern)``.
 
-    Shared by the buffered endpoint below and the streaming variant
-    (:mod:`repro.service.streaming`), so both reject malformed
-    requests identically and before any evaluation starts.
+    The ``parse`` of :data:`EVALUATE`, so every reply mode rejects
+    malformed requests identically and before any evaluation starts.
     """
     if not isinstance(payload, dict):
         raise ServiceError("request body must be a JSON object")
@@ -191,6 +238,22 @@ def parse_evaluate_request(payload: Any
     return devices, pattern
 
 
+def _evaluate_rows(session: EvaluationSession, request: Tuple,
+                   devices: Sequence[DramDescription]
+                   ) -> List[Dict[str, Any]]:
+    return [_evaluation(session.model(device), request[1])
+            for device in devices]
+
+
+#: ``/evaluate``: one unit per device, in request order.  ``parse``
+#: resolves the module attribute per call, so a wrapper installed on
+#: it later still sees every request.
+EVALUATE = Operation(
+    parse=lambda payload: parse_evaluate_request(payload),
+    units=lambda request: request[0],
+    rows=_evaluate_rows, record="result")
+
+
 def evaluate_payload(session: EvaluationSession, payload: Any,
                      cache: Optional[ResultCache] = None
                      ) -> Dict[str, Any]:
@@ -203,21 +266,15 @@ def evaluate_payload(session: EvaluationSession, payload: Any,
     memoized on ``(fingerprints, pattern)``: a repeat request skips
     evaluation entirely.
     """
-    devices, pattern = parse_evaluate_request(payload)
+    request = parse_evaluate_request(payload)
     key = None
     if cache is not None and cache.enabled:
-        key = (tuple(fingerprint(device) for device in devices),
+        key = (tuple(fingerprint(device) for device in request[0]),
                payload.get("pattern"))
         memoized = cache.get(key)
         if memoized is not None:
             return memoized
-    try:
-        results = [_evaluation(session.model(device), pattern)
-                   for device in devices]
-    except ServiceError:
-        raise  # deadline/fault errors keep their own status
-    except ReproError as exc:
-        raise ServiceError(str(exc)) from exc
+    results = _buffered_rows(session, EVALUATE, request)
     body = {"count": len(results), "results": results}
     if key is not None:
         cache.put(key, body)
@@ -227,95 +284,161 @@ def evaluate_payload(session: EvaluationSession, payload: Any,
 # ----------------------------------------------------------------------
 # Named sweeps.
 # ----------------------------------------------------------------------
-def sensitivity_row(result) -> Dict[str, Any]:
-    """One sensitivity sweep row — shared with the streaming mode."""
-    return {"name": result.name,
-            "group": result.group,
-            "impact": result.impact,
-            "power_base_w": result.power_base,
-            "power_low_w": result.power_low,
-            "power_high_w": result.power_high}
+def execution_options(payload: Dict[str, Any]
+                      ) -> Tuple[Optional[int], Optional[str]]:
+    """The validated ``jobs``/``backend`` pair of a sweep-like body.
+
+    ``backend`` defaults to ``"auto"``; an unknown backend or a
+    non-positive worker count is a 400 here, before any work starts.
+    """
+    jobs = payload.get("jobs")
+    if jobs is not None and not isinstance(jobs, int):
+        raise ServiceError("'jobs' must be an integer worker count")
+    backend = payload.get("backend", AUTO)
+    if backend is not None and not isinstance(backend, str):
+        raise ServiceError("'backend' must be a backend name")
+    try:
+        resolve_backend(backend, jobs)
+    except ReproError as exc:
+        raise ServiceError(str(exc)) from exc
+    return jobs, backend
 
 
-def corner_row(band) -> Dict[str, Any]:
-    """One corner sweep row — shared with the streaming mode."""
-    return {"measure": band.measure.value,
-            "min_ma": band.minimum,
-            "typ_ma": band.typical,
-            "max_ma": band.maximum,
-            "spread": band.spread,
-            "values_ma": band.values_ma}
+@dataclasses.dataclass(frozen=True)
+class SweepRequest:
+    """A validated ``/sweep`` request; ``echo`` heads the reply."""
+
+    device: Optional[DramDescription]
+    params: Dict[str, Any]
+    jobs: Optional[int]
+    backend: Optional[str]
+    echo: Dict[str, Any]
+
+    def options(self, session: EvaluationSession) -> Dict[str, Any]:
+        """Keyword arguments every analysis entry point takes."""
+        return {"session": session, "jobs": self.jobs,
+                "backend": self.backend}
 
 
-def trend_row(point) -> Dict[str, Any]:
-    """One generation-trend row — shared with the streaming mode."""
-    return {"node_nm": point.node_nm,
-            "year": point.year,
-            "interface": point.interface,
-            "datarate_gbps": point.datarate / 1e9,
-            "vdd": point.vdd,
-            "die_area_mm2": point.die_area_mm2,
-            "idd0_ma": point.idd0_ma,
-            "idd4r_ma": point.idd4r_ma,
-            "energy_idd7_pj": point.energy_idd7_pj}
+def _checked(test: Callable[[Any], bool], wants: str
+             ) -> Callable[[str, Any], Any]:
+    def check(name: str, value: Any) -> Any:
+        if not test(value):
+            raise ServiceError(f"'{name}' must be {wants}")
+        return value
+    return check
 
 
-def scheme_row(result) -> Dict[str, Any]:
-    """One scheme-comparison row — shared with the streaming mode."""
-    return {"scheme": result.scheme,
-            "power_saving": result.power_saving,
-            "area_overhead": result.area_overhead,
-            "baseline_power_w": result.baseline.power,
-            "modified_power_w": result.modified.power,
-            "notes": result.notes}
+_FRACTION = _checked(lambda v: isinstance(v, float) and 0.0 < v < 1.0,
+                     "a fraction in (0, 1)")
+_FLAG = _checked(lambda v: isinstance(v, bool), "true or false")
+_INTEGER = _checked(lambda v: isinstance(v, int)
+                    and not isinstance(v, bool), "an integer")
+_NODES = _checked(lambda v: v is None or (isinstance(v, list) and v),
+                  "a non-empty list of nodes in nm")
+
+#: One kind-specific sweep parameter: (JSON key, default, checker,
+#: echoed in the buffered reply).
+Param = Tuple[str, Any, Callable[[str, Any], Any], bool]
 
 
-def _sensitivity_rows(session, payload, jobs, backend):
-    device = device_from_payload(payload.get("device", {}))
-    variation = float(payload.get("variation", 0.2))
-    results = sensitivity(device, variation=variation,
-                          session=session, jobs=jobs, backend=backend)
-    return {"device": device.name, "variation": variation,
-            "rows": [sensitivity_row(result) for result in results]}
+def _parse_sweep(payload: Dict[str, Any], params: Tuple[Param, ...],
+                 device: bool) -> SweepRequest:
+    jobs, backend = execution_options(payload)
+    values = {name: check(name, payload[name]) if name in payload
+              else default for name, default, check, _ in params}
+    base = (device_from_payload(payload.get("device", {})) if device
+            else None)
+    echo = {"device": base.name} if device else {}
+    echo.update((name, values[name])
+                for name, _, _, shown in params if shown)
+    return SweepRequest(base, values, jobs, backend, echo)
 
 
-def _corner_rows(session, payload, jobs, backend):
-    device = device_from_payload(payload.get("device", {}))
-    vendor = bool(payload.get("vendor", False))
-    corners = VENDOR_SPREAD_CORNERS if vendor else STANDARD_CORNERS
-    bands = corner_sweep(device, corners=corners, session=session,
-                         jobs=jobs, backend=backend)
-    return {"device": device.name, "vendor": vendor,
-            "rows": [corner_row(band) for band in bands]}
+def _sweep(rows: Callable, units: Callable[[SweepRequest], Sequence],
+           *params: Param, device: bool = True) -> Operation:
+    return Operation(partial(_parse_sweep, params=params, device=device),
+                     units, rows)
 
 
-def _trend_rows(session, payload, jobs, backend):
-    io_width = int(payload.get("io_width", 16))
-    node_list = payload.get("nodes")
-    if node_list is not None and not isinstance(node_list, list):
-        raise ServiceError("'nodes' must be a list of nodes in nm")
-    points = generation_trend(io_width=io_width, node_list=node_list,
-                              session=session, jobs=jobs,
-                              backend=backend)
-    return {"io_width": io_width,
-            "rows": [trend_row(point) for point in points]}
+def _sensitivity_rows(session, request, parameters):
+    results = sensitivity(request.device,
+                          variation=request.params["variation"],
+                          parameters=tuple(parameters),
+                          **request.options(session))
+    return [{"name": result.name,
+             "group": result.group,
+             "impact": result.impact,
+             "power_base_w": result.power_base,
+             "power_low_w": result.power_low,
+             "power_high_w": result.power_high} for result in results]
 
 
-def _scheme_rows(session, payload, jobs, backend):
-    device = device_from_payload(payload.get("device", {}))
-    results = compare_schemes(device, session=session, jobs=jobs,
-                              backend=backend)
-    return {"device": device.name,
-            "rows": [scheme_row(result) for result in results]}
+def _corner_rows(session, request, _units):
+    corners = (VENDOR_SPREAD_CORNERS if request.params["vendor"]
+               else STANDARD_CORNERS)
+    bands = corner_sweep(request.device, corners=corners,
+                         **request.options(session))
+    return [{"measure": band.measure.value,
+             "min_ma": band.minimum,
+             "typ_ma": band.typical,
+             "max_ma": band.maximum,
+             "spread": band.spread,
+             "values_ma": band.values_ma} for band in bands]
 
 
-#: Sweep kinds served by ``POST /sweep``.
-SWEEPS = {
-    "sensitivity": _sensitivity_rows,
-    "corners": _corner_rows,
-    "trends": _trend_rows,
-    "schemes": _scheme_rows,
+def _trend_rows(session, request, node_list):
+    points = generation_trend(io_width=request.params["io_width"],
+                              node_list=list(node_list),
+                              **request.options(session))
+    return [{"node_nm": point.node_nm,
+             "year": point.year,
+             "interface": point.interface,
+             "datarate_gbps": point.datarate / 1e9,
+             "vdd": point.vdd,
+             "die_area_mm2": point.die_area_mm2,
+             "idd0_ma": point.idd0_ma,
+             "idd4r_ma": point.idd4r_ma,
+             "energy_idd7_pj": point.energy_idd7_pj} for point in points]
+
+
+def _scheme_rows(session, request, schemes):
+    results = compare_schemes(request.device, schemes=tuple(schemes),
+                              **request.options(session))
+    return [{"scheme": result.scheme,
+             "power_saving": result.power_saving,
+             "area_overhead": result.area_overhead,
+             "baseline_power_w": result.baseline.power,
+             "modified_power_w": result.modified.power,
+             "notes": result.notes} for result in results]
+
+
+#: Sweep kinds served by ``POST /sweep``.  Units: one per sensitivity
+#: parameter, one per roadmap node, one per scheme; the corner bands
+#: share one model per corner, so ``corners`` is a single unit.
+SWEEPS: Dict[str, Operation] = {
+    "sensitivity": _sweep(_sensitivity_rows, lambda _: PARAMETERS,
+                          ("variation", 0.2, _FRACTION, True)),
+    "corners": _sweep(_corner_rows, lambda _: ("corners",),
+                      ("vendor", False, _FLAG, True)),
+    "trends": _sweep(_trend_rows,
+                     lambda request: request.params["nodes"] or nodes(),
+                     ("io_width", 16, _INTEGER, True),
+                     ("nodes", None, _NODES, False), device=False),
+    "schemes": _sweep(_scheme_rows, lambda _: ALL_SCHEMES),
 }
+
+
+def sweep_operation(payload: Any) -> Tuple[str, Operation]:
+    """``(kind, table entry)`` of a ``/sweep`` body; 400 if unknown."""
+    if not isinstance(payload, dict):
+        raise ServiceError("request body must be a JSON object")
+    kind = payload.get("kind")
+    if kind not in SWEEPS:
+        raise ServiceError(
+            f"unknown sweep kind {kind!r}; choose from "
+            + "/".join(sorted(SWEEPS)))
+    return kind, SWEEPS[kind]
 
 
 def sweep_payload(session: EvaluationSession,
@@ -329,29 +452,14 @@ def sweep_payload(session: EvaluationSession,
     batchable sweep families through the columnar vector kernel when
     numpy is installed — visible as the ``vector_*`` counters of
     ``GET /stats``; ``"vector"`` requests the kernel explicitly).
+    Rows come in the analysis' own order (sensitivity by impact,
+    schemes by saving), unlike the per-unit order of a stream.
     """
-    if not isinstance(payload, dict):
-        raise ServiceError("request body must be a JSON object")
-    kind = payload.get("kind")
-    if kind not in SWEEPS:
-        raise ServiceError(
-            f"unknown sweep kind {kind!r}; choose from "
-            + "/".join(sorted(SWEEPS)))
-    jobs = payload.get("jobs")
-    if jobs is not None and not isinstance(jobs, int):
-        raise ServiceError("'jobs' must be an integer worker count")
-    backend = payload.get("backend", AUTO)
-    if backend is not None and not isinstance(backend, str):
-        raise ServiceError("'backend' must be a backend name")
-    try:
-        body = SWEEPS[kind](session, payload, jobs, backend)
-    except ServiceError:
-        raise
-    except (ReproError, ValueError, TypeError) as exc:
-        raise ServiceError(str(exc)) from exc
-    body["kind"] = kind
-    body["backend_requested"] = backend
-    return body
+    kind, operation = sweep_operation(payload)
+    request = operation.parse(payload)
+    rows = _buffered_rows(session, operation, request)
+    return dict(request.echo, rows=rows, kind=kind,
+                backend_requested=request.backend)
 
 
 def stats_payload(session: EvaluationSession) -> Dict[str, Any]:
@@ -360,13 +468,18 @@ def stats_payload(session: EvaluationSession) -> Dict[str, Any]:
     The server wraps this with uptime and request counts; keeping the
     engine part here lets tests assert cache behaviour without HTTP.
     """
-    stats = session.stats
+    return {"engine": engine_payload(session.stats),
+            "cache_dir": session.cache_dir}
+
+
+def engine_payload(stats: EngineStats) -> Dict[str, Any]:
+    """One :class:`~repro.engine.EngineStats` as JSON, with its rates."""
     engine: Dict[str, Any] = dataclasses.asdict(stats)
     engine["hit_rate"] = stats.hit_rate
     engine["lookups"] = stats.lookups
     engine["stage_hit_rate"] = stats.stage_hit_rate
     engine["stage_lookups"] = stats.stage_lookups
-    return {"engine": engine, "cache_dir": session.cache_dir}
+    return engine
 
 
 def sweep_kinds() -> List[str]:

@@ -22,7 +22,9 @@ consumed closes the connection rather than desynchronise the next
 request on it.  ``{"stream": true}`` in an ``/evaluate`` or ``/sweep``
 body switches the response to chunked NDJSON records
 (:mod:`repro.service.streaming`), one per finished device or sweep
-row, so long batches deliver results as they complete.
+row, so long batches deliver results as they complete.  JSON POSTs
+dispatch through one route table (:data:`JSON_ROUTES`) onto the
+operations of :mod:`repro.service.jsonapi`.
 ``POST /trace`` (:mod:`repro.service.tracing`) accepts external
 memory traces — JSON-wrapped or as a raw, optionally gzipped and
 chunk-framed body of unbounded length — and streams incremental
@@ -83,7 +85,8 @@ from .admission import (AdmissionController, AdmissionShed, Deadline,
                         ServiceLimits)
 from .auth import API_KEY_HEADER, ApiKeyAuth
 from .faults import FaultInjector, InjectedFault
-from .jsonapi import ResultCache, evaluate_payload, sweep_payload
+from .jsonapi import (ResultCache, engine_payload, evaluate_payload,
+                      sweep_payload)
 from .jsonapi import stats_payload as engine_stats_payload
 from .routing import (RESULT_CACHE_SUM_KEYS, WORKER_HEADER,
                       AffinityRouter, WorkerRegistry,
@@ -113,6 +116,31 @@ SERVICE_SUM_KEYS = ("requests_total", "errors", "timeouts",
                     "gzipped", "auth_failures")
 
 
+def _evaluate(server, session, payload, deadline, stream):
+    if stream:
+        return evaluate_stream(session, payload)
+    return evaluate_payload(session, payload, cache=server.result_cache)
+
+
+def _sweep(server, session, payload, deadline, stream):
+    return (sweep_stream if stream else sweep_payload)(session, payload)
+
+
+def _trace(server, session, payload, deadline, stream):
+    reply = trace_stream_payload if stream else trace_payload
+    return reply(session, payload, deadline=deadline)
+
+
+#: ``POST`` routes taking a JSON body: ``route(server, session,
+#: payload, deadline, stream)`` returns the buffered reply or, with
+#: ``stream``, its NDJSON records.  Each route names its functions as
+#: module globals, resolved per request, so a wrapper installed on
+#: them after import sees every call.  ``/trace`` also takes raw
+#: uploads and ``/jobs`` submits; both are dispatched by ``_post``.
+JSON_ROUTES = {"/evaluate": _evaluate, "/sweep": _sweep,
+               "/trace": _trace}
+
+
 class ServiceCounters:
     """Lock-guarded request tallies, shareable between twin servers.
 
@@ -123,16 +151,23 @@ class ServiceCounters:
     integer attributes of either server.
     """
 
+    #: Tallies besides the per-path request counts, named as in
+    #: ``/stats``: answered errors, 504s, affinity ``307``s (not
+    #: served requests), streams, streams cut short by the client,
+    #: gzipped replies and refused API keys.
+    TALLIES = ("errors", "timeouts", "redirects", "streams",
+               "stream_aborts", "gzipped", "auth_failures")
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
-        self.error_count = 0
-        self.timeout_count = 0
-        self.redirects = 0
-        self.streams = 0
-        self.stream_aborts = 0
-        self.gzipped = 0
-        self.auth_failures = 0
+        for name in self.TALLIES:
+            setattr(self, name, 0)
+
+    def count(self, name: str) -> None:
+        """Add one to the tally ``name``."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + 1)
 
     def count_request(self, path: str, status: int) -> None:
         """Tally one answered request (any status) per endpoint."""
@@ -140,48 +175,15 @@ class ServiceCounters:
             self.request_counts[path] = \
                 self.request_counts.get(path, 0) + 1
             if status >= 400:
-                self.error_count += 1
-
-    def count_timeout(self) -> None:
-        """Tally one request aborted on its deadline (504)."""
-        with self._lock:
-            self.timeout_count += 1
-
-    def count_redirect(self) -> None:
-        """Tally one affinity ``307`` (not a served request)."""
-        with self._lock:
-            self.redirects += 1
-
-    def count_stream(self) -> None:
-        with self._lock:
-            self.streams += 1
-
-    def count_stream_abort(self) -> None:
-        """Tally one stream cut short by the client disconnecting."""
-        with self._lock:
-            self.stream_aborts += 1
-
-    def count_gzip(self) -> None:
-        with self._lock:
-            self.gzipped += 1
-
-    def count_auth_failure(self) -> None:
-        with self._lock:
-            self.auth_failures += 1
+                self.errors += 1
 
     def snapshot(self) -> Dict[str, Any]:
         """All tallies at once, under one lock acquisition."""
         with self._lock:
-            return {
-                "requests": dict(self.request_counts),
-                "errors": self.error_count,
-                "timeouts": self.timeout_count,
-                "redirects": self.redirects,
-                "streams": self.streams,
-                "stream_aborts": self.stream_aborts,
-                "gzipped": self.gzipped,
-                "auth_failures": self.auth_failures,
-            }
+            body: Dict[str, Any] = {"requests": dict(self.request_counts)}
+            body.update((name, getattr(self, name))
+                        for name in self.TALLIES)
+            return body
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -278,7 +280,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         path = urlsplit(self.path).path
         if not self._authorized(path):
             return
-        if path not in ("/evaluate", "/sweep", "/trace", "/jobs"):
+        if path not in JSON_ROUTES and path != "/jobs":
             self._reply(404, {"error": f"unknown path {path!r}"})
             return
         server = self.server
@@ -294,7 +296,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                         retry_after=server.limits.retry_after)
             return
         except DeadlineExceeded as exc:
-            server.count_timeout()
+            server.counters.count("timeouts")
             self._reply(504, {"error": str(exc)})
             return
         try:
@@ -302,46 +304,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 if server.faults.before_request(path) == "reset":
                     self._abort_connection()
                     return
-                if path == "/trace":
-                    self._handle_trace(deadline)
-                    return
-                payload = self._read_json()
-                if path == "/jobs":
-                    # Submission is cheap (validation only); the job
-                    # itself runs asynchronously on the manager.
-                    self._reply(200, server.submit_job(payload))
-                    return
-                location = server.affinity_redirect(
-                    path, payload, self.headers)
-                if location is not None:
-                    self._redirect(location)
-                    return
-                session: EvaluationSession = server.session
-                if deadline is not None:
-                    # A budget blown before evaluation even starts
-                    # (slow reads, injected latency) is a 504 even
-                    # when the answer would be memoized.
-                    deadline.check()
-                    session = DeadlineSession(session, deadline)
-                if wants_stream(payload):
-                    if self.request_version == "HTTP/1.0":
-                        raise ServiceError(
-                            "streaming requires an HTTP/1.1 client")
-                    if path == "/evaluate":
-                        records = evaluate_stream(session, payload)
-                    else:
-                        records = sweep_stream(session, payload)
-                    self._stream_reply(path, records)
-                    return
-                if path == "/evaluate":
-                    body = evaluate_payload(
-                        session, payload, cache=server.result_cache)
-                else:
-                    body = sweep_payload(session, payload)
+                body = self._post(path, deadline)
             finally:
                 server.admission.release()
         except DeadlineExceeded as exc:
-            server.count_timeout()
+            server.counters.count("timeouts")
             self._reply(504, {"error": str(exc)})
         except ServiceError as exc:
             self._reply(exc.status or 400, {"error": str(exc)})
@@ -352,38 +319,55 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._reply(500,
                         {"error": f"{type(exc).__name__}: {exc}"})
         else:
-            self._reply(200, body)
+            if body is not None:
+                self._reply(200, body)
 
     # ------------------------------------------------------------------
-    def _handle_trace(self, deadline: Optional[Deadline]) -> None:
-        """``POST /trace``: JSON mode or raw streaming upload.
-
-        JSON bodies carry the trace in a ``"text"`` key (bounded by
-        the normal body cap) and answer buffered or streamed like the
-        other endpoints.  Any other content type is treated as the
-        trace itself — optionally gzipped and chunk-framed, exempt
-        from ``MAX_BODY_BYTES`` because it is folded incrementally in
-        constant memory — with parameters in the query string and an
-        NDJSON snapshot stream as the only response shape.
-        """
+    def _post(self, path: str,
+              deadline: Optional[Deadline]) -> Optional[Dict[str, Any]]:
+        """Serve one admitted POST: the 200 body, or ``None`` once a
+        stream or redirect has already answered."""
         server = self.server
         content_type = (self.headers.get("Content-Type") or "")
         content_type = content_type.split(";")[0].strip().lower()
-        if content_type == "application/json":
-            payload = self._read_json()
-            if deadline is not None:
-                deadline.check()
-            if wants_stream(payload):
-                if self.request_version == "HTTP/1.0":
-                    raise ServiceError(
-                        "streaming requires an HTTP/1.1 client")
-                records = trace_stream_payload(server.session, payload,
-                                               deadline=deadline)
-                self._stream_reply("/trace", records)
-                return
-            self._reply(200, trace_payload(server.session, payload,
-                                           deadline=deadline))
-            return
+        if path == "/trace" and content_type != "application/json":
+            self._upload_trace(deadline)
+            return None
+        payload = self._read_json()
+        if path == "/jobs":
+            # Submission is cheap (validation only); the job itself
+            # runs asynchronously on the manager.
+            return server.submit_job(payload)
+        location = server.affinity_redirect(path, payload, self.headers)
+        if location is not None:
+            self._redirect(location)
+            return None
+        session: EvaluationSession = server.session
+        if deadline is not None:
+            # A budget blown before evaluation even starts (slow
+            # reads, injected latency) is a 504 even when the answer
+            # would be memoized.
+            deadline.check()
+            session = DeadlineSession(session, deadline)
+        stream = wants_stream(payload)
+        if stream and self.request_version == "HTTP/1.0":
+            raise ServiceError("streaming requires an HTTP/1.1 client")
+        reply = JSON_ROUTES[path](server, session, payload, deadline,
+                                  stream)
+        if not stream:
+            return reply
+        self._stream_reply(path, reply)
+        return None
+
+    def _upload_trace(self, deadline: Optional[Deadline]) -> None:
+        """Raw-mode ``POST /trace``: the body *is* the trace.
+
+        Optionally gzipped and chunk-framed, exempt from
+        ``MAX_BODY_BYTES`` because it is folded incrementally in
+        constant memory, with parameters in the query string and an
+        NDJSON snapshot stream as the only response shape.
+        """
+        server = self.server
         if self.request_version == "HTTP/1.0":
             raise ServiceError(
                 "raw trace uploads require an HTTP/1.1 client")
@@ -418,11 +402,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     or "").lower()
         if "chunked" in transfer:
             return self._iter_chunked_body()
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
+        length = self._content_length()
+        if length is None:
             raise ServiceError(
                 "trace upload needs Content-Length or "
                 "Transfer-Encoding: chunked")
+        return self._iter_sized_body(length)
+
+    def _content_length(self) -> Optional[int]:
+        """The declared ``Content-Length``; ``None`` when absent."""
+        raw_length = self.headers.get("Content-Length")
+        if raw_length is None:
+            return None
         try:
             length = int(raw_length)
         except ValueError:
@@ -430,9 +421,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"malformed Content-Length {raw_length!r}") from None
         if length < 0:
             raise ServiceError(f"negative Content-Length {length}")
-        return self._iter_sized_body(length)
+        return length
 
     def _iter_sized_body(self, length: int):
+        """Exactly ``length`` body bytes in chunks of at most 64 KiB.
+
+        ``rfile.read(n)`` may legally return fewer bytes than asked
+        (slow or half-closed peers), so loop until the declared length
+        arrived; a connection that drops early is a client error, not
+        an internal one.
+        """
         remaining = length
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 65536))
@@ -486,7 +484,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return True
         if auth.check(self.headers.get(API_KEY_HEADER)):
             return True
-        self.server.counters.count_auth_failure()
+        self.server.counters.count("auth_failures")
         self.close_connection = True
         self._reply(401, {"error": "missing or invalid API key"})
         return False
@@ -510,43 +508,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return Deadline(budget)
         return None
 
-    def _read_body(self, length: int) -> bytes:
-        """Exactly ``length`` body bytes, or 400 on a short read.
-
-        ``rfile.read(n)`` may legally return fewer bytes than asked
-        (slow or half-closed peers), so loop until the declared
-        ``Content-Length`` arrived; a connection that drops early is a
-        client error, not an internal one.
-        """
-        chunks = []
-        remaining = length
-        while remaining > 0:
-            chunk = self.rfile.read(remaining)
-            if not chunk:
-                raise ServiceError(
-                    f"request body truncated: got "
-                    f"{length - remaining} of {length} bytes")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def _read_json(self) -> Any:
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            raise ServiceError("request needs a JSON body")
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise ServiceError(
-                f"malformed Content-Length {raw_length!r}") from None
-        if length < 0:
-            raise ServiceError(
-                f"negative Content-Length {length}")
-        if length == 0:
+        length = self._content_length()
+        if not length:
             raise ServiceError("request needs a JSON body")
         if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
-        raw = self._read_body(length)
+        raw = b"".join(self._iter_sized_body(length))
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
@@ -568,7 +536,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # Tally before the body goes out: a client that sees this
         # response and immediately asks /stats must find the request
         # already counted.
-        server.count_request(urlsplit(self.path).path, status)
+        server.counters.count_request(urlsplit(self.path).path, status)
         blob = json.dumps(payload).encode("utf-8")
         encoding = None
         if (len(blob) >= server.gzip_min_bytes
@@ -577,7 +545,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # equal answers from different workers stay bit-identical.
             blob = gzip_module.compress(blob, mtime=0)
             encoding = "gzip"
-            server.counters.count_gzip()
+            server.counters.count("gzipped")
         if status >= 400 and self.command == "POST":
             # The request body may not have been consumed (shed, 401,
             # oversized post): reusing this connection would read the
@@ -610,7 +578,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         worker tallies the request when it answers it.
         """
         server = self.server
-        server.counters.count_redirect()
+        server.counters.count("redirects")
         blob = json.dumps({"redirect": location}).encode("utf-8")
         self.send_response(307)
         self.send_header("Location", location)
@@ -632,8 +600,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         the stream (tallied in ``stream_aborts``).
         """
         server = self.server
-        server.counters.count_stream()
-        server.count_request(path, 200)
+        server.counters.count("streams")
+        server.counters.count_request(path, 200)
         self.send_response(200)
         self.send_header("Content-Type", STREAM_CONTENT_TYPE)
         self.send_header("Transfer-Encoding", "chunked")
@@ -647,7 +615,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._write_chunk(blob)
             self._write_chunk(b"")  # terminal zero-length chunk
         except (BrokenPipeError, ConnectionResetError, OSError):
-            server.counters.count_stream_abort()
+            server.counters.count("stream_aborts")
             self.close_connection = True
 
     def _write_chunk(self, blob: bytes) -> None:
@@ -761,26 +729,6 @@ class EvaluationService(ThreadingHTTPServer):
             self.jobs.start()
 
     # ------------------------------------------------------------------
-    def count_request(self, path: str, status: int) -> None:
-        """Tally one answered request (any status) per endpoint."""
-        self.counters.count_request(path, status)
-
-    def count_timeout(self) -> None:
-        """Tally one request aborted on its deadline (504)."""
-        self.counters.count_timeout()
-
-    @property
-    def request_counts(self) -> Dict[str, int]:
-        return self.counters.request_counts
-
-    @property
-    def error_count(self) -> int:
-        return self.counters.error_count
-
-    @property
-    def timeout_count(self) -> int:
-        return self.counters.timeout_count
-
     @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self.started_monotonic
@@ -846,17 +794,11 @@ class EvaluationService(ThreadingHTTPServer):
             "uptime_seconds": self.uptime_seconds,
             "started_unix": self.started_unix,
             "requests": tallies["requests"],
-            "requests_total": sum(tallies["requests"].values()),
-            "errors": tallies["errors"],
-            "timeouts": tallies["timeouts"],
-            "redirects": tallies["redirects"],
-            "streams": tallies["streams"],
-            "stream_aborts": tallies["stream_aborts"],
-            "gzipped": tallies["gzipped"],
-            "auth_failures": tallies["auth_failures"],
-            "admission": self.admission.snapshot(),
-            "result_cache": self.result_cache.snapshot(),
+            "requests_total": sum(tallies.pop("requests").values()),
         })
+        body.update(tallies)
+        body.update({"admission": self.admission.snapshot(),
+                     "result_cache": self.result_cache.snapshot()})
         if self.jobs is not None:
             body["jobs"] = self.jobs.counters()
         if self.faults.active:
@@ -903,11 +845,6 @@ class EvaluationService(ThreadingHTTPServer):
         merged = dataclasses.replace(
             merged,
             capacity=sum(stats.capacity for stats in stats_list))
-        engine: Dict[str, Any] = dataclasses.asdict(merged)
-        engine["hit_rate"] = merged.hit_rate
-        engine["lookups"] = merged.lookups
-        engine["stage_hit_rate"] = merged.stage_hit_rate
-        engine["stage_lookups"] = merged.stage_lookups
         body = {
             "status": "ok",
             "scope": "cluster",
@@ -915,7 +852,7 @@ class EvaluationService(ThreadingHTTPServer):
             "workers": sorted(payloads),
             "workers_unreachable": unreachable,
             "uptime_seconds": self.uptime_seconds,
-            "engine": engine,
+            "engine": engine_payload(merged),
             "requests": merge_request_counts(
                 [b.get("requests", {}) for b in ordered]),
             "admission": merge_admission(

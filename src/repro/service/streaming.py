@@ -12,36 +12,27 @@ newline-delimited JSON record per finished unit of work instead:
   failed after the stream started (the stream then ends);
 * ``{"done": true, "count": n}`` — the terminal record.
 
-The factories below validate the request *eagerly* and raise
-:class:`~repro.errors.ServiceError` before returning a generator, so
-malformed requests still get an ordinary JSON error response; only
-failures after the first record has been sent degrade to an in-band
-error record.
+A stream runs the same :class:`~repro.service.jsonapi.Operation` as
+the buffered reply: the request is parsed — every parameter validated
+— before the generator is returned, so a malformed request still gets
+an ordinary JSON 400, and ``rows`` then runs once per unit, so the
+first record arrives long before the sweep completes.  Rows are
+bit-identical to the buffered reply's; only sensitivity and schemes
+come in unit order instead of the buffered impact/saving order.
 
-Row payloads reuse the exact formatter functions of
-:mod:`repro.service.jsonapi`, so a streamed sweep's rows are
-bit-identical to the buffered response's — only the framing differs.
-Decomposable sweeps (``sensitivity`` per parameter, ``trends`` per
-node, ``schemes`` per scheme) evaluate incrementally, so the first
-record arrives long before the sweep completes; ``corners`` shares
-one model across measures and streams the finished rows.
+:func:`frame` is the one framer of every NDJSON stream, ``/trace``
+snapshots included: it numbers the records and turns a failure into
+the in-band error record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator
+from typing import Any, Callable, Dict, Iterable, Iterator, Tuple
 
-from ..analysis.corners import (STANDARD_CORNERS, VENDOR_SPREAD_CORNERS,
-                                corner_sweep)
-from ..analysis.sensitivity import PARAMETERS, sensitivity
-from ..analysis.trends import generation_trend
-from ..engine import AUTO, EvaluationSession
+from ..engine import EvaluationSession
 from ..errors import ReproError, ServiceError
-from ..schemes import ALL_SCHEMES, compare_schemes
-from ..technology.roadmap import nodes
-from .jsonapi import (SWEEPS, _evaluation, corner_row,
-                      device_from_payload, parse_evaluate_request,
-                      scheme_row, sensitivity_row, trend_row)
+from .jsonapi import (EVALUATE, Operation, parse_evaluate_request,
+                      sweep_operation)
 
 #: NDJSON content type of every streamed response.
 STREAM_CONTENT_TYPE = "application/x-ndjson"
@@ -71,132 +62,47 @@ def _done(count: int) -> Dict[str, Any]:
     return {"done": True, "count": count}
 
 
+def frame(items: Iterable[Tuple[str, Any]],
+          done: Callable[[int], Dict[str, Any]] = _done
+          ) -> Iterator[Dict[str, Any]]:
+    """NDJSON records of ``(key, value)`` items, then ``done(count)``.
+
+    Record ``i`` is ``{"index": i, key: value}``.  A failure while
+    producing an item ends the stream with one in-band error record
+    at the index it would have had.
+    """
+    index = 0
+    try:
+        for key, value in items:
+            yield {"index": index, key: value}
+            index += 1
+    except (ReproError, ValueError, TypeError) as exc:
+        yield _error_record(index, exc)
+        return
+    yield done(index)
+
+
+def operation_stream(session: EvaluationSession, operation: Operation,
+                     request: Any) -> Iterator[Dict[str, Any]]:
+    """The records of a parsed request, ``rows`` called per unit."""
+
+    def items() -> Iterator[Tuple[str, Any]]:
+        for unit in operation.units(request):
+            for row in operation.rows(session, request, [unit]):
+                yield operation.record, row
+
+    return frame(items())
+
+
 def evaluate_stream(session: EvaluationSession,
                     payload: Any) -> Iterator[Dict[str, Any]]:
-    """Streaming ``POST /evaluate``: one record per device.
-
-    Parses and validates the whole request up front (raising
-    :class:`ServiceError` like the buffered path), then returns a
-    generator that evaluates device by device.
-    """
-    devices, pattern = parse_evaluate_request(payload)
-
-    def records() -> Iterator[Dict[str, Any]]:
-        count = 0
-        for index, device in enumerate(devices):
-            try:
-                body = _evaluation(session.model(device), pattern)
-            except ServiceError as exc:
-                yield _error_record(index, exc)
-                return
-            except ReproError as exc:
-                yield _error_record(index, exc)
-                return
-            count += 1
-            yield {"index": index, "result": body}
-        yield _done(count)
-
-    return records()
-
-
-# ----------------------------------------------------------------------
-# Sweep decomposition: one generator per kind.
-# ----------------------------------------------------------------------
-def _sensitivity_units(session, payload, jobs, backend):
-    device = device_from_payload(payload.get("device", {}))
-    variation = float(payload.get("variation", 0.2))
-    for parameter in PARAMETERS:
-        results = sensitivity(device, variation=variation,
-                              parameters=(parameter,),
-                              session=session, jobs=jobs,
-                              backend=backend)
-        for result in results:
-            yield sensitivity_row(result)
-
-
-def _corner_units(session, payload, jobs, backend):
-    device = device_from_payload(payload.get("device", {}))
-    vendor = bool(payload.get("vendor", False))
-    corners = VENDOR_SPREAD_CORNERS if vendor else STANDARD_CORNERS
-    bands = corner_sweep(device, corners=corners, session=session,
-                         jobs=jobs, backend=backend)
-    for band in bands:
-        yield corner_row(band)
-
-
-def _trend_units(session, payload, jobs, backend):
-    io_width = int(payload.get("io_width", 16))
-    node_list = payload.get("nodes")
-    if node_list is not None and not isinstance(node_list, list):
-        raise ServiceError("'nodes' must be a list of nodes in nm")
-    if node_list is None:
-        node_list = list(nodes())
-    for node in node_list:
-        points = generation_trend(io_width=io_width,
-                                  node_list=[node],
-                                  session=session, jobs=jobs,
-                                  backend=backend)
-        for point in points:
-            yield trend_row(point)
-
-
-def _scheme_units(session, payload, jobs, backend):
-    device = device_from_payload(payload.get("device", {}))
-    for scheme in ALL_SCHEMES:
-        results = compare_schemes(device, schemes=(scheme,),
-                                  session=session, jobs=jobs,
-                                  backend=backend)
-        for result in results:
-            yield scheme_row(result)
-
-
-#: Per-kind incremental row generators (same keys as ``SWEEPS``).
-_STREAMERS = {
-    "sensitivity": _sensitivity_units,
-    "corners": _corner_units,
-    "trends": _trend_units,
-    "schemes": _scheme_units,
-}
+    """Streaming ``POST /evaluate``: one record per device."""
+    return operation_stream(session, EVALUATE,
+                            parse_evaluate_request(payload))
 
 
 def sweep_stream(session: EvaluationSession,
                  payload: Any) -> Iterator[Dict[str, Any]]:
-    """Streaming ``POST /sweep``: one record per row.
-
-    Validates ``kind``/``jobs``/``backend`` and the routing device
-    eagerly, exactly like the buffered endpoint; rows then stream as
-    each decomposed unit of the sweep finishes.  Note the row *order*
-    of a streamed ``sensitivity`` sweep is parameter declaration
-    order, not the impact-sorted order of the buffered response.
-    """
-    if not isinstance(payload, dict):
-        raise ServiceError("request body must be a JSON object")
-    kind = payload.get("kind")
-    if kind not in SWEEPS:
-        raise ServiceError(
-            f"unknown sweep kind {kind!r}; choose from "
-            + "/".join(sorted(SWEEPS)))
-    jobs = payload.get("jobs")
-    if jobs is not None and not isinstance(jobs, int):
-        raise ServiceError("'jobs' must be an integer worker count")
-    backend = payload.get("backend", AUTO)
-    if backend is not None and not isinstance(backend, str):
-        raise ServiceError("'backend' must be a backend name")
-    if kind in ("sensitivity", "corners", "schemes"):
-        # Decode the device now so a malformed one is a normal 400.
-        device_from_payload(payload.get("device", {}))
-    units = _STREAMERS[kind]
-
-    def records() -> Iterator[Dict[str, Any]]:
-        count = 0
-        try:
-            for row in units(session, payload, jobs, backend):
-                yield {"index": count, "row": row}
-                count += 1
-        except (ServiceError, ReproError, ValueError,
-                TypeError) as exc:
-            yield _error_record(count, exc)
-            return
-        yield _done(count)
-
-    return records()
+    """Streaming ``POST /sweep``: one record per row, in unit order."""
+    _, operation = sweep_operation(payload)
+    return operation_stream(session, operation, operation.parse(payload))

@@ -16,11 +16,13 @@ Raw mode (any other content type)
     the query string (``/trace?format=k6&clock=1e9&node=55&...``); the
     response always streams NDJSON incremental aggregates.
 
-Records mirror :mod:`repro.service.streaming` conventions:
+Records go through the one framer of :mod:`repro.service.streaming`:
 ``{"index": i, "snapshot": {...}}`` every ``snapshot_every`` commands,
 ``{"done": true, "count": n, "result": {...}}`` terminally, and
 ``{"index": i, "error": ..., "status": ...}`` for failures after the
-stream started.  The evaluator is the same constant-memory
+stream started.  The buffered JSON reply collects the same fold and
+re-raises a failure as the original exception, so a blown deadline is
+a counted 504.  The evaluator is the same constant-memory
 :class:`~repro.core.trace.TraceAccumulator` fold the library uses, so
 an uploaded trace prices bit-for-bit identically to local one-shot
 evaluation.
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from ..core.trace import TraceAccumulator, TraceResult
 from ..engine import EvaluationSession
@@ -43,6 +45,7 @@ from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, AddressDecoder,
 from ..trace.columnar import LINES_PER_BATCH, record_downgrade
 from .admission import Deadline
 from .jsonapi import _finite, device_from_payload
+from .streaming import frame
 
 #: Commands between incremental snapshot records.
 DEFAULT_SNAPSHOT_EVERY = 250_000
@@ -56,10 +59,12 @@ MIN_SNAPSHOT_EVERY = 1_000
 _DEVICE_QUERY_KEYS = ("node", "interface", "io_width", "datarate",
                       "density_bits")
 
+#: Address-decoder keys: a JSON ``decoder`` object or the query.
+_DECODER_KEYS = ("policy", "channel_bits", "rank_bits", "offset_bits")
+
 #: Query keys interpreted by the trace evaluator itself.
-_TRACE_QUERY_KEYS = ("format", "clock", "strict", "snapshot_every",
-                     "policy", "channel_bits", "rank_bits",
-                     "offset_bits", "backend")
+_TRACE_QUERY_KEYS = (("format", "clock", "strict", "snapshot_every")
+                     + _DECODER_KEYS + ("backend",))
 
 #: Backends a streamed upload can ask for.  ``process`` is rejected:
 #: a socket stream is consumed sequentially and cannot be re-read by
@@ -85,18 +90,12 @@ class TraceRequest:
     backend: str = "auto"
 
 
-def _parse_int(value: Any, name: str) -> int:
+def _parse_number(value: Any, name: str, kind: type = int) -> Any:
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ServiceError(f"'{name}' must be an integer") from None
-
-
-def _parse_float(value: Any, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ServiceError(f"'{name}' must be a number") from None
+        wants = "an integer" if kind is int else "a number"
+        raise ServiceError(f"'{name}' must be {wants}") from None
 
 
 def _parse_bool(value: Any, name: str) -> bool:
@@ -111,15 +110,60 @@ def _parse_bool(value: Any, name: str) -> bool:
     raise ServiceError(f"'{name}' must be a boolean")
 
 
-def _validate(request: TraceRequest) -> TraceRequest:
+def decoder_params(fields: Any) -> Dict[str, Any]:
+    """Validated :class:`~repro.trace.AddressDecoder` keywords.
+
+    ``fields`` is a JSON ``decoder`` object or the flat query string,
+    whose values arrive as text and are read as base-10 integers.
+    Every bit count must be a non-negative integer: ``2.5`` or ``-1``
+    is a 400, never truncated or left for the decoder to refuse.
+    """
+    if not isinstance(fields, dict):
+        raise ServiceError("'decoder' must be a JSON object")
+    policy = fields.get("policy", "row-bank-column")
+    if policy not in POLICIES:
+        raise ServiceError(
+            f"unknown decode policy {policy!r}; choose from "
+            + "/".join(POLICIES))
+    kwargs: Dict[str, Any] = {"policy": policy}
+    for key in _DECODER_KEYS[1:]:
+        if key not in fields:
+            continue
+        value = fields[key]
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                pass  # refused below
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value < 0):
+            raise ServiceError(
+                f"'{key}' must be a non-negative integer")
+        kwargs[key] = value
+    return kwargs
+
+
+def _parse(request: TraceRequest, fields: Dict[str, Any],
+           decoder: Dict[str, Any]) -> TraceRequest:
+    """Fill ``request`` from JSON fields or query text, validated."""
+    for key in ("format", "backend"):
+        if not isinstance(fields.get(key, ""), str):
+            raise ServiceError(f"'{key}' must be a string")
+    request.fmt = fields.get("format", request.fmt)
+    request.backend = fields.get("backend", request.backend)
+    if "clock" in fields:
+        request.clock = _parse_number(fields["clock"], "clock", float)
+    if "strict" in fields:
+        request.strict = _parse_bool(fields["strict"], "strict")
+    if "snapshot_every" in fields:
+        request.snapshot_every = _parse_number(
+            fields["snapshot_every"], "snapshot_every")
     if request.fmt not in FORMATS:
         raise ServiceError(
             f"unknown trace format {request.fmt!r}; choose from "
             + "/".join(sorted(FORMATS)))
-    if request.policy not in POLICIES:
-        raise ServiceError(
-            f"unknown decode policy {request.policy!r}; choose from "
-            + "/".join(POLICIES))
+    for key, value in decoder_params(decoder).items():
+        setattr(request, key, value)
     if not request.clock > 0:
         raise ServiceError("'clock' must be positive Hz")
     if request.backend not in _STREAM_BACKENDS:
@@ -153,30 +197,11 @@ def parse_trace_query(query: Dict[str, List[str]]) -> TraceRequest:
         if key not in flat:
             continue
         if key in ("node", "io_width", "density_bits"):
-            device[key] = _parse_int(flat[key], key)
+            device[key] = _parse_number(flat[key], key)
         else:
             device[key] = flat[key]
-    request = TraceRequest(device_payload=device)
-    if "format" in flat:
-        request.fmt = flat["format"]
-    if "clock" in flat:
-        request.clock = _parse_float(flat["clock"], "clock")
-    if "strict" in flat:
-        request.strict = _parse_bool(flat["strict"], "strict")
-    if "snapshot_every" in flat:
-        request.snapshot_every = _parse_int(flat["snapshot_every"],
-                                            "snapshot_every")
-    if "policy" in flat:
-        request.policy = flat["policy"]
-    for key in ("channel_bits", "rank_bits"):
-        if key in flat:
-            setattr(request, key, _parse_int(flat[key], key))
-    if "offset_bits" in flat:
-        request.offset_bits = _parse_int(flat["offset_bits"],
-                                         "offset_bits")
-    if "backend" in flat:
-        request.backend = flat["backend"]
-    return _validate(request)
+    return _parse(TraceRequest(device_payload=device), flat,
+                  {key: flat[key] for key in _DECODER_KEYS if key in flat})
 
 
 def parse_trace_payload(payload: Any) -> Tuple[TraceRequest, str]:
@@ -191,32 +216,7 @@ def parse_trace_payload(payload: Any) -> Tuple[TraceRequest, str]:
             "request needs a non-empty 'text' key with trace lines "
             "(or upload the raw trace as the request body)")
     request = TraceRequest(device_payload=payload["device"])
-    request.fmt = payload.get("format", "k6")
-    if not isinstance(request.fmt, str):
-        raise ServiceError("'format' must be a string")
-    if "clock" in payload:
-        request.clock = _parse_float(payload["clock"], "clock")
-    if "strict" in payload:
-        request.strict = _parse_bool(payload["strict"], "strict")
-    if "snapshot_every" in payload:
-        request.snapshot_every = _parse_int(payload["snapshot_every"],
-                                            "snapshot_every")
-    if "backend" in payload:
-        request.backend = payload["backend"]
-        if not isinstance(request.backend, str):
-            raise ServiceError("'backend' must be a string")
-    decoder = payload.get("decoder", {})
-    if not isinstance(decoder, dict):
-        raise ServiceError("'decoder' must be a JSON object")
-    if "policy" in decoder:
-        request.policy = decoder["policy"]
-    for key in ("channel_bits", "rank_bits"):
-        if key in decoder:
-            setattr(request, key, _parse_int(decoder[key], key))
-    if "offset_bits" in decoder:
-        request.offset_bits = _parse_int(decoder["offset_bits"],
-                                         "offset_bits")
-    return _validate(request), text
+    return _parse(request, payload, payload.get("decoder", {})), text
 
 
 # ----------------------------------------------------------------------
@@ -242,15 +242,92 @@ def trace_result_row(result: TraceResult,
     }
 
 
-def _error_record(index: int, exc: Exception) -> Dict[str, Any]:
-    status = exc.status if isinstance(exc, ServiceError) else 400
-    record = {"index": index, "error": str(exc), "status": status}
-    if (isinstance(exc, ServiceError)
-            and exc.retry_after is not None):
-        # Shedding-class failures after the stream started cannot
-        # carry a Retry-After header; the hint rides in-band.
-        record["retry_after"] = exc.retry_after
-    return record
+def _scalar_segments(accumulator: TraceAccumulator,
+                     blocks: Iterable[bytes], request: TraceRequest,
+                     decoder: AddressDecoder,
+                     deadline: Optional[Deadline]) -> Iterator[None]:
+    """Feed ``snapshot_every`` commands at a time; yield after each
+    full segment."""
+    lines = iter_lines(blocks, source="<upload>")
+    commands = commands_from_records(
+        iter_records(lines, request.fmt, source="<upload>"), decoder,
+        request.clock)
+    while True:
+        seen = accumulator.commands_seen
+        accumulator.feed(itertools.islice(commands,
+                                          request.snapshot_every))
+        if deadline is not None:
+            deadline.check()
+        if accumulator.commands_seen - seen < request.snapshot_every:
+            return
+        yield
+
+
+def _columnar_segments(accumulator: TraceAccumulator,
+                       blocks: Iterable[bytes], request: TraceRequest,
+                       decoder: AddressDecoder,
+                       deadline: Optional[Deadline]) -> Iterator[None]:
+    """Feed line batches; yield after each full batch that crosses
+    the snapshot cadence."""
+    # One line yields at least one command, so batching
+    # ``snapshot_every`` lines guarantees each full batch crosses
+    # the snapshot cadence; the cap keeps batches array-sized.
+    batch_lines = min(request.snapshot_every, LINES_PER_BATCH)
+    replayer = ColumnarReplayer(accumulator, request.fmt, decoder,
+                                request.clock, source="<upload>")
+    last_snap = 0
+    for batch in iter_line_batches(blocks, batch_lines,
+                                   source="<upload>"):
+        replayer.feed_lines(batch)
+        if deadline is not None:
+            deadline.check()
+        if (len(batch) == batch_lines
+                and accumulator.commands_seen - last_snap
+                >= request.snapshot_every):
+            last_snap = accumulator.commands_seen
+            yield
+
+
+def _trace_fold(session: EvaluationSession, request: TraceRequest,
+                chunks: Iterable[bytes], deadline: Optional[Deadline]
+                ) -> Tuple[Iterator[Tuple[str, Dict[str, Any]]],
+                           Callable[[int], Dict[str, Any]]]:
+    """The trace operation: ``(snapshot items, done record)``.
+
+    Builds the model and decoder eagerly (malformed devices stay
+    ordinary 400s); the items fold the byte stream lazily, one
+    snapshot per ``snapshot_every``-command segment, and raise on
+    failure (malformed lines, blown deadlines).
+    """
+    device = device_from_payload(request.device_payload)
+    accumulator = TraceAccumulator(session.model(device),
+                                   strict=request.strict)
+    decoder = AddressDecoder.from_device(
+        device, policy=request.policy,
+        channel_bits=request.channel_bits,
+        rank_bits=request.rank_bits,
+        offset_bits=request.offset_bits)
+
+    def items() -> Iterator[Tuple[str, Dict[str, Any]]]:
+        blocks = (iter_decompressed(chunks) if request.gzipped
+                  else chunks)
+        columnar = (request.backend in ("auto", "vector")
+                    and not request.strict)
+        if columnar and not columnar_available():
+            record_downgrade()
+            columnar = False
+        segments = _columnar_segments if columnar else _scalar_segments
+        for _ in segments(accumulator, blocks, request, decoder,
+                          deadline):
+            yield "snapshot", trace_result_row(
+                accumulator.snapshot(), accumulator.commands_seen)
+
+    def done(_records: int) -> Dict[str, Any]:
+        return {"done": True, "count": accumulator.commands_seen,
+                "result": trace_result_row(accumulator.result(),
+                                           accumulator.commands_seen)}
+
+    return items(), done
 
 
 def trace_stream_records(session: EvaluationSession,
@@ -260,100 +337,11 @@ def trace_stream_records(session: EvaluationSession,
                          ) -> Iterator[Dict[str, Any]]:
     """NDJSON records for one streamed trace evaluation.
 
-    Builds the model and decoder eagerly (malformed devices stay
-    ordinary 400s), then returns a generator that folds the byte
-    stream in ``snapshot_every``-command segments, yielding one
-    snapshot record per full segment and a terminal ``done`` record.
-    Failures after the first byte was consumed (malformed lines, blown
-    deadlines) degrade to in-band error records.
+    Snapshot records while the fold runs, then the terminal ``done``
+    record; failures after the first byte was consumed degrade to an
+    in-band error record (see :func:`~repro.service.streaming.frame`).
     """
-    device = device_from_payload(request.device_payload)
-    model = session.model(device)
-    decoder = AddressDecoder.from_device(
-        device, policy=request.policy,
-        channel_bits=request.channel_bits,
-        rank_bits=request.rank_bits,
-        offset_bits=request.offset_bits)
-
-    def scalar_records(accumulator: TraceAccumulator,
-                       lines: Iterator[str]
-                       ) -> Iterator[Dict[str, Any]]:
-        parsed = iter_records(lines, request.fmt, source="<upload>")
-        commands = commands_from_records(parsed, decoder,
-                                         request.clock)
-        index = 0
-        try:
-            while True:
-                seen = accumulator.commands_seen
-                accumulator.feed(itertools.islice(
-                    commands, request.snapshot_every))
-                if deadline is not None:
-                    deadline.check()
-                consumed = accumulator.commands_seen - seen
-                if consumed < request.snapshot_every:
-                    break
-                yield {"index": index,
-                       "snapshot": trace_result_row(
-                           accumulator.snapshot(),
-                           accumulator.commands_seen)}
-                index += 1
-        except (ServiceError, ReproError, ValueError) as exc:
-            yield _error_record(index, exc)
-            return
-        yield {"done": True, "count": accumulator.commands_seen,
-               "result": trace_result_row(accumulator.result(),
-                                          accumulator.commands_seen)}
-
-    def columnar_records(accumulator: TraceAccumulator,
-                         blocks: Iterable[bytes]
-                         ) -> Iterator[Dict[str, Any]]:
-        # One line yields at least one command, so batching
-        # ``snapshot_every`` lines guarantees each full batch crosses
-        # the snapshot cadence; the cap keeps batches array-sized.
-        batch_lines = min(request.snapshot_every, LINES_PER_BATCH)
-        index = 0
-        last_snap = 0
-        try:
-            replayer = ColumnarReplayer(accumulator, request.fmt,
-                                        decoder, request.clock,
-                                        source="<upload>")
-            for batch in iter_line_batches(blocks, batch_lines,
-                                           source="<upload>"):
-                replayer.feed_lines(batch)
-                if deadline is not None:
-                    deadline.check()
-                if (len(batch) == batch_lines
-                        and accumulator.commands_seen - last_snap
-                        >= request.snapshot_every):
-                    yield {"index": index,
-                           "snapshot": trace_result_row(
-                               accumulator.snapshot(),
-                               accumulator.commands_seen)}
-                    last_snap = accumulator.commands_seen
-                    index += 1
-        except (ServiceError, ReproError, ValueError) as exc:
-            yield _error_record(index, exc)
-            return
-        yield {"done": True, "count": accumulator.commands_seen,
-               "result": trace_result_row(accumulator.result(),
-                                          accumulator.commands_seen)}
-
-    def records() -> Iterator[Dict[str, Any]]:
-        accumulator = TraceAccumulator(model, strict=request.strict)
-        blocks = (iter_decompressed(chunks) if request.gzipped
-                  else chunks)
-        columnar = (request.backend in ("auto", "vector")
-                    and not request.strict)
-        if columnar and not columnar_available():
-            record_downgrade()
-            columnar = False
-        if columnar:
-            yield from columnar_records(accumulator, blocks)
-        else:
-            yield from scalar_records(
-                accumulator, iter_lines(blocks, source="<upload>"))
-
-    return records()
+    return frame(*_trace_fold(session, request, chunks, deadline))
 
 
 def trace_stream_payload(session: EvaluationSession, payload: Any,
@@ -369,15 +357,20 @@ def trace_stream_payload(session: EvaluationSession, payload: Any,
 def trace_payload(session: EvaluationSession, payload: Any,
                   deadline: Optional[Deadline] = None
                   ) -> Dict[str, Any]:
-    """Buffered JSON-mode ``POST /trace``: just the final aggregate."""
-    final: Optional[Dict[str, Any]] = None
-    for record in trace_stream_payload(session, payload,
-                                       deadline=deadline):
-        if "error" in record:
-            status = record.get("status", 400)
-            raise ServiceError(record["error"], status=status)
-        if record.get("done"):
-            final = record["result"]
-    if final is None:  # pragma: no cover - defensive
-        raise ServiceError("trace evaluation produced no result")
-    return final
+    """Buffered JSON-mode ``POST /trace``: just the final aggregate.
+
+    Collects the same fold as the stream.  A failure re-raises: a
+    :class:`ServiceError` as itself (a blown deadline stays a counted
+    504), anything else as a 400.
+    """
+    request, text = parse_trace_payload(payload)
+    items, done = _trace_fold(session, request, [text.encode("utf-8")],
+                              deadline)
+    try:
+        for _ in items:
+            pass
+    except ServiceError:
+        raise
+    except (ReproError, ValueError, TypeError) as exc:
+        raise ServiceError(str(exc)) from exc
+    return done(0)["result"]

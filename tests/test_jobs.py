@@ -153,16 +153,6 @@ class TestSpec:
         with pytest.raises(JobError):
             plan.assemble({0: plan.run_chunk(0)})
 
-    def test_sweep_schemes_rows_match_buffered(self):
-        from repro.schemes import ALL_SCHEMES
-        session = EvaluationSession()
-        plan = plan_job(JobSpec("sweep", {"kind": "schemes"}, 8),
-                        session)
-        result = plan.assemble({0: plan.run_chunk(0)})
-        assert result["count"] == len(ALL_SCHEMES)
-        assert [row["scheme"] for row in result["rows"]] \
-            == [scheme.name for scheme in ALL_SCHEMES]
-
     def test_evaluate_plan_matches_endpoint_shape(self):
         session = EvaluationSession()
         plan = plan_job(

@@ -506,14 +506,19 @@ class TestRetryAfterEverywhere:
             _stop_service(svc, thread)
 
     def test_mid_stream_errors_carry_the_hint_in_band(self):
-        from repro.service.streaming import (
-            _error_record as stream_record)
-        from repro.service.tracing import (
-            _error_record as trace_record)
+        # One error record serves every stream, /trace snapshots too.
+        from repro.service.streaming import _error_record, frame
+
         shed = ServiceError("busy", status=503, retry_after=2.0)
-        assert stream_record(3, shed)["retry_after"] == 2.0
-        assert trace_record(3, shed)["retry_after"] == 2.0
+        assert _error_record(3, shed)["retry_after"] == 2.0
         # Non-shed errors carry no hint: nothing to wait for.
         plain = ServiceError("bad device", status=400)
-        assert "retry_after" not in stream_record(0, plain)
-        assert "retry_after" not in trace_record(0, plain)
+        assert "retry_after" not in _error_record(0, plain)
+
+        def items():
+            yield "snapshot", {}
+            raise shed
+
+        assert list(frame(items()))[-1] == {
+            "index": 1, "error": "busy", "status": 503,
+            "retry_after": 2.0}

@@ -13,7 +13,7 @@ from repro.engine import EvaluationSession
 from repro.errors import ServiceError
 from repro.service import create_service
 from repro.service.admission import Deadline, DeadlineSession
-from repro.service.jsonapi import evaluate_payload, sweep_payload
+from repro.service.jsonapi import evaluate_payload
 from repro.service.streaming import (evaluate_stream, sweep_stream,
                                      wants_stream)
 
@@ -58,27 +58,6 @@ class TestGenerators:
         assert [r["result"] for r in records[:-1]] \
             == buffered["results"]
         assert [r["index"] for r in records[:-1]] == [0, 1]
-
-    def test_sweep_stream_corners_matches_buffered(self, session):
-        payload = {"kind": "corners", "device": {}}
-        rows = [r["row"] for r in
-                sweep_stream(session, dict(payload, stream=True))
-                if "row" in r]
-        buffered = sweep_payload(session, payload)
-        assert rows == buffered["rows"]
-
-    def test_sweep_stream_sensitivity_same_row_set(self, session):
-        # Streaming yields in parameter order, buffered sorts by
-        # impact — the row *contents* must still match exactly.
-        # Backend pinned: "auto" may fold the buffered sweep through
-        # the vector kernel, which differs from serial at ~1e-15.
-        payload = {"kind": "sensitivity", "device": {},
-                   "backend": "serial"}
-        rows = [r["row"] for r in
-                sweep_stream(session, dict(payload)) if "row" in r]
-        buffered = sweep_payload(session, payload)["rows"]
-        key = lambda row: json.dumps(row, sort_keys=True)
-        assert sorted(rows, key=key) == sorted(buffered, key=key)
 
     def test_validation_is_eager(self, session):
         with pytest.raises(ServiceError):
