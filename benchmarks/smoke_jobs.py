@@ -88,7 +88,7 @@ def _boot(cache_dir: str):
         env.get("PYTHONPATH", "")
     command = [sys.executable, "-m", "repro", "serve",
                "--port", str(port), "--cache-dir", cache_dir,
-               "--workers", str(WORKERS), "--no-affinity"]
+               "--workers", str(WORKERS)]
     process = subprocess.Popen(command, stdout=subprocess.PIPE,
                                stderr=subprocess.STDOUT, text=True,
                                env=env)

@@ -64,7 +64,7 @@ def _boot(workers, cache_dir):
         env.get("PYTHONPATH", "")
     command = [sys.executable, "-m", "repro", "serve",
                "--port", str(port), "--cache-dir", cache_dir,
-               "--result-cache", "0", "--no-affinity"]
+               "--result-cache", "0"]
     if workers > 1:
         command += ["--workers", str(workers)]
     process = subprocess.Popen(command, stdout=subprocess.PIPE,

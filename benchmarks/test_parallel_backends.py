@@ -2,14 +2,13 @@
 
 Two measurements feed ``benchmarks/parallel_metrics.json``:
 
-* a 400-sample Monte-Carlo sweep evaluated on the serial, thread and
-  process backends of one :class:`~repro.engine.EvaluationSession`.
-  The model is pure Python, so threads cannot beat serial under the
-  GIL; the process backend shards the samples across worker processes
-  and is required to be at least 2x faster than serial on runners
-  with four or more usable cores (the assertion is skipped on smaller
-  machines, but the measured numbers are always recorded together
-  with the core count);
+* a 400-sample Monte-Carlo sweep evaluated on the serial and process
+  backends of one :class:`~repro.engine.EvaluationSession`.  The
+  process backend shards the samples across worker processes and is
+  required to be at least 2x faster than serial on runners with four
+  or more usable cores (the assertion is skipped on smaller machines,
+  but the measured numbers are always recorded together with the core
+  count);
 * a cold-vs-disk-warm pass over a 60-variant sweep through the
   persistent on-disk model cache: the second (warm) process answers
   every lookup from disk — a required 1.0 hit rate with zero cold
@@ -54,26 +53,16 @@ def test_montecarlo_backend_scaling(ddr3_device):
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    threaded = _sample_distributions(ddr3_device, jobs=workers,
-                                     backend="thread")
-    thread_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
     pooled = _sample_distributions(ddr3_device, jobs=workers,
                                    backend="process")
     process_seconds = time.perf_counter() - started
 
-    # Every backend reproduces the serial sweep bit-for-bit.
-    assert [d.samples for d in threaded] == \
-        [d.samples for d in serial]
+    # The process backend reproduces the serial sweep bit-for-bit.
     assert [d.samples for d in pooled] == \
         [d.samples for d in serial]
 
     process_speedup = serial_seconds / process_seconds
-    thread_speedup = serial_seconds / thread_seconds
     emit(f"montecarlo x{SAMPLES}: serial {serial_seconds * 1e3:.0f} ms, "
-         f"thread {thread_seconds * 1e3:.0f} ms "
-         f"({thread_speedup:.2f}x), "
          f"process {process_seconds * 1e3:.0f} ms "
          f"({process_speedup:.2f}x) on {cores} cores / "
          f"{workers} workers")
@@ -83,9 +72,7 @@ def test_montecarlo_backend_scaling(ddr3_device):
         "parallel.cores": cores,
         "parallel.workers": workers,
         "parallel.serial_ms": round(serial_seconds * 1e3, 1),
-        "parallel.thread_ms": round(thread_seconds * 1e3, 1),
         "parallel.process_ms": round(process_seconds * 1e3, 1),
-        "parallel.thread_speedup": round(thread_speedup, 2),
         "parallel.process_speedup": round(process_speedup, 2),
         "parallel.bit_for_bit_identical": True,
     })

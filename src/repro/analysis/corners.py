@@ -131,7 +131,7 @@ def corner_sweep(device: DramDescription,
     """Evaluate the IDD measures at every corner.
 
     Models route through ``session``; ``jobs``/``backend`` build the
-    corner models on a thread or process pool (results are
+    corner models on a process pool (results are
     order-stable and bit-for-bit equal to serial).  The standard
     three-corner sweep is below the vector kernel's batch floor, so
     ``backend="auto"`` keeps it scalar; wider custom corner sets

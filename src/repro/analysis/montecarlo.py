@@ -129,8 +129,8 @@ def monte_carlo(device: DramDescription,
     """Sample the variation space and summarise the IDD distributions.
 
     The random draws depend only on ``seed``; models route through
-    ``session`` and may be evaluated on ``jobs`` workers of any
-    ``backend`` (thread or process) — the summaries are bit-for-bit
+    ``session`` and may be evaluated on ``jobs`` worker processes
+    (``backend="process"``) — the summaries are bit-for-bit
     identical either way.  ``backend="auto"`` with numpy installed
     folds the sample batch (one family: every draw shares the
     nominal floorplan) through the columnar vector kernel instead.

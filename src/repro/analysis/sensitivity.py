@@ -200,8 +200,8 @@ def sensitivity(device: DramDescription, variation: float = 0.2,
 
     Returns results sorted by impact magnitude, largest first.  All
     device models route through ``session`` (a private one when
-    omitted); ``jobs``/``backend`` evaluate the variants on a thread
-    or process pool with results identical to the serial run.  With
+    omitted); ``jobs``/``backend`` evaluate the variants on a process
+    pool with results identical to the serial run.  With
     ``backend="auto"`` and numpy installed the sweep — one batchable
     family sharing the nominal floorplan — folds through the columnar
     vector kernel (:mod:`repro.engine.vector`), identical ordering

@@ -74,7 +74,7 @@ def generation_trend(io_width: int = 16,
     """Evaluate the mainstream device of each roadmap node.
 
     Models route through ``session``; ``jobs``/``backend`` evaluate
-    the nodes on a thread or process pool with identical,
+    the nodes on a process pool with identical,
     node-ordered results.  Every node has its own floorplan, so the
     columnar vector kernel finds no batchable family here and
     ``backend="auto"`` stays on the scalar paths.

@@ -37,14 +37,14 @@ def sweep_parameter(device: DramDescription, path: str,
                     factors: Sequence[float],
                     evaluate: Optional[Callable[[DramPowerModel],
                                                 PatternPower]] = None,
-                    session: Optional[EvaluationSession] = None,
-                    jobs: Optional[int] = None) -> List[SweepPoint]:
+                    session: Optional[EvaluationSession] = None
+                    ) -> List[SweepPoint]:
     """Scale one parameter through ``factors`` and evaluate each point.
 
     ``evaluate`` defaults to the Idd7-style mixed pattern; pass any
     callable taking a model and returning a
     :class:`~repro.core.PatternPower`.  Models route through
-    ``session``; ``jobs`` evaluates points on a thread pool.
+    ``session``.
     """
     if not factors:
         raise ModelError("sweep needs at least one factor")
@@ -55,7 +55,7 @@ def sweep_parameter(device: DramDescription, path: str,
             or isinstance(base_value, bool):
         raise ModelError(f"parameter {path!r} is not numeric")
     devices = [device.scale_path(path, factor) for factor in factors]
-    results = session.map(devices, evaluate, jobs=jobs)
+    results = session.map(devices, evaluate)
     return [SweepPoint(
         factor=factor,
         value=float(base_value) * factor,

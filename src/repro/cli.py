@@ -94,8 +94,8 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="evaluate sweep variants with N workers "
                              "(default: every usable CPU)")
     parser.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "thread",
-                                 "process", "vector"],
+                        choices=["auto", "serial", "process",
+                                 "vector"],
                         help="sweep execution backend (default auto: "
                              "serial, process or vector chosen per "
                              "call from the sweep width, the measured "
@@ -323,16 +323,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port, workers=args.workers,
             capacity=args.capacity, cache_dir=args.cache_dir,
             limits=limits, auth=auth,
-            affinity=not args.no_affinity,
-            preseed=not args.no_preseed,
             jobs_dir=jobs_dir, job_ttl=args.job_ttl)
         print(f"repro service listening on "
               f"http://{args.host}:{supervisor.port} "
               f"({args.workers} workers, "
               f"model-cache capacity={args.capacity}, "
               f"cache-dir={cache}, jobs-dir={jobs}, "
-              f"auth={guard}, "
-              f"affinity={'off' if args.no_affinity else 'on'}); "
+              f"auth={guard}); "
               f"SIGTERM or Ctrl-C drains and exits",
               flush=True)
         supervisor.run_until_signal()
@@ -733,14 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="require this X-Api-Key on every request "
                             "but /healthz (repeatable; also read "
                             "from $REPRO_API_KEYS)")
-    serve.add_argument("--no-affinity", dest="no_affinity",
-                       action="store_true",
-                       help="disable fingerprint-affinity redirects "
-                            "between pre-fork workers")
-    serve.add_argument("--no-preseed", dest="no_preseed",
-                       action="store_true",
-                       help="skip the shared-memory stage preseed "
-                            "of pre-fork workers")
     serve.add_argument("--verbose", action="store_true",
                        help="log every request (DEBUG level)")
     serve.set_defaults(handler=_cmd_serve)

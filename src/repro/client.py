@@ -20,11 +20,8 @@ attribute carries the server's backoff hint when one was sent.
 
 Transport: persistent HTTP/1.1 keep-alive connections pooled per
 thread and endpoint (``connections_opened`` stays at 1 across many
-sequential requests), transparent gzip response decoding, optional
-``api_key`` authentication, and one-hop following of the pre-fork
-tier's affinity ``307`` redirects (``redirects_followed``) with
-fallback to the original worker when the redirect target just died.
-:meth:`ServiceClient.evaluate_stream` and
+sequential requests), transparent gzip response decoding and optional
+``api_key`` authentication.  :meth:`ServiceClient.evaluate_stream` and
 :meth:`ServiceClient.sweep_stream` consume the chunked NDJSON
 streaming mode record by record on a dedicated connection;
 :meth:`ServiceClient.trace_stream` uploads external memory traces
@@ -65,11 +62,10 @@ from .errors import (CircuitOpenError, JobError, JobNotFound,
 #: Statuses worth retrying: the service's load-shedding replies.
 RETRYABLE_STATUSES = frozenset({429, 503})
 
-#: Wire-protocol header names, mirroring ``repro.service.auth`` and
-#: ``repro.service.routing`` — duplicated here so importing the thin
-#: client never drags the whole model stack in.
+#: Wire-protocol header name, mirroring ``repro.service.auth`` —
+#: duplicated here so importing the thin client never drags the whole
+#: model stack in.
 API_KEY_HEADER = "X-Api-Key"
-ROUTED_HEADER = "X-Repro-Routed"
 
 #: Transport failures on a *reused* connection that mean the server
 #: closed an idle keep-alive socket — safe to reconnect and resend.
@@ -105,6 +101,36 @@ def _trace_body(source: Any, gzipped: Optional[bool]
             gzipped = blob[:2] == b"\x1f\x8b"
         return [blob], bool(gzipped)
     return source, bool(gzipped)
+
+
+def _evaluate_body(device: Optional[Any], devices: Optional[Iterable[Any]],
+                   pattern: Optional[str]) -> Dict[str, Any]:
+    """The ``/evaluate`` payload of ``evaluate``/``evaluate_stream``."""
+    if (device is None) == (devices is None):
+        raise ServiceError("pass exactly one of device= or devices=")
+    payload: Dict[str, Any] = {}
+    if device is not None:
+        payload["device"] = device
+    if devices is not None:
+        payload["devices"] = list(devices)
+    if pattern is not None:
+        payload["pattern"] = pattern
+    return payload
+
+
+def _sweep_body(kind: str, device: Optional[Any], jobs: Optional[int],
+                backend: Optional[str],
+                params: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``/sweep`` payload of ``sweep``/``sweep_stream``."""
+    payload: Dict[str, Any] = dict(params)
+    payload["kind"] = kind
+    if device is not None:
+        payload["device"] = device
+    if jobs is not None:
+        payload["jobs"] = jobs
+    if backend is not None:
+        payload["backend"] = backend
+    return payload
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:
@@ -294,7 +320,6 @@ class ServiceClient:
                  breaker: Any = _DEFAULT,
                  deadline: Optional[float] = None,
                  api_key: Optional[str] = None,
-                 follow_redirects: bool = True,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic,
                  rng: Optional[random.Random] = None):
@@ -305,14 +330,11 @@ class ServiceClient:
             CircuitBreaker() if breaker is _DEFAULT else breaker)
         self.deadline = deadline
         self.api_key = api_key
-        self.follow_redirects = follow_redirects
         self.last_ready_error: Optional[str] = None
         #: Connections dialled over this client's lifetime (all
         #: threads) — ``1`` after many keep-alive requests proves
         #: connection reuse is working.
         self.connections_opened = 0
-        #: Affinity ``307`` redirects this client followed.
-        self.redirects_followed = 0
         self._counter_lock = threading.Lock()
         self._local = threading.local()
         self._sleep = sleep
@@ -491,38 +513,12 @@ class ServiceClient:
                       payload: Optional[Any],
                       request_timeout: Optional[float],
                       expires: Optional[float]) -> Dict[str, Any]:
-        """One wire round-trip, no retries (plus 1 affinity hop).
-
-        A ``307`` from a pre-fork worker is followed once to the
-        preferred worker's direct port, marked with the routed header
-        so routing terminates; if the redirect target is unreachable
-        (it just died) the request falls back to the original URL,
-        still marked routed so it is served locally.
-        """
+        """One wire round-trip, no retries."""
         body, headers = self._build_headers(payload, request_timeout)
-        timeout = self._request_timeout_budget(expires)
         url = self.base_url + path
-        hopped = False
-        while True:
-            try:
-                status, reply_headers, data = self._roundtrip(
-                    url, method, body, headers, timeout)
-            except ServiceError:
-                if hopped and not url.startswith(self.base_url):
-                    url = self.base_url + path  # dead target: serve
-                    continue                    # at the origin
-                raise
-            if (status in (307, 308) and not hopped
-                    and self.follow_redirects):
-                location = reply_headers.get("Location")
-                if location:
-                    url = location
-                    headers[ROUTED_HEADER] = "1"
-                    hopped = True
-                    with self._counter_lock:
-                        self.redirects_followed += 1
-                    continue
-            break
+        status, reply_headers, data = self._roundtrip(
+            url, method, body, headers,
+            self._request_timeout_budget(expires))
         if status >= 400:
             raise ServiceError(
                 self._error_detail(status, data), status=status,
@@ -558,17 +554,8 @@ class ServiceClient:
                  request_timeout: Optional[float] = None
                  ) -> Dict[str, Any]:
         """``POST /evaluate`` for one device payload or a batch."""
-        if (device is None) == (devices is None):
-            raise ServiceError(
-                "pass exactly one of device= or devices=")
-        payload: Dict[str, Any] = {}
-        if device is not None:
-            payload["device"] = device
-        if devices is not None:
-            payload["devices"] = list(devices)
-        if pattern is not None:
-            payload["pattern"] = pattern
-        return self.request("POST", "/evaluate", payload,
+        return self.request("POST", "/evaluate",
+                            _evaluate_body(device, devices, pattern),
                             request_timeout=request_timeout)
 
     def sweep(self, kind: str, device: Optional[Any] = None,
@@ -577,15 +564,9 @@ class ServiceClient:
               request_timeout: Optional[float] = None,
               **params: Any) -> Dict[str, Any]:
         """``POST /sweep`` — a named sweep with parameters."""
-        payload: Dict[str, Any] = dict(params)
-        payload["kind"] = kind
-        if device is not None:
-            payload["device"] = device
-        if jobs is not None:
-            payload["jobs"] = jobs
-        if backend is not None:
-            payload["backend"] = backend
-        return self.request("POST", "/sweep", payload,
+        return self.request("POST", "/sweep",
+                            _sweep_body(kind, device, jobs, backend,
+                                        params),
                             request_timeout=request_timeout)
 
     # ------------------------------------------------------------------
@@ -602,17 +583,9 @@ class ServiceClient:
         first device's result arrives while the rest of the batch is
         still evaluating.
         """
-        if (device is None) == (devices is None):
-            raise ServiceError(
-                "pass exactly one of device= or devices=")
-        payload: Dict[str, Any] = {"stream": True}
-        if device is not None:
-            payload["device"] = device
-        if devices is not None:
-            payload["devices"] = list(devices)
-        if pattern is not None:
-            payload["pattern"] = pattern
-        return self._stream("/evaluate", payload, request_timeout)
+        return self._stream("/evaluate",
+                            _evaluate_body(device, devices, pattern),
+                            request_timeout)
 
     def sweep_stream(self, kind: str, device: Optional[Any] = None,
                      jobs: Optional[int] = None,
@@ -620,65 +593,49 @@ class ServiceClient:
                      request_timeout: Optional[float] = None,
                      **params: Any) -> Iterator[Dict[str, Any]]:
         """Streaming ``POST /sweep``: one record per sweep row."""
-        payload: Dict[str, Any] = dict(params)
-        payload["kind"] = kind
-        payload["stream"] = True
-        if device is not None:
-            payload["device"] = device
-        if jobs is not None:
-            payload["jobs"] = jobs
-        if backend is not None:
-            payload["backend"] = backend
-        return self._stream("/sweep", payload, request_timeout)
+        return self._stream("/sweep",
+                            _sweep_body(kind, device, jobs, backend,
+                                        params),
+                            request_timeout)
 
     def _stream(self, path: str, payload: Dict[str, Any],
-                request_timeout: Optional[float]
-                ) -> Iterator[Dict[str, Any]]:
-        """Open a streaming POST on a dedicated connection.
+                request_timeout: Optional[float]) -> "NDJSONStream":
+        """``payload`` as a streaming JSON ``POST`` (see
+        :meth:`_open_stream`)."""
+        body, headers = self._build_headers(dict(payload, stream=True),
+                                            request_timeout)
+        headers.pop("Accept-Encoding")  # streams are never compressed
+        return self._open_stream(path, body, headers)
+
+    def _open_stream(self, path: str, body: Any,
+                     headers: Dict[str, str],
+                     chunked: bool = False) -> "NDJSONStream":
+        """POST on a dedicated connection; return its record stream.
 
         Streams bypass the pool (the connection is busy for the whole
         stream), the retry policy and the breaker: resending half a
-        consumed stream is not safe to do silently.  Errors before
-        the first record surface as :class:`ServiceError` from this
-        call; a connection lost mid-stream raises from the iterator.
-        Validation happens before the iterator is returned.
+        consumed stream is not safe to do silently.  A transport
+        failure before the response raises a status-``0``
+        :class:`ServiceError` from this call, an error status raises
+        from :meth:`_ndjson_records`, and a connection lost
+        mid-stream raises from the iterator.  ``chunked`` sends
+        ``body`` (an iterable of byte chunks) chunk-framed.
         """
-        body, headers = self._build_headers(payload, request_timeout)
-        headers.pop("Accept-Encoding", None)  # streams are never
-        url = self.base_url + path            # compressed
-        hopped = False
-        while True:
-            parts = urlsplit(url)
-            host, _, raw_port = parts.netloc.partition(":")
-            conn = http.client.HTTPConnection(
-                host, int(raw_port or 80), timeout=self.timeout)
-            with self._counter_lock:
-                self.connections_opened += 1
-            try:
-                conn.request("POST", parts.path or "/", body=body,
-                             headers=headers)
-                response = conn.getresponse()
-            except (http.client.HTTPException, OSError) as exc:
-                conn.close()
-                if hopped and not url.startswith(self.base_url):
-                    url = self.base_url + path
-                    continue
-                raise ServiceError(
-                    f"service unreachable at {url}: "
-                    f"{type(exc).__name__}: {exc}", status=0) from exc
-            if (response.status in (307, 308) and not hopped
-                    and self.follow_redirects):
-                location = response.headers.get("Location")
-                if location:
-                    response.read()
-                    conn.close()
-                    url = location
-                    headers[ROUTED_HEADER] = "1"
-                    hopped = True
-                    with self._counter_lock:
-                        self.redirects_followed += 1
-                    continue
-            break
+        host, _, raw_port = urlsplit(self.base_url).netloc.partition(":")
+        conn = http.client.HTTPConnection(
+            host, int(raw_port or 80), timeout=self.timeout)
+        with self._counter_lock:
+            self.connections_opened += 1
+        url = self.base_url + path
+        try:
+            conn.request("POST", path, body=body, headers=headers,
+                         encode_chunked=chunked)
+            response = conn.getresponse()
+        except (http.client.HTTPException, OSError) as exc:
+            conn.close()
+            raise ServiceError(
+                f"POST {url} failed: {type(exc).__name__}: {exc}",
+                status=0) from exc
         return self._ndjson_records(conn, url, response)
 
     def _ndjson_records(self, conn: http.client.HTTPConnection,
@@ -747,23 +704,7 @@ class ServiceClient:
         headers["Transfer-Encoding"] = "chunked"
         if gzipped:
             headers["Content-Encoding"] = "gzip"
-        parts = urlsplit(self.base_url)
-        host, _, raw_port = parts.netloc.partition(":")
-        conn = http.client.HTTPConnection(
-            host, int(raw_port or 80), timeout=self.timeout)
-        with self._counter_lock:
-            self.connections_opened += 1
-        url = self.base_url + path
-        try:
-            conn.request("POST", path, body=chunks, headers=headers,
-                         encode_chunked=True)
-            response = conn.getresponse()
-        except (http.client.HTTPException, OSError) as exc:
-            conn.close()
-            raise ServiceError(
-                f"trace upload to {url} failed: "
-                f"{type(exc).__name__}: {exc}", status=0) from exc
-        return self._ndjson_records(conn, url, response)
+        return self._open_stream(path, chunks, headers, chunked=True)
 
     def trace(self, source: Any, **options: Any) -> Dict[str, Any]:
         """``POST /trace`` returning just the final aggregate.

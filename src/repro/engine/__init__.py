@@ -20,7 +20,7 @@ The engine provides one construction path for all of them:
 * :class:`repro.engine.session.EvaluationSession` — the user-facing
   façade: ``model(device)``, ``evaluate(device, pattern)`` and
   ``map(devices, fn, jobs=N, backend=...)`` batch evaluation on a
-  serial, thread or process backend;
+  serial, process, vector or ``auto`` backend;
 * :class:`repro.engine.diskcache.DiskModelCache` — a persistent,
   versioned on-disk spill of built models (fingerprint-keyed, with a
   model-code-hash invalidation token), so repeated processes skip
@@ -35,9 +35,6 @@ The engine provides one construction path for all of them:
   individually fingerprinted stages (geometry, capacitance, charge,
   current, power) with a :class:`~repro.engine.stages.StageCache`, so
   cold builds reuse every stage whose inputs are unchanged;
-* :mod:`repro.engine.shm` — the shared-memory stage store: pool
-  workers seed their stage caches from the parent's base model
-  instead of rebuilding it per worker;
 * :mod:`repro.engine.vector` — the columnar kernel: batchable sweep
   families evaluate as (variants × events) array math against the
   scalar path as bit-level oracle, picked automatically by
@@ -58,7 +55,6 @@ from .executor import (AUTO, BACKENDS, VECTOR, choose_backend,
                        estimate_vector_seconds, resolve_backend)
 from .fingerprint import canonical_form, fingerprint
 from .session import EvaluationSession, ensure_session, evaluate_many
-from .shm import SharedStageStore, shm_available
 from .stages import (FIELD_STAGES, STAGE_INPUTS, STAGE_ORDER, StageCache,
                      build_model, dirty_stages, stage_keys)
 from .variant import Variant, scaling
@@ -94,10 +90,8 @@ __all__ = [
     "STAGE_INPUTS",
     "STAGE_ORDER",
     "StageCache",
-    "SharedStageStore",
     "build_model",
     "dirty_stages",
-    "shm_available",
     "stage_keys",
     "Variant",
     "scaling",

@@ -7,10 +7,10 @@ The cache memoises the *whole built model*: a hit returns the identical
 object, so repeated evaluations of equal descriptions share geometry,
 events and energies bit-for-bit.
 
-The cache is thread-safe (a single lock around the table) so an
-:class:`~repro.engine.session.EvaluationSession` can hand it to a
-thread pool, and bounded (least-recently-used eviction) so open-ended
-sweeps cannot grow memory without limit.
+The cache is thread-safe (a single lock around the table) so the
+service's request threads can share one session, and bounded
+(least-recently-used eviction) so open-ended sweeps cannot grow memory
+without limit.
 
 Two extensions feed the scale-out paths:
 
@@ -27,6 +27,7 @@ Two extensions feed the scale-out paths:
 from __future__ import annotations
 
 import dataclasses
+import operator
 import threading
 import time
 from collections import OrderedDict
@@ -47,20 +48,26 @@ DEFAULT_CAPACITY = 256
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Snapshot of one cache's counters (all cumulative)."""
+    """Snapshot of one cache's counters (all cumulative).
 
-    hits: int
+    Every field but ``size`` and ``capacity`` is a counter: adding a
+    counter means adding one field here, which :meth:`delta`,
+    :func:`merge_stats` and :class:`ModelCache` pick up from
+    :func:`dataclasses.fields`.
+    """
+
+    hits: int = 0
     """Lookups answered from the in-memory cache."""
-    misses: int
+    misses: int = 0
     """Lookups that had to build a model (cold builds)."""
-    evictions: int
+    evictions: int = 0
     """Models dropped by the LRU bound."""
-    size: int
+    size: int = 0
     """Models currently held — an occupancy gauge, not a counter:
     merges across worker caches take the maximum, never the sum."""
-    capacity: int
+    capacity: int = 0
     """Maximum models held."""
-    build_seconds: float
+    build_seconds: float = 0.0
     """Total wall-clock time spent building models (s)."""
     disk_hits: int = 0
     """LRU misses answered by the on-disk cache (no build needed)."""
@@ -81,13 +88,6 @@ class EngineStats:
     builds (geometry/capacitance/charge/current/power granularity)."""
     stage_misses: int = 0
     """Pipeline stages that had to be computed during cold builds."""
-    shm_stores: int = 0
-    """Shared-memory stage payloads published for pool workers."""
-    shm_loads: int = 0
-    """Worker stage caches seeded from a shared-memory payload."""
-    shm_errors: int = 0
-    """Shared-memory store/attach attempts that failed (the sweep
-    falls back to per-worker cold builds; results are unaffected)."""
     vector_batches: int = 0
     """Sweep-family batches folded columnarly by the vectorized
     kernel (one batch = one (variants × events) array fold)."""
@@ -144,10 +144,6 @@ class EngineStats:
                      f"misses={self.disk_misses} "
                      f"writes={self.disk_writes} "
                      f"corrupt={self.disk_corrupt}]")
-        if self.shm_stores or self.shm_loads or self.shm_errors:
-            text += (f" shm[stores={self.shm_stores} "
-                     f"loads={self.shm_loads} "
-                     f"errors={self.shm_errors}]")
         if (self.vector_batches or self.vector_builds
                 or self.vector_fallbacks or self.vector_downgrades):
             text += (f" vector[batches={self.vector_batches} "
@@ -171,12 +167,8 @@ class EngineStats:
         values raise ``TypeError``/``ValueError`` for the caller.
         """
         fields = {field.name for field in dataclasses.fields(cls)}
-        kwargs = {key: value for key, value in dict(payload).items()
-                  if key in fields}
-        for key in ("hits", "misses", "evictions", "size", "capacity",
-                    "build_seconds"):
-            kwargs.setdefault(key, 0)
-        return cls(**kwargs)
+        return cls(**{key: value for key, value in dict(payload).items()
+                      if key in fields})
 
     def delta(self, since: "EngineStats") -> "EngineStats":
         """The counter growth between ``since`` and this snapshot.
@@ -185,71 +177,44 @@ class EngineStats:
         keeps this snapshot's values.  Used to report exactly the work
         one sweep (or one worker chunk) performed.
         """
-        return EngineStats(
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            evictions=self.evictions - since.evictions,
-            size=self.size,
-            capacity=self.capacity,
-            build_seconds=self.build_seconds - since.build_seconds,
-            disk_hits=self.disk_hits - since.disk_hits,
-            disk_misses=self.disk_misses - since.disk_misses,
-            disk_writes=self.disk_writes - since.disk_writes,
-            disk_corrupt=self.disk_corrupt - since.disk_corrupt,
-            pool_retries=self.pool_retries - since.pool_retries,
-            serial_fallbacks=(self.serial_fallbacks
-                              - since.serial_fallbacks),
-            stage_hits=self.stage_hits - since.stage_hits,
-            stage_misses=self.stage_misses - since.stage_misses,
-            shm_stores=self.shm_stores - since.shm_stores,
-            shm_loads=self.shm_loads - since.shm_loads,
-            shm_errors=self.shm_errors - since.shm_errors,
-            vector_batches=self.vector_batches - since.vector_batches,
-            vector_builds=self.vector_builds - since.vector_builds,
-            vector_fallbacks=(self.vector_fallbacks
-                              - since.vector_fallbacks),
-            vector_downgrades=(self.vector_downgrades
-                               - since.vector_downgrades),
-            vector_seconds=self.vector_seconds - since.vector_seconds,
-        )
+        return dataclasses.replace(self, **{
+            name: getattr(self, name) - getattr(since, name)
+            for name in _COUNTERS})
+
+
+#: The counter fields of :class:`EngineStats` (all but the ``size``
+#: gauge and the ``capacity`` setting), in declaration order.
+_COUNTERS = tuple(field.name
+                  for field in dataclasses.fields(EngineStats)
+                  if field.name not in ("size", "capacity"))
+
+#: How :func:`merge_stats` combines a field of two snapshots when it
+#: does not simply sum.  ``size`` is an occupancy *gauge*: N caches
+#: each holding k models do not hold N·k models between them from any
+#: one cache's point of view, so merges take the maximum.  ``capacity``
+#: keeps the left (first) operand's setting, and ``vector_downgrades``
+#: is a one-time 0/1 marker.
+_COMBINE = {"size": max, "capacity": lambda left, right: left,
+            "vector_downgrades": max}
+
+
+def _combine(name: str, left, right):
+    return _COMBINE.get(name, operator.add)(left, right)
 
 
 def merge_stats(left: EngineStats, right: EngineStats) -> EngineStats:
     """Counter-wise sum of two snapshots (or deltas).
 
-    ``size`` is an occupancy *gauge*, not a counter: N caches each
-    holding k models do not hold N·k models between them from any one
-    cache's point of view, so the merge takes the maximum occupancy
-    and keeps the left (first) operand's configured capacity.  Shared
-    by the process-backend chunk merge and the multi-worker service's
-    cluster ``/stats`` (which overrides ``capacity`` with the fleet
-    total it computes itself).
+    ``size`` merges as the maximum occupancy and ``capacity`` keeps
+    the left operand's value (see :data:`_COMBINE`).  Shared by the
+    process-backend chunk merge and the multi-worker service's cluster
+    ``/stats`` (which overrides ``capacity`` with the fleet total it
+    computes itself).
     """
-    return EngineStats(
-        hits=left.hits + right.hits,
-        misses=left.misses + right.misses,
-        evictions=left.evictions + right.evictions,
-        size=max(left.size, right.size),
-        capacity=left.capacity,
-        build_seconds=left.build_seconds + right.build_seconds,
-        disk_hits=left.disk_hits + right.disk_hits,
-        disk_misses=left.disk_misses + right.disk_misses,
-        disk_writes=left.disk_writes + right.disk_writes,
-        disk_corrupt=left.disk_corrupt + right.disk_corrupt,
-        pool_retries=left.pool_retries + right.pool_retries,
-        serial_fallbacks=left.serial_fallbacks + right.serial_fallbacks,
-        stage_hits=left.stage_hits + right.stage_hits,
-        stage_misses=left.stage_misses + right.stage_misses,
-        shm_stores=left.shm_stores + right.shm_stores,
-        shm_loads=left.shm_loads + right.shm_loads,
-        shm_errors=left.shm_errors + right.shm_errors,
-        vector_batches=left.vector_batches + right.vector_batches,
-        vector_builds=left.vector_builds + right.vector_builds,
-        vector_fallbacks=left.vector_fallbacks + right.vector_fallbacks,
-        vector_downgrades=max(left.vector_downgrades,
-                              right.vector_downgrades),
-        vector_seconds=left.vector_seconds + right.vector_seconds,
-    )
+    return EngineStats(**{
+        field.name: _combine(field.name, getattr(left, field.name),
+                             getattr(right, field.name))
+        for field in dataclasses.fields(EngineStats)})
 
 
 class ModelCache:
@@ -265,26 +230,13 @@ class ModelCache:
         self._lock = threading.Lock()
         self.stages = StageCache(
             max(DEFAULT_STAGE_CAPACITY, capacity * len(STAGE_ORDER)))
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._build_seconds = 0.0
-        self._disk_hits = 0
-        self._disk_misses = 0
-        self._disk_writes = 0
-        self._disk_corrupt = 0
-        self._pool_retries = 0
-        self._serial_fallbacks = 0
-        self._stage_hits_extra = 0
-        self._stage_misses_extra = 0
-        self._shm_stores = 0
-        self._shm_loads = 0
-        self._shm_errors = 0
-        self._vector_batches = 0
-        self._vector_builds = 0
-        self._vector_fallbacks = 0
-        self._vector_downgrades = 0
-        self._vector_seconds = 0.0
+        # One ``_<name>`` attribute per counter.  ``_stage_hits``,
+        # ``_stage_misses`` and ``_disk_corrupt`` hold only what
+        # :meth:`absorb` folded in; :meth:`stats` adds the stage
+        # cache's and the disk cache's own counts.
+        zero = EngineStats()
+        for name in _COUNTERS:
+            setattr(self, "_" + name, getattr(zero, name))
 
     def __len__(self) -> int:
         return len(self._models)
@@ -421,44 +373,10 @@ class ModelCache:
         sweep.  ``size``/``capacity`` stay the parent's own.
         """
         with self._lock:
-            self._hits += worker_stats.hits
-            self._misses += worker_stats.misses
-            self._evictions += worker_stats.evictions
-            self._build_seconds += worker_stats.build_seconds
-            self._disk_hits += worker_stats.disk_hits
-            self._disk_misses += worker_stats.disk_misses
-            self._disk_writes += worker_stats.disk_writes
-            self._disk_corrupt += worker_stats.disk_corrupt
-            self._pool_retries += worker_stats.pool_retries
-            self._serial_fallbacks += worker_stats.serial_fallbacks
-            self._stage_hits_extra += worker_stats.stage_hits
-            self._stage_misses_extra += worker_stats.stage_misses
-            self._shm_stores += worker_stats.shm_stores
-            self._shm_loads += worker_stats.shm_loads
-            self._shm_errors += worker_stats.shm_errors
-            self._vector_batches += worker_stats.vector_batches
-            self._vector_builds += worker_stats.vector_builds
-            self._vector_fallbacks += worker_stats.vector_fallbacks
-            self._vector_downgrades = max(
-                self._vector_downgrades, worker_stats.vector_downgrades)
-            self._vector_seconds += worker_stats.vector_seconds
-
-    def record_shm(self, stores: int = 0, loads: int = 0,
-                   errors: int = 0) -> None:
-        """Count shared-memory store/load/error events (executor hook)."""
-        with self._lock:
-            self._shm_stores += stores
-            self._shm_loads += loads
-            self._shm_errors += errors
-
-    def stage_export(self, device: DramDescription):
-        """Exportable stage payload of ``device`` (builds if needed).
-
-        The payload is what the shared-memory store ships to pool
-        workers; ``None`` when the model carries no canonical stage
-        artifacts.
-        """
-        return stage_payload(device, self.model(device))
+            for name in _COUNTERS:
+                attr = "_" + name
+                setattr(self, attr, _combine(name, getattr(self, attr),
+                                             getattr(worker_stats, name)))
 
     def clear(self) -> None:
         """Drop every cached model and stage artifact (counters keep
@@ -473,27 +391,10 @@ class ModelCache:
                    if self.disk is not None else 0)
         stage_hits, stage_misses = self.stages.counters()
         with self._lock:
-            return EngineStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._models),
-                capacity=self.capacity,
-                build_seconds=self._build_seconds,
-                disk_hits=self._disk_hits,
-                disk_misses=self._disk_misses,
-                disk_writes=self._disk_writes,
-                disk_corrupt=self._disk_corrupt + corrupt,
-                pool_retries=self._pool_retries,
-                serial_fallbacks=self._serial_fallbacks,
-                stage_hits=stage_hits + self._stage_hits_extra,
-                stage_misses=stage_misses + self._stage_misses_extra,
-                shm_stores=self._shm_stores,
-                shm_loads=self._shm_loads,
-                shm_errors=self._shm_errors,
-                vector_batches=self._vector_batches,
-                vector_builds=self._vector_builds,
-                vector_fallbacks=self._vector_fallbacks,
-                vector_downgrades=self._vector_downgrades,
-                vector_seconds=self._vector_seconds,
-            )
+            counts = {name: getattr(self, "_" + name)
+                      for name in _COUNTERS}
+            size = len(self._models)
+        counts["disk_corrupt"] += corrupt
+        counts["stage_hits"] += stage_hits
+        counts["stage_misses"] += stage_misses
+        return EngineStats(size=size, capacity=self.capacity, **counts)

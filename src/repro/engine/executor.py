@@ -1,9 +1,9 @@
 """Process-based parallel execution of evaluation sweeps.
 
-The model is pure Python, so the thread backend of
-:meth:`~repro.engine.session.EvaluationSession.map` overlaps almost no
-compute under the GIL.  This module adds real CPU scale-out: the device
-list is sharded into contiguous chunks, each chunk's serialized
+The model is pure Python, so threads overlap almost no compute under
+the GIL.  This module adds real CPU scale-out to
+:meth:`~repro.engine.session.EvaluationSession.map`: the device list
+is sharded into contiguous chunks, each chunk's serialized
 :class:`~repro.description.DramDescription` list is shipped to a
 ``ProcessPoolExecutor`` whose workers each own a private
 :class:`~repro.engine.session.EvaluationSession` (same capacity and
@@ -45,11 +45,9 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 from ..errors import ModelError
 from .cache import DEFAULT_CAPACITY, EngineStats, merge_stats
 from .fingerprint import fingerprint
-from .shm import SharedStageStore, publish_stage_payload
-from .stages import seed_stage_cache
 
 #: The recognised execution backends.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: The deferred backend name: resolved per call from the sweep width,
 #: the measured per-build cost and the usable worker count.
@@ -88,18 +86,17 @@ def resolve_backend(backend: Optional[str],
                     jobs: Optional[int]) -> str:
     """The effective backend of a ``map`` call.
 
-    ``None`` preserves the historical behaviour: serial unless
-    ``jobs > 1``, which selects threads.  ``"auto"`` passes through
-    unresolved — the caller holds the sweep width and cost estimate
-    that :func:`choose_backend` needs.  Anything else not named in
-    :data:`BACKENDS` raises, as does a non-positive ``jobs`` — this is
-    the single validation point for every backend, so serial and
-    thread calls reject ``jobs=0`` exactly like the process pool does.
+    ``None`` is serial, whatever ``jobs`` says.  ``"auto"`` passes
+    through unresolved — the caller holds the sweep width and cost
+    estimate that :func:`choose_backend` needs.  Anything else not
+    named in :data:`BACKENDS` raises, as does a non-positive ``jobs``
+    — this is the single validation point for every backend, so
+    serial calls reject ``jobs=0`` exactly like the process pool does.
     """
     if jobs is not None and jobs <= 0:
         raise ModelError("jobs must be a positive worker count")
     if backend is None:
-        return "thread" if jobs is not None and jobs > 1 else "serial"
+        return "serial"
     if backend in (AUTO, VECTOR):
         return backend
     if backend not in BACKENDS:
@@ -150,19 +147,15 @@ def choose_backend(width: int, jobs: Optional[int] = None,
     Compares the projected serial cost (``width`` x ``build_seconds``,
     discounted by the cache hit rate the session has been observing)
     against the projected pool cost (per-worker startup plus the
-    sharded build time) and returns the cheaper backend.  The thread
-    backend is never chosen: the model is pure Python, so threads
-    cannot beat serial under the GIL — they exist for callables that
-    block or release it, which the policy cannot detect.
+    sharded build time) and returns the cheaper backend.
 
     ``expected_hit_rate`` folds the warm-cache reality into the serial
     projection only: a serial run on this session reuses its warm
-    model cache, while pool workers start from scratch (stage seeding
-    softens but does not erase that, and the pessimism keeps the cheap
-    mistake — staying serial — the likely one).  A session that has
-    been answering 90 % of lookups from cache projects a 10×-smaller
-    serial cost and correctly stays serial for re-runs of a sweep it
-    already holds.
+    model cache, while pool workers start from scratch (the pessimism
+    keeps the cheap mistake — staying serial — the likely one).  A
+    session that has been answering 90 % of lookups from cache
+    projects a 10×-smaller serial cost and correctly stays serial for
+    re-runs of a sweep it already holds.
 
     With ``vector_eligible`` (the caller found a batchable sweep
     family and numpy present) a third projection joins the
@@ -260,35 +253,13 @@ def _ensure_picklable_callable(fn: Callable) -> None:
 # ----------------------------------------------------------------------
 _WORKER_SESSION = None
 
-#: Counter events (``shm_loads``/``shm_errors``) produced by the pool
-#: initializer, which runs *before* the first chunk's stats snapshot —
-#: folded into that chunk's delta by :func:`_run_chunk` so the parent
-#: merge sees them exactly once.
-_WORKER_PENDING: Optional[Dict[str, int]] = None
 
-
-def _initialize_worker(capacity: int, cache_dir: Optional[str],
-                       shm_name: Optional[str] = None) -> None:
-    """Pool initializer: build this worker's private session.
-
-    With ``shm_name`` given, the worker seeds its stage cache from the
-    parent's shared-memory stage payload, so its first build of any
-    sweep variant already reuses every clean pipeline stage instead of
-    rebuilding (or disk-loading) the base model from scratch.  Any
-    attach failure is counted and otherwise ignored.
-    """
-    global _WORKER_SESSION, _WORKER_PENDING
+def _initialize_worker(capacity: int, cache_dir: Optional[str]) -> None:
+    """Pool initializer: build this worker's private session."""
+    global _WORKER_SESSION
     from .session import EvaluationSession
     _WORKER_SESSION = EvaluationSession(capacity=capacity,
                                         cache_dir=cache_dir)
-    _WORKER_PENDING = None
-    if shm_name is not None:
-        try:
-            payload = SharedStageStore.load(shm_name)
-            seed_stage_cache(_WORKER_SESSION.cache.stages, payload)
-            _WORKER_PENDING = {"shm_loads": 1}
-        except Exception:
-            _WORKER_PENDING = {"shm_errors": 1}
 
 
 def _evaluate_chunk(session,
@@ -330,17 +301,7 @@ def _evaluate_chunk(session,
 
 def _run_chunk(payload: Tuple[int, bytes, Callable, str]) -> Tuple:
     """Worker entry point: evaluate a chunk on the worker session."""
-    global _WORKER_PENDING
-    status, body, delta = _evaluate_chunk(_WORKER_SESSION, payload)
-    if _WORKER_PENDING:
-        delta = dataclasses.replace(
-            delta,
-            shm_loads=(delta.shm_loads
-                       + _WORKER_PENDING.get("shm_loads", 0)),
-            shm_errors=(delta.shm_errors
-                        + _WORKER_PENDING.get("shm_errors", 0)))
-        _WORKER_PENDING = None
-    return (status, body, delta)
+    return _evaluate_chunk(_WORKER_SESSION, payload)
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +309,7 @@ def _run_chunk(payload: Tuple[int, bytes, Callable, str]) -> Tuple:
 # ----------------------------------------------------------------------
 def _dispatch_round(payloads: List[Tuple], pending: List[int],
                     outcomes: Dict[int, Tuple], workers: int,
-                    capacity: int, cache_dir: Optional[str],
-                    shm_name: Optional[str] = None
+                    capacity: int, cache_dir: Optional[str]
                     ) -> List[int]:
     """One pool attempt over the pending chunks.
 
@@ -362,7 +322,7 @@ def _dispatch_round(payloads: List[Tuple], pending: List[int],
     with ProcessPoolExecutor(
             max_workers=min(workers, len(pending)),
             initializer=_initialize_worker,
-            initargs=(capacity, cache_dir, shm_name)) as pool:
+            initargs=(capacity, cache_dir)) as pool:
         futures = {}
         for index in pending:
             try:
@@ -380,8 +340,7 @@ def _dispatch_round(payloads: List[Tuple], pending: List[int],
 
 def _pooled_map(items: Sequence, fn: Callable, mode: str,
                 jobs: Optional[int], capacity: int,
-                cache_dir: Optional[str],
-                shm_payload=None
+                cache_dir: Optional[str]
                 ) -> Tuple[List, EngineStats]:
     _ensure_picklable_callable(fn)
     workers = jobs if jobs is not None else default_jobs()
@@ -393,40 +352,24 @@ def _pooled_map(items: Sequence, fn: Callable, mode: str,
     outcomes: Dict[int, Tuple] = {}
     pending = list(range(len(payloads)))
     pool_retries = 0
-    store = publish_stage_payload(shm_payload)
-    shm_stores = 1 if store is not None else 0
-    shm_errors = 1 if (shm_payload is not None and store is None) else 0
-    try:
-        shm_name = store.name if store is not None else None
-        for attempt in (0, 1):
-            if not pending:
-                break
-            if attempt:
-                pool_retries += len(pending)
-            pending = _dispatch_round(payloads, pending, outcomes,
-                                      workers, capacity, cache_dir,
-                                      shm_name)
-        serial_fallbacks = len(pending)
-        if pending:
-            # Both pool attempts lost these chunks (e.g. a callable
-            # that kills every worker, or a host that cannot fork):
-            # degrade to in-parent evaluation on one private session
-            # mirroring a worker's, so the results stay identical to
-            # the pooled run.  The session seeds straight from the
-            # in-parent payload — no shared memory needed.
-            from .session import EvaluationSession
-            fallback = EvaluationSession(capacity=capacity,
-                                         cache_dir=cache_dir)
-            if shm_payload is not None:
-                seed_stage_cache(fallback.cache.stages, shm_payload)
-            for index in pending:
-                outcomes[index] = _evaluate_chunk(fallback,
-                                                  payloads[index])
-    finally:
-        # The parent owns the segment: unlink it whatever happened
-        # above, so no /dev/shm entry outlives the sweep.
-        if store is not None:
-            store.destroy()
+    for attempt in (0, 1):
+        if not pending:
+            break
+        if attempt:
+            pool_retries += len(pending)
+        pending = _dispatch_round(payloads, pending, outcomes,
+                                  workers, capacity, cache_dir)
+    serial_fallbacks = len(pending)
+    if pending:
+        # Both pool attempts lost these chunks (e.g. a callable that
+        # kills every worker, or a host that cannot fork): degrade to
+        # in-parent evaluation on one private session mirroring a
+        # worker's, so the results stay identical to the pooled run.
+        from .session import EvaluationSession
+        fallback = EvaluationSession(capacity=capacity,
+                                     cache_dir=cache_dir)
+        for index in pending:
+            outcomes[index] = _evaluate_chunk(fallback, payloads[index])
     merged: Optional[EngineStats] = None
     failure = None
     results: List = []
@@ -444,43 +387,34 @@ def _pooled_map(items: Sequence, fn: Callable, mode: str,
             f"worker evaluation failed for device {index} "
             f"({label}): {message}")
     if merged is None:
-        merged = EngineStats(hits=0, misses=0, evictions=0, size=0,
-                             capacity=capacity, build_seconds=0.0)
-    if pool_retries or serial_fallbacks or shm_stores or shm_errors:
+        merged = EngineStats(capacity=capacity)
+    if pool_retries or serial_fallbacks:
         merged = dataclasses.replace(
             merged,
             pool_retries=merged.pool_retries + pool_retries,
             serial_fallbacks=(merged.serial_fallbacks
-                              + serial_fallbacks),
-            shm_stores=merged.shm_stores + shm_stores,
-            shm_errors=merged.shm_errors + shm_errors)
+                              + serial_fallbacks))
     return results, merged
 
 
 def process_map(devices: Sequence, fn: Callable,
                 jobs: Optional[int] = None,
                 capacity: int = DEFAULT_CAPACITY,
-                cache_dir: Optional[str] = None,
-                shm_payload=None
+                cache_dir: Optional[str] = None
                 ) -> Tuple[List, EngineStats]:
     """``fn(model)`` over every device, sharded across processes.
 
     Returns ``(results, merged_worker_stats)``; results are ordered
     exactly like ``devices`` and equal the serial evaluation
-    bit-for-bit.  Used by :meth:`EvaluationSession.map`.  With
-    ``shm_payload`` (a stage export of the sweep's base model) the
-    workers seed their stage caches over shared memory instead of
-    rebuilding the base model each.
+    bit-for-bit.  Used by :meth:`EvaluationSession.map`.
     """
-    return _pooled_map(devices, fn, "model", jobs, capacity, cache_dir,
-                       shm_payload=shm_payload)
+    return _pooled_map(devices, fn, "model", jobs, capacity, cache_dir)
 
 
 def process_map_items(items: Sequence, fn: Callable,
                       jobs: Optional[int] = None,
                       capacity: int = DEFAULT_CAPACITY,
-                      cache_dir: Optional[str] = None,
-                      shm_payload=None
+                      cache_dir: Optional[str] = None
                       ) -> Tuple[List, EngineStats]:
     """``fn(session, item)`` over arbitrary picklable items.
 
@@ -488,5 +422,4 @@ def process_map_items(items: Sequence, fn: Callable,
     the callable routes its own model builds through the per-worker
     session.
     """
-    return _pooled_map(items, fn, "item", jobs, capacity, cache_dir,
-                       shm_payload=shm_payload)
+    return _pooled_map(items, fn, "item", jobs, capacity, cache_dir)

@@ -15,24 +15,20 @@ public API backward compatible while still deduplicating construction
 reuse across them — the nominal device of a sensitivity Pareto, a corner
 sweep and a scheme comparison is then built exactly once.
 
-Backends: ``map(..., backend=...)`` selects ``"serial"`` (default),
-``"thread"`` (``concurrent.futures`` threads — the model is pure
-Python, so the GIL leaves little compute overlap; useful when the
-evaluation callable blocks or releases the GIL) or ``"process"``
-(contiguous shards on a ``ProcessPoolExecutor`` of per-worker
-sessions — real CPU scale-out; requires a picklable callable) or
-``"vector"`` (batchable sweep families fold as (variants × events)
-array math in-process — see :mod:`repro.engine.vector`; needs the
-optional numpy dependency and degrades to serial without it) or
-``"auto"`` (serial vs process vs vector chosen per call from the
-sweep width, the measured per-build and per-fold costs and the
-usable core count).  Serial, thread and process preserve input
-ordering and equal the serial result bit-for-bit; vector agrees to
-~1e-15 relative.  Passing only ``jobs > 1`` keeps the historical
-thread-pool behaviour.  The process backend survives worker loss: a
-crashed or killed worker's chunks are retried once on a fresh pool
-and then degrade to in-parent serial evaluation, with the recovery
-recorded in ``session.stats`` (``pool_retries``,
+Backends: ``map(..., backend=...)`` selects ``"serial"`` (default,
+also when only ``jobs`` is given), ``"process"`` (contiguous shards on
+a ``ProcessPoolExecutor`` of per-worker sessions — real CPU
+scale-out; requires a picklable callable), ``"vector"`` (batchable
+sweep families fold as (variants × events) array math in-process —
+see :mod:`repro.engine.vector`; needs the optional numpy dependency
+and degrades to serial without it) or ``"auto"`` (serial vs process
+vs vector chosen per call from the sweep width, the measured
+per-build and per-fold costs and the usable core count).  Serial and
+process preserve input ordering and equal each other bit-for-bit;
+vector agrees to ~1e-15 relative.  The process backend survives
+worker loss: a crashed or killed worker's chunks are retried once on
+a fresh pool and then degrade to in-parent serial evaluation, with
+the recovery recorded in ``session.stats`` (``pool_retries``,
 ``serial_fallbacks``).
 
 With ``cache_dir`` set, the session's model cache spills to a
@@ -43,7 +39,6 @@ directory — skip cold builds entirely.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import (Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar)
 
@@ -165,19 +160,18 @@ class EvaluationSession:
             backend: Optional[str] = None) -> List[Result]:
         """Apply ``fn`` to the built model of every device, in order.
 
-        ``backend`` selects serial, thread, process or vector
-        execution (see the module docstring); omitted, ``jobs > 1``
-        keeps the historical thread pool.  ``"auto"`` picks serial,
-        process or the columnar vector kernel per call from the sweep
-        width, the session's measured per-build and per-fold costs
-        and the worker count
+        ``backend`` selects serial, process or vector execution (see
+        the module docstring); omitted, the map runs serially.
+        ``"auto"`` picks serial, process or the columnar vector kernel
+        per call from the sweep width, the session's measured
+        per-build and per-fold costs and the worker count
         (:func:`~repro.engine.executor.choose_backend`); an
         unpicklable callable downgrades auto to serial instead of
         failing.  The result list is always ordered like ``devices``;
-        serial, thread and process agree bit-for-bit, the vector
-        backend to ~1e-15 relative (see :meth:`map_vectorized`).  A
-        raising ``fn`` surfaces as a :class:`ModelError` naming the
-        failing device's index and fingerprint.
+        serial and process agree bit-for-bit, the vector backend to
+        ~1e-15 relative (see :meth:`map_vectorized`).  A raising
+        ``fn`` surfaces as a :class:`ModelError` naming the failing
+        device's index and fingerprint.
         """
         devices = list(devices)
         backend = resolve_backend(backend, jobs)
@@ -200,31 +194,14 @@ class EvaluationSession:
         if backend == VECTOR:
             return self.map_vectorized(devices, fn, plan=plan)
         if backend == "process" and len(devices) > 1 and workers > 1:
-            try:
-                # Export the sweep's first device as the shared base:
-                # its clean stages seed every worker over shared
-                # memory.  Failures just skip the store — the device
-                # will then surface its error in a worker with the
-                # usual index/fingerprint labelling.
-                shm_payload = self.cache.stage_export(devices[0])
-            except Exception:
-                shm_payload = None
             results, worker_stats = process_map(
                 devices, fn, jobs=workers,
                 capacity=self.cache.capacity,
-                cache_dir=self.cache_dir,
-                shm_payload=shm_payload)
+                cache_dir=self.cache_dir)
             self.cache.absorb(worker_stats)
             return results
-        if (backend == "serial" or workers == 1
-                or len(devices) <= 1):
-            return [self._evaluate_one(index, device, fn)
-                    for index, device in enumerate(devices)]
-        workers = min(workers, len(devices))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda pair: self._evaluate_one(pair[0], pair[1], fn),
-                enumerate(devices)))
+        return [self._evaluate_one(index, device, fn)
+                for index, device in enumerate(devices)]
 
     def map_devices(self, devices: Iterable[DramDescription],
                     fn: Callable[[DramDescription], Result],

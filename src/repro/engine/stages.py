@@ -221,9 +221,9 @@ def stage_payload(device: DramDescription,
                   model: DramPowerModel) -> Optional[Dict[str, Tuple[str, Any]]]:
     """Exportable ``{stage: (key, artifact)}`` of one built model.
 
-    Used to ship a base model's stages to pool workers (the
-    shared-memory model store).  Returns ``None`` for models built
-    around substituted event lists — their events are not the canonical
+    Used to seed the stage cache with the stages of a model loaded
+    from the disk cache.  Returns ``None`` for models built around
+    substituted event lists — their events are not the canonical
     charge artifact of the device.
     """
     if model.skeletons is None:

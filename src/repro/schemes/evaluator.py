@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Iterable, List, Optional, Sequence
 
@@ -37,8 +36,9 @@ def compare_schemes(device: DramDescription,
 
     One shared ``session`` means the unmodified baseline model is
     built once for the whole comparison instead of once per scheme.
-    ``jobs``/``backend`` spread the schemes over a thread or process
-    pool; the sorted result equals the serial run bit-for-bit.
+    ``backend="process"`` (or ``"auto"`` choosing it) spreads the
+    schemes over ``jobs`` worker processes; every other backend runs
+    serially.  The sorted result equals the serial run bit-for-bit.
     """
     session = ensure_session(session)
     schemes = list(schemes)
@@ -57,14 +57,6 @@ def compare_schemes(device: DramDescription,
             jobs=workers, capacity=session.cache.capacity,
             cache_dir=session.cache_dir)
         session.cache.absorb(worker_stats)
-    elif (backend != "serial" and workers > 1
-            and len(schemes) > 1):
-        pool_size = min(workers, len(schemes))
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(
-                lambda scheme: _evaluate_scheme(session, scheme,
-                                                device),
-                schemes))
     else:
         results = [_evaluate_scheme(session, scheme, device)
                    for scheme in schemes]

@@ -34,13 +34,12 @@ testable deterministically.
 
 Scale-out: ``repro serve --workers N`` forks N such servers accepting
 on one shared port under a respawning supervisor
-(:mod:`repro.service.prefork`), each booted warm from a shared-memory
-stage preseed and the common disk cache; fingerprint-affinity routing
-(:mod:`repro.service.routing`) bounces a request to the worker whose
-caches hold its device (one-hop ``307``), ``"stream": true`` turns
+(:mod:`repro.service.prefork`), sharing the common disk cache; every
+worker serves every request it accepts.  ``"stream": true`` turns
 batch replies into chunked NDJSON (:mod:`repro.service.streaming`),
 API keys guard the perimeter (:mod:`repro.service.auth`), and
-``GET /stats?scope=cluster`` merges the whole fleet's counters.
+``GET /stats?scope=cluster`` merges the whole fleet's counters
+through the worker registry (:mod:`repro.service.routing`).
 
 Durability: with ``--jobs-dir`` (defaulted to ``<cache-dir>/jobs``
 by the CLI) the service also fronts the crash-recoverable job layer
@@ -57,18 +56,15 @@ from .faults import FaultInjector, FaultRule, InjectedFault
 from .jsonapi import (ResultCache, device_from_payload,
                       evaluate_payload, stats_payload, sweep_payload)
 from .prefork import PreforkSupervisor, serve_prefork
-from .routing import (ROUTED_HEADER, WORKER_HEADER, AffinityRouter,
-                      WorkerRegistry, preferred_worker)
+from .routing import WORKER_HEADER, WorkerRegistry, preferred_worker
 from .server import EvaluationService, ServiceCounters, create_service
 from .streaming import evaluate_stream, sweep_stream, wants_stream
 
 __all__ = [
     "API_KEY_HEADER",
-    "ROUTED_HEADER",
     "WORKER_HEADER",
     "AdmissionController",
     "AdmissionShed",
-    "AffinityRouter",
     "ApiKeyAuth",
     "Deadline",
     "DeadlineExceeded",

@@ -18,19 +18,12 @@ lock, no thundering herd.  The supervisor keeps a bound-but-silent
 fork.  Without ``SO_REUSEPORT`` the anchor itself listens and the
 workers inherit it across ``fork``, accepting from the shared queue.
 
-Warm-state sharing, so a fresh fleet is not ``N`` cold caches:
-
-* the workers share one fingerprint-keyed *disk* cache directory
-  (``--cache-dir``) — any worker's cold build is every worker's warm
-  disk hit;
-* the supervisor exports the default device's stage payload into one
-  shared-memory segment (:mod:`repro.engine.shm`) before forking;
-  every worker — including respawns, which is why the supervisor
-  keeps the segment alive — seeds its stage cache from it at boot;
-* each worker also opens a private *direct* port and publishes it in
-  a :class:`~repro.service.routing.WorkerRegistry`; affinity routing
-  then steers repeat traffic for a device to the worker whose
-  in-memory caches already hold it.
+The workers share one fingerprint-keyed *disk* cache directory
+(``--cache-dir``), so any worker's cold build is every worker's warm
+disk hit.  Each worker also opens a private *direct* port and
+publishes it in a :class:`~repro.service.routing.WorkerRegistry`;
+cluster ``/stats`` reads its siblings' counters through it.  Every
+worker serves every request it accepts.
 
 The supervisor itself never serves a request: its only jobs are the
 port reservation, the fork/respawn loop and the shutdown fan-out
@@ -50,11 +43,7 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from ..devices import build_device
-from ..engine import EvaluationSession
 from ..engine.cache import DEFAULT_CAPACITY
-from ..engine.shm import SharedStageStore, publish_stage_payload
-from ..engine.stages import seed_stage_cache
 from .admission import ServiceLimits
 from .auth import ApiKeyAuth
 from .routing import WorkerRegistry
@@ -96,28 +85,11 @@ def _bind_socket(host: str, port: int,
     return sock
 
 
-def _preseed_payload(capacity: int,
-                     cache_dir: Optional[str]) -> Optional[Any]:
-    """The default device's stage export, or ``None`` on any failure.
-
-    Built in the supervisor *once*; shipping it over shared memory
-    saves every worker (and every respawn) the cold build of the
-    stages all mainstream devices share.
-    """
-    try:
-        session = EvaluationSession(capacity=capacity,
-                                    cache_dir=cache_dir)
-        return session.cache.stage_export(build_device(55))
-    except Exception:
-        return None
-
-
 def _worker_main(worker_id: int, host: str, port: int,
                  anchor: socket.socket, reuseport: bool,
                  capacity: int, cache_dir: Optional[str],
                  limits: Optional[ServiceLimits],
-                 auth: Optional[ApiKeyAuth], affinity: bool,
-                 run_dir: str, shm_name: Optional[str],
+                 auth: Optional[ApiKeyAuth], run_dir: str,
                  jobs_dir: Optional[str] = None,
                  job_ttl: float = 3600.0) -> None:
     """One worker process: twin servers over one warm session.
@@ -125,8 +97,8 @@ def _worker_main(worker_id: int, host: str, port: int,
     The *primary* server accepts on the shared port; the *direct*
     server listens on a private ephemeral port and shares the
     primary's session, admission controller, result cache and
-    counters (``shared_with``), so affinity redirects and cluster
-    stats fetches hit the same warm state through either socket.
+    counters (``shared_with``), so cluster stats fetches see the same
+    state through either socket.
     """
     if reuseport:
         listen_sock = _bind_socket(host, port, True)
@@ -137,20 +109,12 @@ def _worker_main(worker_id: int, host: str, port: int,
     primary = EvaluationService((host, port), capacity=capacity,
                                 cache_dir=cache_dir, limits=limits,
                                 auth=auth, worker_id=worker_id,
-                                registry=registry, affinity=affinity,
+                                registry=registry,
                                 listen_socket=listen_sock,
                                 jobs_dir=jobs_dir, job_ttl=job_ttl)
     direct = EvaluationService(("127.0.0.1", 0), auth=auth,
                                worker_id=worker_id, registry=registry,
-                               affinity=False, shared_with=primary)
-    if shm_name is not None:
-        cache = primary.session.cache
-        try:
-            payload = SharedStageStore.load(shm_name)
-            seed_stage_cache(cache.stages, payload)
-            cache.record_shm(loads=1)
-        except Exception:
-            cache.record_shm(errors=1)
+                               shared_with=primary)
     registry.write(worker_id, {
         "worker": worker_id,
         "pid": os.getpid(),
@@ -189,8 +153,6 @@ class PreforkSupervisor:
                  cache_dir: Optional[str] = None,
                  limits: Optional[ServiceLimits] = None,
                  auth: Optional[ApiKeyAuth] = None,
-                 affinity: bool = True,
-                 preseed: bool = True,
                  run_dir: Optional[str] = None,
                  grace: float = DEFAULT_GRACE,
                  jobs_dir: Optional[str] = None,
@@ -205,8 +167,6 @@ class PreforkSupervisor:
         self.cache_dir = cache_dir
         self.limits = limits
         self.auth = auth
-        self.affinity = affinity
-        self.preseed = preseed
         self.grace = grace
         self.run_dir = run_dir
         self.jobs_dir = jobs_dir
@@ -216,7 +176,6 @@ class PreforkSupervisor:
         self._orphan_scan_at = 0.0
         self._own_run_dir = run_dir is None
         self._anchor: Optional[socket.socket] = None
-        self._store: Optional[SharedStageStore] = None
         self._reuseport = reuseport_available()
         self._procs: Dict[int, multiprocessing.process.BaseProcess] \
             = {}
@@ -232,7 +191,7 @@ class PreforkSupervisor:
 
     # ------------------------------------------------------------------
     def start(self) -> int:
-        """Reserve the port, preseed shared memory, fork the fleet.
+        """Reserve the port and fork the fleet.
 
         Returns the concrete bound port (resolving a ``port=0``
         request) — ready to advertise before the watch loop starts.
@@ -248,23 +207,17 @@ class PreforkSupervisor:
             # The shared cache dir is the durable home the journaled
             # jobs need to survive a full-fleet restart.
             self.jobs_dir = os.path.join(self.cache_dir, "jobs")
-        if self.preseed:
-            payload = _preseed_payload(self.capacity, self.cache_dir)
-            self._store = publish_stage_payload(payload)
         for worker_id in range(self.workers):
             self._spawn(worker_id)
         return self.port
 
     def _spawn(self, worker_id: int) -> None:
-        shm_name = self._store.name if self._store is not None \
-            else None
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self.host, self.port, self._anchor,
                   self._reuseport, self.capacity, self.cache_dir,
-                  self.limits, self.auth, self.affinity,
-                  self.run_dir, shm_name, self.jobs_dir,
-                  self.job_ttl),
+                  self.limits, self.auth, self.run_dir,
+                  self.jobs_dir, self.job_ttl),
             name=f"repro-worker-{worker_id}")
         proc.start()
         self._procs[worker_id] = proc
@@ -339,8 +292,8 @@ class PreforkSupervisor:
 
         Respawns dead workers while running; on the way out SIGTERMs
         every worker, waits up to ``grace`` seconds for their drains,
-        SIGKILLs stragglers and releases the port, the shared-memory
-        segment and the run directory.
+        SIGKILLs stragglers and releases the port and the run
+        directory.
         """
         previous = {}
         if install_signals:
@@ -375,9 +328,6 @@ class PreforkSupervisor:
         self._procs.clear()
 
     def _cleanup(self) -> None:
-        if self._store is not None:
-            self._store.destroy()
-            self._store = None
         if self._anchor is not None:
             self._anchor.close()
             self._anchor = None
@@ -397,8 +347,6 @@ def serve_prefork(host: str, port: int, workers: int,
                   cache_dir: Optional[str] = None,
                   limits: Optional[ServiceLimits] = None,
                   auth: Optional[ApiKeyAuth] = None,
-                  affinity: bool = True,
-                  preseed: bool = True,
                   jobs_dir: Optional[str] = None,
                   job_ttl: float = 3600.0) -> PreforkSupervisor:
     """A started supervisor (fleet forked, port resolved).
@@ -410,7 +358,6 @@ def serve_prefork(host: str, port: int, workers: int,
     supervisor = PreforkSupervisor(
         host=host, port=port, workers=workers, capacity=capacity,
         cache_dir=cache_dir, limits=limits, auth=auth,
-        affinity=affinity, preseed=preseed, jobs_dir=jobs_dir,
-        job_ttl=job_ttl)
+        jobs_dir=jobs_dir, job_ttl=job_ttl)
     supervisor.start()
     return supervisor

@@ -1,29 +1,21 @@
-"""Fingerprint-affinity routing across pre-fork service workers.
+"""The live-worker registry of a pre-fork fleet and its ``/stats`` merge.
 
 The pre-fork tier (:mod:`repro.service.prefork`) runs N worker
-processes accepting on one shared port; the kernel spreads incoming
-connections over them with no idea which worker's caches are warm for
-which device.  This module adds that knowledge:
+processes accepting on one shared port.  Each worker also listens on
+a private *direct* port and publishes a small JSON *registry entry*
+(pid, shared port, direct port) into the supervisor's run directory;
+:class:`WorkerRegistry` reads the live set back with a short TTL cache
+and a pid-liveness check.  Two consumers use it:
 
-* every worker publishes a small JSON *registry entry* (pid, shared
-  port, private direct port) into the supervisor's run directory —
-  :class:`WorkerRegistry` reads the live set back with a short TTL
-  cache and a pid-liveness check;
-* :func:`preferred_worker` maps a device fingerprint onto one worker
-  id by rendezvous (highest-random-weight) hashing, which keeps the
-  assignment stable when workers die and respawn — only the dead
-  worker's share moves;
-* :class:`AffinityRouter` glues the two into the redirect decision:
-  a request landing on the "wrong" worker is answered with ``307``
-  and a ``Location`` pointing at the preferred worker's direct port,
-  so a device's variants keep hitting the worker whose model/stage
-  caches already hold them.  A client marks the redirected request
-  with ``X-Repro-Routed`` so routing terminates after one hop.
+* ``GET /stats?scope=cluster`` fetches every sibling's local
+  ``/stats`` over its direct port and merges them with the helpers at
+  the bottom of this module;
+* the supervisor hands a dead worker's journaled jobs to a live one,
+  picked by :func:`preferred_worker` (rendezvous hashing, so only the
+  dead worker's share moves).
 
-All reads tolerate torn or stale files: a corrupt entry is skipped, a
-dead worker drops out of the candidate set, and any failure inside the
-router falls back to serving locally — affinity is an optimisation,
-never a correctness dependency.
+All reads tolerate torn or stale files: a corrupt entry is skipped and
+a dead worker drops out of the live set.
 """
 
 from __future__ import annotations
@@ -38,10 +30,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
 from .auth import API_KEY_HEADER
-
-#: Marks a request that already followed one affinity redirect;
-#: carriers are always served locally (no redirect loops).
-ROUTED_HEADER = "X-Repro-Routed"
 
 #: Response header naming the worker that produced the reply.
 WORKER_HEADER = "X-Repro-Worker"
@@ -89,7 +77,7 @@ class WorkerRegistry:
     One ``worker-<id>.json`` per worker, written atomically by the
     worker itself at boot (and rewritten on respawn).  Readers get a
     dict of live entries; results are cached for ``ttl`` seconds so
-    per-request routing does not hammer the filesystem.
+    repeated reads do not hammer the filesystem.
     """
 
     def __init__(self, directory: str, ttl: float = 0.25):
@@ -181,68 +169,6 @@ class WorkerRegistry:
                     path.unlink()
                 except OSError:  # pragma: no cover - raced unlink
                     pass
-
-
-class AffinityRouter:
-    """Decides whether a request should bounce to a warmer worker."""
-
-    def __init__(self, worker_id: int, registry: WorkerRegistry,
-                 enabled: bool = True):
-        self.worker_id = worker_id
-        self.registry = registry
-        self.enabled = enabled
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _device_spec(path: str, payload: Any) -> Optional[Any]:
-        """The request's routing device payload, or ``None``.
-
-        ``/evaluate`` routes on its first device; ``/sweep`` routes on
-        the sweep's (possibly defaulted) base device for the kinds
-        that have one.  Kinds without a device (``trends``) and
-        malformed payloads return ``None`` — no routing.
-        """
-        if not isinstance(payload, dict):
-            return None
-        if path == "/evaluate":
-            devices = payload.get("devices")
-            if isinstance(devices, list) and devices:
-                return devices[0]
-            return payload.get("device")
-        if path == "/sweep":
-            if payload.get("kind") in ("sensitivity", "corners",
-                                       "schemes"):
-                return payload.get("device", {})
-        return None
-
-    def redirect_for(self, path: str, payload: Any,
-                     headers: Any) -> Optional[str]:
-        """The ``Location`` to redirect to, or ``None`` to serve here.
-
-        Never raises: a payload the model layer would reject is left
-        for the normal handler to diagnose, and any registry problem
-        degrades to local service.
-        """
-        if not self.enabled:
-            return None
-        if headers.get(ROUTED_HEADER) is not None:
-            return None  # terminal hop
-        spec = self._device_spec(path, payload)
-        if spec is None:
-            return None
-        try:
-            from ..engine import fingerprint
-            from .jsonapi import device_from_payload
-            key = fingerprint(device_from_payload(spec))
-            live = self.registry.entries()
-            target = preferred_worker(key, live.keys())
-            if target is None or target == self.worker_id:
-                return None
-            entry = live[target]
-            host = entry.get("direct_host", "127.0.0.1")
-            return f"http://{host}:{entry['direct_port']}{path}"
-        except Exception:
-            return None
 
 
 # ----------------------------------------------------------------------

@@ -36,12 +36,12 @@ once, journaled at chunk granularity, resumable across crashes.
 Scale-out hooks (used by :mod:`repro.service.prefork`): a pre-bound
 ``listen_socket`` (``SO_REUSEPORT``) can replace the usual bind; a
 second *direct* server per worker can share the first's warm state
-via ``shared_with``; a :class:`~repro.service.routing.WorkerRegistry`
-plus :class:`~repro.service.routing.AffinityRouter` redirect requests
-(``307``) to the worker whose caches are warm for the device; and
+via ``shared_with``; and with a
+:class:`~repro.service.routing.WorkerRegistry`,
 ``GET /stats?scope=cluster`` scatter-gathers every live worker's
-counters into one fleet view.  Optional API-key auth
-(:mod:`repro.service.auth`) guards everything but ``/healthz``.
+counters over their direct ports into one fleet view.  Optional
+API-key auth (:mod:`repro.service.auth`) guards everything but
+``/healthz``.
 
 Resilience (see :mod:`repro.service.admission`): POST endpoints pass
 through an :class:`~repro.service.admission.AdmissionController` — a
@@ -89,9 +89,9 @@ from .jsonapi import (ResultCache, engine_payload, evaluate_payload,
                       sweep_payload)
 from .jsonapi import stats_payload as engine_stats_payload
 from .routing import (RESULT_CACHE_SUM_KEYS, WORKER_HEADER,
-                      AffinityRouter, WorkerRegistry,
-                      fetch_worker_stats, merge_admission,
-                      merge_request_counts, sum_counter_dicts)
+                      WorkerRegistry, fetch_worker_stats,
+                      merge_admission, merge_request_counts,
+                      sum_counter_dicts)
 from .streaming import (STREAM_CONTENT_TYPE, evaluate_stream,
                         sweep_stream, wants_stream)
 from .tracing import (parse_trace_query, trace_payload,
@@ -112,8 +112,8 @@ GZIP_MIN_BYTES = 2048
 
 #: Top-level service counters that sum meaningfully across workers.
 SERVICE_SUM_KEYS = ("requests_total", "errors", "timeouts",
-                    "redirects", "streams", "stream_aborts",
-                    "gzipped", "auth_failures")
+                    "streams", "stream_aborts", "gzipped",
+                    "auth_failures")
 
 
 def _evaluate(server, session, payload, deadline, stream):
@@ -152,11 +152,10 @@ class ServiceCounters:
     """
 
     #: Tallies besides the per-path request counts, named as in
-    #: ``/stats``: answered errors, 504s, affinity ``307``s (not
-    #: served requests), streams, streams cut short by the client,
-    #: gzipped replies and refused API keys.
-    TALLIES = ("errors", "timeouts", "redirects", "streams",
-               "stream_aborts", "gzipped", "auth_failures")
+    #: ``/stats``: answered errors, 504s, streams, streams cut short
+    #: by the client, gzipped replies and refused API keys.
+    TALLIES = ("errors", "timeouts", "streams", "stream_aborts",
+               "gzipped", "auth_failures")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -326,7 +325,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _post(self, path: str,
               deadline: Optional[Deadline]) -> Optional[Dict[str, Any]]:
         """Serve one admitted POST: the 200 body, or ``None`` once a
-        stream or redirect has already answered."""
+        stream has already answered."""
         server = self.server
         content_type = (self.headers.get("Content-Type") or "")
         content_type = content_type.split(";")[0].strip().lower()
@@ -338,10 +337,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # Submission is cheap (validation only); the job itself
             # runs asynchronously on the manager.
             return server.submit_job(payload)
-        location = server.affinity_redirect(path, payload, self.headers)
-        if location is not None:
-            self._redirect(location)
-            return None
         session: EvaluationSession = server.session
         if deadline is not None:
             # A budget blown before evaluation even starts (slow
@@ -571,26 +566,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing left to tell it
 
-    def _redirect(self, location: str) -> None:
-        """``307`` to the preferred worker (affinity routing).
-
-        Counted as a redirect, not as a served request: the target
-        worker tallies the request when it answers it.
-        """
-        server = self.server
-        server.counters.count("redirects")
-        blob = json.dumps({"redirect": location}).encode("utf-8")
-        self.send_response(307)
-        self.send_header("Location", location)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.send_header(WORKER_HEADER, str(server.worker_id))
-        self.end_headers()
-        try:
-            self.wfile.write(blob)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
     def _stream_reply(self, path: str, records: Any) -> None:
         """Send NDJSON records as they arrive, chunk-framed.
 
@@ -656,7 +631,6 @@ class EvaluationService(ThreadingHTTPServer):
                  auth: Optional[ApiKeyAuth] = None,
                  worker_id: int = 0,
                  registry: Optional[WorkerRegistry] = None,
-                 affinity: bool = True,
                  listen_socket: Optional[socket.socket] = None,
                  shared_with: Optional["EvaluationService"] = None,
                  gzip_min_bytes: int = GZIP_MIN_BYTES,
@@ -679,9 +653,6 @@ class EvaluationService(ThreadingHTTPServer):
         self.worker_id = worker_id
         self.registry = registry
         self.gzip_min_bytes = gzip_min_bytes
-        self.router = (AffinityRouter(worker_id, registry,
-                                      enabled=affinity)
-                       if registry is not None else None)
         self.draining = False
         self._handlers_lock = threading.Lock()
         self._handlers: set = set()
@@ -732,13 +703,6 @@ class EvaluationService(ThreadingHTTPServer):
     @property
     def uptime_seconds(self) -> float:
         return time.monotonic() - self.started_monotonic
-
-    def affinity_redirect(self, path: str, payload: Any,
-                          headers: Any) -> Optional[str]:
-        """Where to bounce this request, or ``None`` to serve here."""
-        if self.router is None:
-            return None
-        return self.router.redirect_for(path, payload, headers)
 
     def health_payload(self) -> Dict[str, Any]:
         return {"status": "ok",
@@ -958,7 +922,6 @@ def create_service(host: str = "127.0.0.1", port: int = 8080,
                    auth: Optional[ApiKeyAuth] = None,
                    worker_id: int = 0,
                    registry: Optional[WorkerRegistry] = None,
-                   affinity: bool = True,
                    listen_socket: Optional[socket.socket] = None,
                    jobs_dir: Optional[str] = None,
                    job_ttl: float = 3600.0
@@ -970,14 +933,13 @@ def create_service(host: str = "127.0.0.1", port: int = 8080,
     tests and embedders.  ``service.server_port`` holds the bound
     port either way.  ``limits`` bounds concurrency, queueing and
     per-request time (:class:`~repro.service.admission.ServiceLimits`).
-    The scale-out parameters (``auth``, ``worker_id``, ``registry``,
-    ``affinity``, ``listen_socket``) are wired by
-    :mod:`repro.service.prefork`; single-process embedders can ignore
-    them.
+    The scale-out parameters (``worker_id``, ``registry``,
+    ``listen_socket``) are wired by :mod:`repro.service.prefork`;
+    single-process embedders can ignore them.
     """
     return EvaluationService((host, port), capacity=capacity,
                              cache_dir=cache_dir, limits=limits,
                              auth=auth, worker_id=worker_id,
-                             registry=registry, affinity=affinity,
+                             registry=registry,
                              listen_socket=listen_socket,
                              jobs_dir=jobs_dir, job_ttl=job_ttl)

@@ -102,14 +102,16 @@ class TestResolveBackend:
     def test_none_keeps_historical_defaults(self):
         assert resolve_backend(None, None) == "serial"
         assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 2) == "thread"
+        assert resolve_backend(None, 2) == "serial"
 
     def test_unknown_backend_names_the_choices(self):
-        with pytest.raises(ModelError) as failure:
-            resolve_backend("cluster", None)
-        for name in ("serial", "thread", "process", "auto"):
-            assert name in str(failure.value)
+        for unknown in ("cluster", "thread"):
+            with pytest.raises(ModelError) as failure:
+                resolve_backend(unknown, None)
+            for name in ("serial", "process", "auto", "vector"):
+                assert name in str(failure.value)
 
+    # "thread" is no longer a backend; jobs are still checked first.
     @pytest.mark.parametrize("backend",
                              ["serial", "thread", "process", AUTO,
                               None])
@@ -117,7 +119,7 @@ class TestResolveBackend:
     def test_nonpositive_jobs_rejected_for_every_backend(
             self, backend, jobs):
         # The centralized validation point: before the fix only the
-        # process pool checked, so serial/thread accepted jobs=0.
+        # process pool checked, so serial accepted jobs=0.
         with pytest.raises(ModelError, match="positive worker count"):
             resolve_backend(backend, jobs)
 

@@ -61,21 +61,29 @@ class TestBackendResolution:
         assert resolve_backend(None, None) == "serial"
         assert resolve_backend(None, 1) == "serial"
 
-    def test_jobs_alone_selects_threads(self):
-        assert resolve_backend(None, 4) == "thread"
+    def test_jobs_alone_stays_serial(self, ddr3_device):
+        assert resolve_backend(None, 4) == "serial"
+        devices = _variants(ddr3_device)
+        serial = EvaluationSession().map(devices, _power)
+        session = EvaluationSession()
+        assert session.map(devices, _power, jobs=2) == serial
+        # Built in this process: no pool was involved.
+        assert session.stats.size == len(devices)
 
     def test_explicit_backends_pass_through(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert resolve_backend(name, 2) == name
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ModelError):
-            resolve_backend("gpu", 2)
+        for name in ("gpu", "thread"):
+            with pytest.raises(ModelError):
+                resolve_backend(name, 2)
 
     def test_map_rejects_unknown_backend(self, ddr3_device):
-        with pytest.raises(ModelError):
-            EvaluationSession().map([ddr3_device], _power,
-                                    backend="gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(ModelError):
+                EvaluationSession().map([ddr3_device], _power,
+                                        backend=name)
 
 
 class TestProcessBackend:
@@ -91,13 +99,9 @@ class TestProcessBackend:
         session = EvaluationSession()
         session.map(devices, _power, jobs=2, backend="process")
         stats = session.stats
-        # Worker misses for every device plus the parent's one build
-        # of the shared-memory base model.
-        assert stats.misses == len(devices) + 1
+        # One worker miss per device; the parent builds nothing.
+        assert stats.misses == len(devices)
         assert stats.build_seconds > 0.0
-        assert stats.shm_stores == 1
-        assert stats.shm_loads >= 1
-        assert stats.shm_errors == 0
 
     def test_unpicklable_callable_rejected(self, ddr3_device):
         devices = _variants(ddr3_device)
@@ -134,13 +138,6 @@ class TestSerialAndThreadErrorReporting:
         assert "fingerprint" in message
         assert failure.value.__cause__ is not None
 
-    def test_thread_fn_error_names_index_and_fingerprint(
-            self, ddr3_device):
-        devices = _variants(ddr3_device, count=4)
-        with pytest.raises(ModelError) as failure:
-            EvaluationSession().map(devices, _explode, jobs=2)
-        assert "fingerprint" in str(failure.value)
-
 
 class TestSweepDeterminism:
     """Process backend == serial bit-for-bit on every hot sweep path."""
@@ -176,13 +173,6 @@ class TestSweepDeterminism:
                                  backend="process")
         assert [(r.scheme, r.modified.power) for r in pooled] == \
             [(r.scheme, r.modified.power) for r in serial]
-
-    def test_thread_backend_still_matches(self, ddr3_device):
-        serial = monte_carlo(ddr3_device, samples=8, seed=3)
-        threaded = monte_carlo(ddr3_device, samples=8, seed=3,
-                               jobs=2, backend="thread")
-        assert [d.samples for d in threaded] == \
-            [d.samples for d in serial]
 
 
 class TestWorkerStatsMerge:
@@ -227,10 +217,8 @@ class TestWorkerStatsMerge:
         devices = _variants(ddr3_device)
         session = EvaluationSession()
         session.map(devices, _power, jobs=2, backend="process")
-        # The parent holds exactly its own shared-memory base model,
-        # never the workers' occupancy.
-        assert session.stats.size == 1
-        assert session.stats.misses == len(devices) + 1
+        assert session.stats.size == 0
+        assert session.stats.misses == len(devices)
 
 
 class TestWorkerLoss:

@@ -194,7 +194,6 @@ class TestFleetSharing:
         primary = create_service(host="127.0.0.1", port=0,
                                  jobs_dir=str(tmp_path / "jobs"))
         secondary = EvaluationService(("127.0.0.1", 0),
-                                      affinity=False,
                                       shared_with=primary)
         try:
             assert secondary.jobs is primary.jobs

@@ -120,6 +120,7 @@ BAD_SWEEPS = {
     "vendor-text": {"kind": "corners", "vendor": "false"},
     "vendor-int": {"kind": "corners", "vendor": 0},
     "backend-unknown": {"kind": "schemes", "backend": "bogus"},
+    "backend-thread": {"kind": "schemes", "backend": "thread"},
     "jobs-zero": {"kind": "schemes", "jobs": 0},
     "device-unknown-key": {"kind": "schemes", "device": {"nope": 1}},
 }

@@ -16,13 +16,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.client import ServiceClient
-from repro.engine import EvaluationSession, fingerprint
+from repro.engine import EvaluationSession
 from repro.engine.cache import EngineStats, merge_stats
 from repro.service import EvaluationService, create_service
-from repro.service.jsonapi import (device_from_payload,
-                                   evaluate_payload)
-from repro.service.routing import (ROUTED_HEADER, WorkerRegistry,
-                                   merge_admission,
+from repro.service.jsonapi import evaluate_payload
+from repro.service.routing import (WorkerRegistry, merge_admission,
                                    merge_request_counts, pid_alive,
                                    preferred_worker,
                                    sum_counter_dicts)
@@ -159,8 +157,7 @@ class TestStatsMerging:
 # ----------------------------------------------------------------------
 def test_shared_with_aliases_state():
     primary = create_service(host="127.0.0.1", port=0)
-    direct = EvaluationService(("127.0.0.1", 0), affinity=False,
-                               shared_with=primary)
+    direct = EvaluationService(("127.0.0.1", 0), shared_with=primary)
     assert direct.session is primary.session
     assert direct.counters is primary.counters
     assert direct.result_cache is primary.result_cache
@@ -217,8 +214,7 @@ def _child_pids(pid):
         candidates = [int(part) for part in out.stdout.split()]
     workers = []
     for child in candidates:
-        # The fork-server workers inherit the supervisor's cmdline;
-        # the shared-memory resource tracker does not mention repro.
+        # The forked workers inherit the supervisor's cmdline.
         try:
             cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
         except OSError:
@@ -250,38 +246,20 @@ def fleet(tmp_path_factory):
     assert "repro service stopped" in out
 
 
-def _fleet_post(port, path, payload, routed=False, timeout=60):
-    """POST once, following at most one affinity redirect manually.
+def _fleet_post(port, path, payload, timeout=60):
+    """POST once on a fresh connection; the reply must be a 200.
 
-    Returns ``(final_status, body_bytes, worker_id)``.
+    Returns the body bytes.
     """
-    headers = {"Content-Type": "application/json"}
-    if routed:
-        headers[ROUTED_HEADER] = "1"
-    blob = json.dumps(payload)
     conn = http.client.HTTPConnection("127.0.0.1", port,
                                       timeout=timeout)
     try:
-        conn.request("POST", path, body=blob, headers=headers)
+        conn.request("POST", path, body=json.dumps(payload),
+                     headers={"Content-Type": "application/json"})
         response = conn.getresponse()
         body = response.read()
-        if response.status in (307, 308) and not routed:
-            location = response.getheader("Location")
-            parts = location.split("/")[2]  # host:port
-            host, _, target_port = parts.partition(":")
-            hop = http.client.HTTPConnection(
-                host, int(target_port), timeout=timeout)
-            try:
-                hop.request("POST", path, body=blob,
-                            headers={**headers, ROUTED_HEADER: "1"})
-                response = hop.getresponse()
-                body = response.read()
-                return (response.status, body,
-                        response.getheader("X-Repro-Worker"))
-            finally:
-                hop.close()
-        return (response.status, body,
-                response.getheader("X-Repro-Worker"))
+        assert response.status == 200, body
+        return body
     finally:
         conn.close()
 
@@ -292,30 +270,12 @@ class TestFleet:
                     {"devices": [{"node": 44}, {"node": 55}]}]
         session = EvaluationSession(capacity=16)
         for payload in payloads:
-            replies = [_fleet_post(fleet.port, "/evaluate", payload)
-                       for _ in range(3)]
-            assert all(status == 200 for status, _, _ in replies)
-            bodies = {body for _, body, _ in replies}
+            bodies = {_fleet_post(fleet.port, "/evaluate", payload)
+                      for _ in range(3)}
             assert len(bodies) == 1, \
                 "repeat responses were not byte-identical"
             expected = evaluate_payload(session, payload)
             assert json.loads(bodies.pop()) == expected
-
-    def test_affinity_pins_device_to_one_worker(self, fleet):
-        payload = {"device": {"node": 44}}
-        outcomes = [_fleet_post(fleet.port, "/evaluate", payload)
-                    for _ in range(6)]
-        workers = {worker for status, _, worker in outcomes
-                   if status == 200}
-        assert len(workers) == 1, \
-            f"device bounced between workers: {workers}"
-        # A request that already followed a hop is served in place.
-        status, _, _ = _fleet_post(fleet.port, "/evaluate", payload,
-                                   routed=True)
-        assert status == 200
-        # Sanity: the fingerprint the router uses is process-stable.
-        key = fingerprint(device_from_payload({"node": 44}))
-        assert preferred_worker(key, [0, 1]) is not None
 
     def test_cluster_stats_aggregate_both_workers(self, fleet):
         fleet.client.evaluate(device={})
@@ -326,8 +286,6 @@ class TestFleet:
         assert stats["admission"]["capacity"] == 16  # 2 x 8 slots
         assert stats["requests_total"] >= 1
         assert stats["requests"].get("/evaluate", 0) >= 1
-        # Both workers preseeded their stage cache from shared memory.
-        assert stats["engine"]["shm_loads"] == 2
 
     def test_killed_worker_is_respawned(self, fleet):
         workers = _child_pids(fleet.process.pid)
