@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .core.idd import standard_idd_suite
 from .core.trace import TraceError, evaluate_trace
-from .trace import AddressDecoder, replay_trace_file
+from .trace import TRACE_BACKENDS, AddressDecoder, replay_trace_file
 from .description import DramDescription
 from .engine import EvaluationSession
 from .dsl import dumps, load
@@ -236,7 +236,7 @@ def _trace_file(args: argparse.Namespace, device, model) -> int:
             model, args.trace_file, fmt=fmt, decoder=decoder,
             clock=parse_quantity(args.clock), strict=args.strict,
             backend=args.backend, jobs=args.jobs)
-    except TraceError as exc:
+    except (TraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raise on protocol/timing violations "
                             "instead of pricing the trace as given")
     trace.add_argument("--backend", default="auto",
-                       choices=["auto", "serial", "vector", "process"],
+                       choices=("auto",) + TRACE_BACKENDS,
                        help="replay backend: serial fold, columnar "
                             "kernel (numpy), rank-sharded processes, "
                             "or cost-based auto (default)")

@@ -628,8 +628,14 @@ class ServiceClient:
             self.connections_opened += 1
         url = self.base_url + path
         try:
-            conn.request("POST", path, body=body, headers=headers,
-                         encode_chunked=chunked)
+            try:
+                conn.request("POST", path, body=body, headers=headers,
+                             encode_chunked=chunked)
+            except (BrokenPipeError, ConnectionResetError):
+                # The server may answer (a 400 for a bad query) and
+                # close before reading the body; its reply is still
+                # readable, so only a missing reply is status 0.
+                pass
             response = conn.getresponse()
         except (http.client.HTTPException, OSError) as exc:
             conn.close()

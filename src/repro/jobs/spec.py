@@ -43,6 +43,7 @@ same units, ``rows`` called once per unit like a stream.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -343,8 +344,9 @@ class TracePlan(JobPlan):
                 f"unknown trace format {fmt!r}; choose from "
                 + "/".join(sorted(FORMATS)))
         clock = params.get("clock", DEFAULT_CLOCK)
-        if not isinstance(clock, (int, float)) or not clock > 0:
-            raise ServiceError("'clock' must be positive Hz")
+        if (not isinstance(clock, (int, float))
+                or not 0 < clock < math.inf):
+            raise ServiceError("'clock' must be positive, finite Hz")
         if params.get("strict"):
             raise ServiceError(
                 "sharded trace jobs replay leniently; strict "

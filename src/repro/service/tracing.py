@@ -30,19 +30,18 @@ evaluation.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
 
-from ..core.trace import TraceAccumulator, TraceResult
+from ..core.trace import TraceAccumulator, TraceError, TraceResult
 from ..engine import EvaluationSession
 from ..errors import ReproError, ServiceError
 from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, AddressDecoder,
-                     ColumnarReplayer, columnar_available,
-                     commands_from_records, iter_decompressed,
-                     iter_line_batches, iter_lines, iter_records)
-from ..trace.columnar import LINES_PER_BATCH, record_downgrade
+                     ColumnarReplayer, iter_decompressed,
+                     iter_line_batches, resolve_trace_backend)
+from ..trace.columnar import LINES_PER_BATCH
 from .admission import Deadline
 from .jsonapi import _finite, device_from_payload
 from .streaming import frame
@@ -164,19 +163,18 @@ def _parse(request: TraceRequest, fields: Dict[str, Any],
             + "/".join(sorted(FORMATS)))
     for key, value in decoder_params(decoder).items():
         setattr(request, key, value)
-    if not request.clock > 0:
-        raise ServiceError("'clock' must be positive Hz")
+    if not 0 < request.clock < math.inf:
+        raise ServiceError("'clock' must be positive, finite Hz")
     if request.backend not in _STREAM_BACKENDS:
         raise ServiceError(
             f"unknown trace backend {request.backend!r}; choose from "
             + "/".join(_STREAM_BACKENDS)
             + " (sharded process replay needs a seekable file: use "
             "the CLI or a 'trace' job)")
-    if request.backend == "vector" and request.strict:
-        raise ServiceError(
-            "the vector backend replays batched and cannot honour "
-            "strict=true; use backend=serial for strict legality "
-            "checking")
+    try:
+        resolve_trace_backend(request.backend, request.strict)
+    except TraceError as exc:
+        raise ServiceError(str(exc)) from None
     request.snapshot_every = max(MIN_SNAPSHOT_EVERY,
                                  int(request.snapshot_every))
     return request
@@ -242,62 +240,18 @@ def trace_result_row(result: TraceResult,
     }
 
 
-def _scalar_segments(accumulator: TraceAccumulator,
-                     blocks: Iterable[bytes], request: TraceRequest,
-                     decoder: AddressDecoder,
-                     deadline: Optional[Deadline]) -> Iterator[None]:
-    """Feed ``snapshot_every`` commands at a time; yield after each
-    full segment."""
-    lines = iter_lines(blocks, source="<upload>")
-    commands = commands_from_records(
-        iter_records(lines, request.fmt, source="<upload>"), decoder,
-        request.clock)
-    while True:
-        seen = accumulator.commands_seen
-        accumulator.feed(itertools.islice(commands,
-                                          request.snapshot_every))
-        if deadline is not None:
-            deadline.check()
-        if accumulator.commands_seen - seen < request.snapshot_every:
-            return
-        yield
-
-
-def _columnar_segments(accumulator: TraceAccumulator,
-                       blocks: Iterable[bytes], request: TraceRequest,
-                       decoder: AddressDecoder,
-                       deadline: Optional[Deadline]) -> Iterator[None]:
-    """Feed line batches; yield after each full batch that crosses
-    the snapshot cadence."""
-    # One line yields at least one command, so batching
-    # ``snapshot_every`` lines guarantees each full batch crosses
-    # the snapshot cadence; the cap keeps batches array-sized.
-    batch_lines = min(request.snapshot_every, LINES_PER_BATCH)
-    replayer = ColumnarReplayer(accumulator, request.fmt, decoder,
-                                request.clock, source="<upload>")
-    last_snap = 0
-    for batch in iter_line_batches(blocks, batch_lines,
-                                   source="<upload>"):
-        replayer.feed_lines(batch)
-        if deadline is not None:
-            deadline.check()
-        if (len(batch) == batch_lines
-                and accumulator.commands_seen - last_snap
-                >= request.snapshot_every):
-            last_snap = accumulator.commands_seen
-            yield
-
-
 def _trace_fold(session: EvaluationSession, request: TraceRequest,
                 chunks: Iterable[bytes], deadline: Optional[Deadline]
                 ) -> Tuple[Iterator[Tuple[str, Dict[str, Any]]],
                            Callable[[int], Dict[str, Any]]]:
     """The trace operation: ``(snapshot items, done record)``.
 
-    Builds the model and decoder eagerly (malformed devices stay
-    ordinary 400s); the items fold the byte stream lazily, one
-    snapshot per ``snapshot_every``-command segment, and raise on
-    failure (malformed lines, blown deadlines).
+    Builds the model, decoder and batch replayer eagerly (malformed
+    devices stay ordinary 400s); the items fold the byte stream
+    lazily, one snapshot after each full line batch that crosses the
+    ``snapshot_every`` cadence, and raise on failure (malformed lines,
+    blown deadlines).  Every backend feeds the same batches, so a
+    stream emits the same records on each.
     """
     device = device_from_payload(request.device_payload)
     accumulator = TraceAccumulator(session.model(device),
@@ -307,20 +261,30 @@ def _trace_fold(session: EvaluationSession, request: TraceRequest,
         channel_bits=request.channel_bits,
         rank_bits=request.rank_bits,
         offset_bits=request.offset_bits)
+    replayer = ColumnarReplayer(
+        accumulator, request.fmt, decoder, request.clock,
+        source="<upload>",
+        backend=resolve_trace_backend(request.backend, request.strict))
+    # One line yields at least one command, so batching
+    # ``snapshot_every`` lines guarantees each full batch crosses the
+    # snapshot cadence; the cap keeps batches array-sized.
+    batch_lines = min(request.snapshot_every, LINES_PER_BATCH)
 
     def items() -> Iterator[Tuple[str, Dict[str, Any]]]:
         blocks = (iter_decompressed(chunks) if request.gzipped
                   else chunks)
-        columnar = (request.backend in ("auto", "vector")
-                    and not request.strict)
-        if columnar and not columnar_available():
-            record_downgrade()
-            columnar = False
-        segments = _columnar_segments if columnar else _scalar_segments
-        for _ in segments(accumulator, blocks, request, decoder,
-                          deadline):
-            yield "snapshot", trace_result_row(
-                accumulator.snapshot(), accumulator.commands_seen)
+        last_snap = 0
+        for batch in iter_line_batches(blocks, batch_lines,
+                                       source="<upload>"):
+            replayer.feed_lines(batch)
+            if deadline is not None:
+                deadline.check()
+            if (len(batch) == batch_lines
+                    and accumulator.commands_seen - last_snap
+                    >= request.snapshot_every):
+                last_snap = accumulator.commands_seen
+                yield "snapshot", trace_result_row(
+                    accumulator.snapshot(), accumulator.commands_seen)
 
     def done(_records: int) -> Dict[str, Any]:
         return {"done": True, "count": accumulator.commands_seen,

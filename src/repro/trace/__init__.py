@@ -3,9 +3,9 @@
 Public surface: line parsers and the one byte → line reader
 (:mod:`formats`), the configurable physical-address bit-slice decoder
 (:mod:`decoder`), the lazy record → command → energy pipeline
-(:mod:`ingest`), the columnar batch kernel (:mod:`columnar`,
-numpy-optional) and rank-sharded process-parallel replay with exact
-merge (:mod:`parallel`).
+(:mod:`ingest`), the one backend resolver and batch replayer with its
+columnar kernel (:mod:`columnar`, numpy-optional) and rank-sharded
+process-parallel file replay with exact merge (:mod:`parallel`).
 """
 
 from .decoder import POLICIES, AddressDecoder, DecodedAddress
@@ -13,16 +13,16 @@ from .formats import (FORMATS, TraceFormatError, TraceRecord,
                       detect_format, iter_decompressed, iter_jsonl,
                       iter_k6, iter_line_batches, iter_lines, iter_mase,
                       iter_records, open_trace_bytes, open_trace_lines)
-from .ingest import (DEFAULT_CLOCK, TRACE_BACKENDS,
-                     accumulate_records, commands_from_records,
-                     evaluate_trace_file, read_trace,
-                     replay_trace_file, resolve_trace_format)
-from .columnar import (ColumnarReplayer, choose_trace_backend,
+from .ingest import (DEFAULT_CLOCK, accumulate_records,
+                     commands_from_records, evaluate_trace_file,
+                     read_trace, replay_trace_file,
+                     resolve_trace_format)
+from .columnar import (TRACE_BACKENDS, ColumnarReplayer,
                        columnar_available, parse_columns,
-                       replay_lines_columnar, replay_records_columnar,
+                       replay_lines_columnar, resolve_trace_backend,
                        trace_downgrades)
 from .parallel import (evaluate_file_sharded, fold_file_shards,
-                       replay_records_sharded, shard_assignments)
+                       shard_assignments)
 
 __all__ = [
     "POLICIES",
@@ -50,14 +50,12 @@ __all__ = [
     "replay_trace_file",
     "resolve_trace_format",
     "ColumnarReplayer",
-    "choose_trace_backend",
     "columnar_available",
     "parse_columns",
     "replay_lines_columnar",
-    "replay_records_columnar",
+    "resolve_trace_backend",
     "trace_downgrades",
     "evaluate_file_sharded",
     "fold_file_shards",
-    "replay_records_sharded",
     "shard_assignments",
 ]

@@ -31,18 +31,19 @@ processes the same pipeline in *batches of lines*:
   on as the oracle, and the parity suite holds them together.
 
 numpy is optional (the ``repro[vector]`` extra), mirroring
-:mod:`repro.engine.vector`: with numpy missing every caller degrades
-to the scalar path and the one-time ``trace_downgrades`` marker fires,
-results unchanged.  The columnar fold is lenient-only (``strict=False``)
-— expanded external traces always replay leniently, and strict
-legality needs per-command timing the batch reduction discards.
+:mod:`repro.engine.vector`: with numpy missing the replayer folds
+every batch scalar and :func:`resolve_trace_backend` fires the
+one-time ``trace_downgrades`` marker, results unchanged.  The columnar
+fold is lenient-only (``strict=False``) — expanded external traces
+always replay leniently, and strict legality needs per-command timing
+the batch reduction discards.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence)
 
 try:
     import numpy as _np
@@ -53,6 +54,7 @@ from ..core.trace import TraceAccumulator, TraceError
 from ..description import Command
 from .decoder import AddressDecoder
 from .formats import K6_OPS, MASE_OPS, TraceRecord, iter_records
+from .ingest import clock_period, commands_from_records
 
 #: Lines per parse batch for file/stream replay — large enough to
 #: amortize the per-batch array staging, small enough that a batch of
@@ -324,34 +326,35 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
 # Streaming drivers.
 # ----------------------------------------------------------------------
 class ColumnarReplayer:
-    """Batched replay of one line stream into a
-    :class:`TraceAccumulator`, with scalar fallbacks per batch.
+    """Batched replay into a :class:`TraceAccumulator`: the one driver
+    behind file, record-stream and upload replay.
 
-    Feed line batches with :meth:`feed_lines`; the replayer tracks
-    global line numbers (for exact error parity), carries the open-row
-    register across batches and across any scalar-fallback batch, and
-    optionally masks to a (channel, rank) shard set.
+    Feed line batches with :meth:`feed_lines` or parsed record batches
+    with :meth:`feed_records`.  A batch folds columnar on the
+    ``vector`` backend with numpy present, a lenient accumulator and
+    a decoder whose fields fit int64 masks (``address_bits < 64``);
+    every other batch — and any batch carrying integers beyond int64
+    — folds through the scalar pipeline.  The replayer tracks global
+    line numbers (for exact error parity), carries the open-row
+    register across batches of either kind, and optionally masks to a
+    (channel, rank) shard set.
     """
 
-    def __init__(self, accumulator: TraceAccumulator, fmt: str,
-                 decoder: AddressDecoder, clock: float,
-                 source: str = "<trace>",
-                 shards: Optional[FrozenSet[int]] = None):
-        if _np is None:
-            raise TraceError("columnar replay requires numpy "
-                             "(the repro[vector] extra)", 0.0, None)
-        if accumulator.strict:
-            raise TraceError(
-                "columnar replay requires strict=False", 0.0, None)
-        if clock <= 0:
-            raise ValueError("clock must be positive")
+    def __init__(self, accumulator: TraceAccumulator,
+                 fmt: Optional[str], decoder: AddressDecoder,
+                 clock: float, source: str = "<trace>",
+                 shards: Optional[FrozenSet[int]] = None,
+                 backend: str = "vector"):
+        self.period = clock_period(clock)
         self.accumulator = accumulator
         self.fmt = fmt
         self.decoder = decoder
-        self.period = 1.0 / clock
         self.clock = clock
         self.source = source
         self.shards = shards
+        self.columnar = (backend == "vector" and _np is not None
+                         and not accumulator.strict
+                         and decoder.address_bits < 64)
         self.open_rows: Dict[int, int] = {}
         self._next_line = 1
 
@@ -359,21 +362,32 @@ class ColumnarReplayer:
         """Parse and fold one batch of lines."""
         start = self._next_line
         self._next_line += len(lines)
+        if not self._fold_columnar(parse_columns, lines, self.fmt,
+                                   source=self.source, start=start):
+            self._feed_scalar(iter_records(
+                iter(lines), self.fmt, source=self.source, start=start))
+
+    def feed_records(self, batch: Sequence[TraceRecord]) -> None:
+        """Fold one batch of already-parsed records."""
+        if not self._fold_columnar(_columns_from_records, batch):
+            self._feed_scalar(iter(batch))
+
+    def _fold_columnar(self, parse, *args, **kwargs) -> bool:
+        """Fold the batch ``parse(*args, **kwargs)`` columnar; False
+        (nothing folded) when it must go scalar instead."""
+        if not self.columnar:
+            return False
         try:
-            columns = parse_columns(lines, self.fmt,
-                                    source=self.source, start=start)
+            columns = parse(*args, **kwargs)
         except _ColumnarOverflow:
-            self._feed_scalar(lines, start)
-            return
+            return False
         fold_columns(self.accumulator, columns, self.decoder,
                      self.period, self.open_rows, shards=self.shards)
+        return True
 
-    def _feed_scalar(self, lines: Sequence[str], start: int) -> None:
-        """Replay one batch through the scalar pipeline, sharing the
+    def _feed_scalar(self, records: Iterable[TraceRecord]) -> None:
+        """Fold records through the scalar pipeline, sharing the
         open-row register so the streams splice exactly."""
-        from .ingest import commands_from_records
-        records: Iterable[TraceRecord] = iter_records(
-            iter(lines), self.fmt, source=self.source, start=start)
         if self.shards is not None:
             wanted = self.shards
             records = (record for record in records
@@ -384,6 +398,13 @@ class ColumnarReplayer:
             open_rows=self.open_rows))
 
 
+def batches(items: Iterable, size: int) -> Iterator[list]:
+    """Consecutive lists of ``size`` items (sliced in C, never item by
+    item); only the last may be shorter."""
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, size)), [])
+
+
 def replay_lines_columnar(accumulator: TraceAccumulator,
                           lines: Iterable[str], fmt: str,
                           decoder: AddressDecoder, clock: float,
@@ -391,83 +412,67 @@ def replay_lines_columnar(accumulator: TraceAccumulator,
                           shards: Optional[FrozenSet[int]] = None,
                           batch_lines: int = LINES_PER_BATCH
                           ) -> TraceAccumulator:
-    """Drive a whole line iterable through the columnar replayer in
-    batches of ``batch_lines`` (sliced in C, never line by line)."""
+    """Drive a whole line iterable through the replayer in batches of
+    ``batch_lines``."""
     replayer = ColumnarReplayer(accumulator, fmt, decoder, clock,
                                 source=source, shards=shards)
-    lines = iter(lines)
-    for batch in iter(lambda: list(itertools.islice(lines, batch_lines)),
-                      []):
+    for batch in batches(lines, batch_lines):
         replayer.feed_lines(batch)
-    return accumulator
-
-
-def replay_records_columnar(accumulator: TraceAccumulator,
-                            records: Iterable[TraceRecord],
-                            decoder: AddressDecoder, clock: float,
-                            batch_records: int = RECORDS_PER_BATCH
-                            ) -> TraceAccumulator:
-    """Fold an already-parsed record stream in columnar batches."""
-    if _np is None:
-        raise TraceError("columnar replay requires numpy "
-                         "(the repro[vector] extra)", 0.0, None)
-    if accumulator.strict:
-        raise TraceError(
-            "columnar replay requires strict=False", 0.0, None)
-    if clock <= 0:
-        raise ValueError("clock must be positive")
-    period = 1.0 / clock
-    open_rows: Dict[int, int] = {}
-    batch: List[TraceRecord] = []
-
-    def flush() -> None:
-        try:
-            columns = _columns_from_records(batch)
-        except _ColumnarOverflow:
-            from .ingest import commands_from_records
-            accumulator.feed(commands_from_records(
-                iter(batch), decoder, clock, open_rows=open_rows))
-            return
-        fold_columns(accumulator, columns, decoder, period, open_rows)
-
-    for record in records:
-        batch.append(record)
-        if len(batch) >= batch_records:
-            flush()
-            batch = []
-    if batch:
-        flush()
     return accumulator
 
 
 # ----------------------------------------------------------------------
 # Backend choice.
 # ----------------------------------------------------------------------
+#: Replay backends accepted by the file entry points; record streams
+#: take all but ``process``.  ``auto`` defers to
+#: :func:`resolve_trace_backend`.
+TRACE_BACKENDS = ("serial", "vector", "process")
+
 #: Trace files below this size (bytes) never leave the serial path
 #: under ``backend="auto"`` without numpy: forking workers costs more
 #: than replaying a small file.
 MIN_PROCESS_BYTES = 4 * 1024 * 1024
 
 
-def choose_trace_backend(strict: bool, shards: int = 1,
-                         jobs: Optional[int] = None,
-                         size_bytes: Optional[int] = None) -> str:
-    """The serial/vector/process decision behind ``backend="auto"``.
+def resolve_trace_backend(backend: Optional[str], strict: bool,
+                          shards: int = 1, jobs: Optional[int] = None,
+                          size_bytes: Optional[int] = None) -> str:
+    """The concrete backend (``serial``/``vector``/``process``) that
+    runs a ``backend`` request.
 
-    Strict replay is always serial (per-command timing legality).
-    With numpy present the columnar kernel wins on any host — it
-    folds in-process, needs no fork and measured ~15× over scalar —
-    so auto picks ``vector``.  Without numpy, rank-sharded process
-    replay is the only speedup left; it pays one whole-file parse per
-    worker, so it is chosen only when there are real shards, usable
-    workers and enough trace to amortize (``size_bytes`` ≥
-    :data:`MIN_PROCESS_BYTES`).  Everything else stays serial.
+    Strict replay needs per-command timing state the batched paths
+    discard: ``vector`` and ``process`` refuse ``strict=True`` and
+    ``auto`` stays serial.  Lenient ``auto`` picks ``vector`` when
+    numpy is present — the columnar kernel folds in-process, needs no
+    fork and measured ~15× over scalar.  Without numpy rank-sharded
+    process replay is the only speedup left; it pays one whole-file
+    parse per worker, so ``auto`` picks it only for a file of at
+    least :data:`MIN_PROCESS_BYTES` with real shards and usable
+    workers, and serial otherwise.  A lenient request for the
+    columnar path (``vector`` or ``auto``) without numpy fires the
+    one-time :func:`trace_downgrades` marker.
     """
+    if backend is None:
+        backend = "auto"
+    if backend != "auto" and backend not in TRACE_BACKENDS:
+        raise TraceError(
+            f"unknown trace backend {backend!r}; choose from "
+            + "/".join(TRACE_BACKENDS + ("auto",)), 0.0, None)
     if strict:
+        if backend in ("vector", "process"):
+            raise TraceError(
+                f"the {backend} backend replays batched/sharded and "
+                "cannot honour strict=True; use backend='serial' for "
+                "strict legality checking", 0.0, None)
         return "serial"
+    if backend not in ("auto", "vector"):
+        return backend
     if columnar_available():
         return "vector"
     record_downgrade()
+    if backend == "vector":
+        return "serial"
     from ..engine.executor import default_jobs
     workers = jobs if jobs is not None else default_jobs()
     if (shards > 1 and workers > 1

@@ -14,7 +14,7 @@ evaluated with ``strict=False``.
 
 from __future__ import annotations
 
-import itertools
+import math
 import os
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
@@ -31,9 +31,13 @@ from .formats import (TraceRecord, detect_format, iter_records,
 #: cycle stamps read directly as nanoseconds.
 DEFAULT_CLOCK = 1e9
 
-#: Replay backends accepted by the file/record entry points.  ``auto``
-#: defers to :func:`~repro.trace.columnar.choose_trace_backend`.
-TRACE_BACKENDS = ("serial", "vector", "process")
+
+def clock_period(clock: float) -> float:
+    """Seconds per cycle of a ``clock`` in Hz, which must be positive
+    and finite (an infinite clock would stamp every command t = 0)."""
+    if not 0 < clock < math.inf:
+        raise ValueError("clock must be positive and finite")
+    return 1.0 / clock
 
 
 def commands_from_records(records: Iterable[TraceRecord],
@@ -49,9 +53,7 @@ def commands_from_records(records: Iterable[TraceRecord],
     state back and forth and the combined stream stays bit-identical
     to a single-path run.
     """
-    if clock <= 0:
-        raise ValueError("clock must be positive")
-    period = 1.0 / clock
+    period = clock_period(clock)
     if open_rows is None:
         open_rows = {}
     for record in records:
@@ -81,18 +83,9 @@ def read_trace(path, fmt: Optional[str] = None,
     ``fmt`` of ``None`` or ``"auto"`` sniffs the format from the first
     payload line.
     """
+    fmt = resolve_trace_format(path, fmt)
     source = source or str(path)
     with open_trace_lines(path, source) as lines:
-        if fmt is None or fmt == "auto":
-            fmt = "k6"
-            head = []
-            for line in lines:
-                head.append(line)
-                stripped = line.strip()
-                if stripped and not stripped.startswith(("#", ";")):
-                    fmt = detect_format(line)
-                    break
-            lines = itertools.chain(head, lines)
         yield from iter_records(lines, fmt, source=source)
 
 
@@ -113,16 +106,6 @@ def resolve_trace_format(path, fmt: Optional[str] = None) -> str:
     return "k6"
 
 
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        return "auto"
-    if backend != "auto" and backend not in TRACE_BACKENDS:
-        raise TraceError(
-            f"unknown trace backend {backend!r}; choose from "
-            + "/".join(TRACE_BACKENDS + ("auto",)), 0.0, None)
-    return backend
-
-
 def replay_trace_file(model: DramPowerModel, path,
                       fmt: Optional[str] = None,
                       decoder: Optional[AddressDecoder] = None,
@@ -133,39 +116,24 @@ def replay_trace_file(model: DramPowerModel, path,
                       ) -> Tuple[TraceAccumulator, str]:
     """Replay an external trace file on the chosen backend.
 
-    Returns ``(accumulator, backend_used)``.  ``backend="auto"``
-    weighs serial vs the columnar kernel vs rank-sharded processes
-    (:func:`~repro.trace.columnar.choose_trace_backend`); every
-    backend produces bit-for-bit identical aggregates, so the choice
-    is purely a throughput decision.  Strict replay needs per-command
-    timing state the batched paths discard, so ``vector`` and
-    ``process`` reject ``strict=True``; ``auto`` quietly stays
-    serial.  An explicit ``vector`` request without numpy degrades to
-    serial and fires the one-time downgrade marker, exactly like
-    :mod:`repro.engine.vector`.
+    Returns ``(accumulator, backend_used)``.  The backend is resolved
+    by :func:`~repro.trace.columnar.resolve_trace_backend` (serial vs
+    the columnar kernel vs rank-sharded processes); every backend
+    produces bit-for-bit identical aggregates, so the choice is purely
+    a throughput decision.  ``serial`` runs the scalar oracle: records
+    → commands → :meth:`TraceAccumulator.feed`.
     """
-    from .columnar import (choose_trace_backend, columnar_available,
-                           record_downgrade, replay_lines_columnar)
+    from .columnar import replay_lines_columnar, resolve_trace_backend
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     resolved_fmt = resolve_trace_format(path, fmt)
-    backend = _resolve_backend(backend)
-    if backend == "auto":
-        try:
-            size: Optional[int] = os.path.getsize(path)
-        except OSError:
-            size = None
-        backend = choose_trace_backend(strict=strict,
-                                       shards=decoder.num_shards,
-                                       jobs=jobs, size_bytes=size)
-    elif backend in ("vector", "process") and strict:
-        raise TraceError(
-            f"the {backend} backend replays batched/sharded and "
-            "cannot honour strict=True; use backend='serial' for "
-            "strict legality checking", 0.0, None)
-    if backend == "vector" and not columnar_available():
-        record_downgrade()
-        backend = "serial"
+    try:
+        size: Optional[int] = os.path.getsize(path)
+    except OSError:
+        size = None
+    backend = resolve_trace_backend(backend, strict,
+                                    shards=decoder.num_shards,
+                                    jobs=jobs, size_bytes=size)
     if backend == "vector":
         accumulator = TraceAccumulator(model, strict=False)
         with open_trace_lines(path) as lines:
@@ -203,43 +171,30 @@ def accumulate_records(model: DramPowerModel,
                        decoder: Optional[AddressDecoder] = None,
                        clock: float = DEFAULT_CLOCK,
                        strict: bool = False,
-                       backend: str = "auto",
-                       jobs: Optional[int] = None
-                       ) -> TraceAccumulator:
+                       backend: str = "auto") -> TraceAccumulator:
     """Fold a record stream into a fresh :class:`TraceAccumulator`.
 
-    ``backend="auto"`` picks the columnar kernel for lenient replay
-    when numpy is present and serial otherwise — never processes,
-    which would have to materialize the stream; an explicit
-    ``backend="process"`` accepts that cost and runs the rank-sharded
-    pool over the materialized records.
+    ``serial`` runs the scalar oracle; ``vector`` (what lenient
+    ``auto`` resolves to with numpy) feeds the batch replayer
+    :data:`~repro.trace.columnar.RECORDS_PER_BATCH` records at a
+    time.  ``process`` is refused: shard workers re-read a trace
+    file, and a stream cannot be re-read.
     """
-    from .columnar import (columnar_available, record_downgrade,
-                           replay_records_columnar)
+    from .columnar import (RECORDS_PER_BATCH, ColumnarReplayer, batches,
+                           resolve_trace_backend)
+    if backend == "process":
+        raise TraceError(
+            "the process backend needs a trace file its shard workers "
+            "can re-read; replay the file with replay_trace_file",
+            0.0, None)
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
-    backend = _resolve_backend(backend)
-    if backend == "auto":
-        backend = ("vector" if not strict and columnar_available()
-                   else "serial")
-        if not strict and not columnar_available():
-            record_downgrade()
-    elif backend in ("vector", "process") and strict:
-        raise TraceError(
-            f"the {backend} backend replays batched/sharded and "
-            "cannot honour strict=True; use backend='serial' for "
-            "strict legality checking", 0.0, None)
-    if backend == "vector" and not columnar_available():
-        record_downgrade()
-        backend = "serial"
-    if backend == "vector":
-        accumulator = TraceAccumulator(model, strict=False)
-        return replay_records_columnar(accumulator, records, decoder,
-                                       clock)
-    if backend == "process":
-        from .parallel import replay_records_sharded
-        return replay_records_sharded(model, list(records), decoder,
-                                      clock, jobs=jobs)
-    accumulator = TraceAccumulator(model, strict=strict)
-    accumulator.feed(commands_from_records(records, decoder, clock))
+    if resolve_trace_backend(backend, strict) == "serial":
+        accumulator = TraceAccumulator(model, strict=strict)
+        accumulator.feed(commands_from_records(records, decoder, clock))
+        return accumulator
+    accumulator = TraceAccumulator(model, strict=False)
+    replayer = ColumnarReplayer(accumulator, None, decoder, clock)
+    for batch in batches(records, RECORDS_PER_BATCH):
+        replayer.feed_records(batch)
     return accumulator

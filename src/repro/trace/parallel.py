@@ -6,8 +6,8 @@ occupies the top bits of every flat bank, so bank state never crosses
 a shard boundary and lenient replay of each shard is oblivious to the
 others.  Each worker process opens the trace file itself, parses every
 line (the parse cannot be sharded — shard membership needs the decoded
-address) and folds only its shard set — columnar when numpy is
-present, scalar otherwise.  The workers return
+address) and folds only its shard set through the batch replayer —
+columnar when numpy is present, scalar otherwise.  The workers return
 :meth:`~repro.core.trace.TraceAccumulator.export_state` dictionaries
 and the parent merges them with
 :meth:`~repro.core.trace.TraceAccumulator.merge_state`; counts sum as
@@ -23,17 +23,15 @@ unchanged.
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.model import DramPowerModel
 from ..core.trace import TraceAccumulator
 from ..description import DramDescription
 from ..engine.executor import default_jobs, shard
-from .columnar import (columnar_available, replay_lines_columnar,
-                       replay_records_columnar)
+from .columnar import replay_lines_columnar
 from .decoder import AddressDecoder
 from .formats import open_trace_lines
-from .ingest import commands_from_records, read_trace
 
 
 def shard_assignments(shards: int,
@@ -54,29 +52,18 @@ def fold_file_shards(model: DramPowerModel, path, fmt: str,
     """Replay only the given (channel, rank) shards of one file.
 
     The single-process shard fold shared by pool workers, the
-    in-process degradation path and the durable ``trace`` job kind.
-    Uses the columnar kernel with a shard mask when numpy is present;
-    otherwise filters the scalar record stream by
-    :meth:`AddressDecoder.shard_of`.
+    in-process degradation path and the durable ``trace`` job kind:
+    one batch replay masked to the wanted shards.
     """
     accumulator = TraceAccumulator(model, strict=False)
     wanted = frozenset(int(index) for index in shard_ids)
     if not wanted:
         return accumulator
     everything = len(wanted) >= decoder.num_shards
-    if columnar_available():
-        with open_trace_lines(path) as lines:
-            replay_lines_columnar(
-                accumulator, lines, fmt, decoder, clock,
-                source=str(path),
-                shards=None if everything else wanted)
-        return accumulator
-    records = read_trace(path, fmt)
-    if not everything:
-        records = (record for record in records
-                   if decoder.shard_of(record.address) in wanted)
-    accumulator.feed(commands_from_records(records, decoder, clock))
-    return accumulator
+    with open_trace_lines(path) as lines:
+        return replay_lines_columnar(
+            accumulator, lines, fmt, decoder, clock, source=str(path),
+            shards=None if everything else wanted)
 
 
 def _replay_file_shards(device: DramDescription, path: str, fmt: str,
@@ -135,75 +122,3 @@ def evaluate_file_sharded(model: DramPowerModel, path, fmt: str,
     for index in range(len(ranges)):
         merged.merge_state(states[index])
     return merged
-
-
-def replay_records_sharded(model: DramPowerModel,
-                           records: Sequence,
-                           decoder: AddressDecoder, clock: float,
-                           jobs: Optional[int] = None
-                           ) -> TraceAccumulator:
-    """Shard-parallel replay of an in-memory record sequence.
-
-    Materializes and buckets the records by shard in the parent (a
-    record stream cannot be re-read by workers the way a file can),
-    ships each worker the per-shard buckets of its range in original
-    order, and merges exactly like :func:`evaluate_file_sharded`.
-    """
-    records = list(records)
-    shards = decoder.num_shards
-    buckets: Dict[int, List] = {index: [] for index in range(shards)}
-    for record in records:
-        buckets[decoder.shard_of(record.address)].append(record)
-    workers = jobs if jobs is not None else default_jobs()
-    workers = max(1, min(workers, shards))
-    ranges = shard_assignments(shards, workers)
-    merged = TraceAccumulator(model, strict=False)
-    if len(ranges) <= 1:
-        from .ingest import accumulate_records
-        return accumulate_records(model, iter(records),
-                                  decoder=decoder, clock=clock,
-                                  strict=False, backend="serial")
-    states: Dict[int, Dict] = {}
-    lost: List[int] = []
-    payloads = []
-    for low, high in ranges:
-        chunk: List = []
-        for shard_id in range(low, high):
-            chunk.extend(buckets[shard_id])
-        payloads.append(chunk)
-    try:
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            futures = {}
-            for index, chunk in enumerate(payloads):
-                futures[index] = pool.submit(
-                    _replay_record_shard, model.device, chunk,
-                    decoder, clock)
-            for index, future in futures.items():
-                try:
-                    states[index] = future.result()
-                except BrokenExecutor:
-                    lost.append(index)
-    except (BrokenExecutor, OSError):
-        lost = [index for index in range(len(ranges))
-                if index not in states]
-    for index in sorted(lost):
-        states[index] = _replay_record_shard(
-            model.device, payloads[index], decoder, clock)
-    for index in range(len(ranges)):
-        merged.merge_state(states[index])
-    return merged
-
-
-def _replay_record_shard(device: DramDescription, records: List,
-                         decoder: AddressDecoder,
-                         clock: float) -> Dict:
-    """Worker entry point for in-memory record shards."""
-    model = DramPowerModel(device)
-    accumulator = TraceAccumulator(model, strict=False)
-    if columnar_available():
-        replay_records_columnar(accumulator, iter(records), decoder,
-                                clock)
-    else:
-        accumulator.feed(commands_from_records(iter(records), decoder,
-                                               clock))
-    return accumulator.export_state()

@@ -113,6 +113,14 @@ class TestTraceCommand:
                   "--accesses", "300")
         assert "streaming" in out
 
+    @pytest.mark.parametrize("clock", ["0", "1e400"])
+    def test_bad_file_clock_is_an_error(self, capsys, tmp_path, clock):
+        path = tmp_path / "t.trc"
+        path.write_text("0x0 READ 0\n0x40 READ 8\n")
+        assert main(["trace", str(path), "--clock", clock]) == 1
+        assert ("error: clock must be positive and finite"
+                in capsys.readouterr().err)
+
 
 class TestCheckCommand:
     def test_feasible_device_exits_zero(self, capsys):

@@ -196,6 +196,7 @@ class TestTracePlan:
                 lambda p: p["params"].update(path="/no/such/file"),
                 lambda p: p["params"].update(format="xml"),
                 lambda p: p["params"].update(clock=-1),
+                lambda p: p["params"].update(clock=float("inf")),
                 lambda p: p["params"].update(strict=True),
                 lambda p: p["params"].update(
                     decoder={"policy": "diagonal"}),

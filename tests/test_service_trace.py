@@ -16,10 +16,11 @@ from repro.service.tracing import (MIN_SNAPSHOT_EVERY,
                                    parse_trace_payload,
                                    parse_trace_query, trace_payload,
                                    trace_result_row,
-                                   trace_stream_payload)
+                                   trace_stream_payload,
+                                   trace_stream_records)
 from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
-                         ColumnarReplayer, columnar_available,
-                         commands_from_records, iter_records)
+                         ColumnarReplayer, commands_from_records,
+                         iter_records)
 from repro.trace.columnar import LINES_PER_BATCH
 from repro import DramPowerModel
 
@@ -94,8 +95,13 @@ class TestQueryParsing:
             parse_trace_query({"format": ["xml"]})
         with pytest.raises(ServiceError, match="policy"):
             parse_trace_query({"policy": ["diagonal"]})
+        for clock in ("-1", "0", "inf", "nan"):
+            with pytest.raises(ServiceError, match="clock"):
+                parse_trace_query({"clock": [clock]})
         with pytest.raises(ServiceError, match="clock"):
-            parse_trace_query({"clock": ["-1"]})
+            parse_trace_payload({"device": {"node": 55},
+                                 "text": "0x0 READ 0",
+                                 "clock": float("inf")})
         with pytest.raises(ServiceError, match="strict"):
             parse_trace_query({"strict": ["maybe"]})
 
@@ -210,21 +216,40 @@ class TestRawMode:
     def test_gzipped_chunked_upload_matches_library(self, client):
         text = k6_text(2500)
         blob = gzip.compress(text.encode())
-        records = list(client.trace_stream(
-            blob, device={"node": 55},
-            snapshot_every=MIN_SNAPSHOT_EVERY))
-        assert records[-1].get("done") is True
         local = local_result(text)
-        final = records[-1]["result"]
-        assert final["energy_j"] == local.energy
-        assert final["duration_s"] == local.duration
-        assert final["row_conflicts"] == local.row_conflicts
-        assert any("snapshot" in r for r in records)
-        if columnar_available():
-            # Three parse batches: the snapshot cadence and every
-            # record are those of the batched library replay.
-            assert records == batched_library_records(
-                text, MIN_SNAPSHOT_EVERY)
+        # Three parse batches: on every backend the snapshot cadence
+        # and every record are those of the batched library replay.
+        expect = batched_library_records(text, MIN_SNAPSHOT_EVERY)
+        for backend in ("serial", "vector", "auto"):
+            records = list(client.trace_stream(
+                blob, device={"node": 55},
+                snapshot_every=MIN_SNAPSHOT_EVERY, backend=backend))
+            assert records[-1].get("done") is True
+            final = records[-1]["result"]
+            assert final["energy_j"] == local.energy
+            assert final["duration_s"] == local.duration
+            assert final["row_conflicts"] == local.row_conflicts
+            assert any("snapshot" in r for r in records)
+            assert records == expect
+
+    def test_wide_decoder_upload_matches_library(self):
+        # A 70-bit rank field overflows the columnar kernel's int64
+        # masks; the upload must price it like the scalar library.
+        text = k6_text(300)
+        request = parse_trace_query({"node": ["55"],
+                                     "rank_bits": ["70"]})
+        records = list(trace_stream_records(
+            EvaluationSession(), request, [text.encode()]))
+        device = build_device(55)
+        decoder = AddressDecoder.from_device(device, rank_bits=70)
+        accumulator = TraceAccumulator(DramPowerModel(device),
+                                       strict=False)
+        accumulator.feed(commands_from_records(
+            iter_records(iter(text.splitlines()), "k6"), decoder))
+        assert records[-1] == {
+            "done": True, "count": accumulator.commands_seen,
+            "result": trace_result_row(accumulator.result(),
+                                       accumulator.commands_seen)}
 
     def test_plain_blob_equals_gzipped_blob(self, client):
         text = k6_text(300)

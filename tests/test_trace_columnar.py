@@ -17,10 +17,10 @@ from repro.core.trace import TraceAccumulator, TraceError
 from repro.devices import build_device
 from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
                          TraceFormatError, accumulate_records,
-                         choose_trace_backend, columnar_available,
-                         evaluate_trace_file, iter_records,
-                         parse_columns, replay_lines_columnar,
-                         replay_trace_file)
+                         columnar_available, evaluate_trace_file,
+                         iter_records, parse_columns,
+                         replay_lines_columnar, replay_trace_file,
+                         resolve_trace_backend)
 from repro.trace.columnar import reset_downgrades, trace_downgrades
 
 needs_numpy = pytest.mark.skipif(not columnar_available(),
@@ -236,14 +236,14 @@ class TestStrictRejection:
 
 class TestBackendChoice:
     def test_strict_is_always_serial(self):
-        assert choose_trace_backend(strict=True, shards=64,
-                                    jobs=32) == "serial"
+        assert resolve_trace_backend("auto", True, shards=64,
+                                     jobs=32) == "serial"
 
     @needs_numpy
     def test_numpy_means_vector(self):
-        assert choose_trace_backend(strict=False) == "vector"
-        assert choose_trace_backend(strict=False, shards=64,
-                                    jobs=32) == "vector"
+        assert resolve_trace_backend("auto", False) == "vector"
+        assert resolve_trace_backend("auto", False, shards=64,
+                                     jobs=32) == "vector"
 
 
 def _import_columnar_without_numpy(monkeypatch):
@@ -302,31 +302,44 @@ class TestNoNumpyDegradation:
         assert result.energy == expect.energy
         assert result.counts == expect.counts
 
-    def test_stub_replayer_refuses_to_build(self, ddr3_model,
-                                            monkeypatch):
+    def test_stub_replayer_folds_scalar(self, ddr3_model,
+                                        monkeypatch):
+        decoder = AddressDecoder.from_device(ddr3_model.device,
+                                             channel_bits=1)
+        lines = make_lines("k6", 300, address_bits=decoder.address_bits)
+        records = list(iter_records(iter(lines), "k6"))
+        expect = _serial_fingerprint(ddr3_model, iter(records),
+                                     decoder)
         stub = _import_columnar_without_numpy(monkeypatch)
-        decoder = AddressDecoder.from_device(ddr3_model.device)
-        accumulator = TraceAccumulator(ddr3_model, strict=False)
-        with pytest.raises(TraceError, match="numpy"):
-            stub.ColumnarReplayer(accumulator, "k6", decoder,
-                                  DEFAULT_CLOCK)
+        by_lines = TraceAccumulator(ddr3_model, strict=False)
+        stub.replay_lines_columnar(by_lines, iter(lines), "k6",
+                                   decoder, DEFAULT_CLOCK,
+                                   batch_lines=64)
+        by_records = TraceAccumulator(ddr3_model, strict=False)
+        replayer = stub.ColumnarReplayer(by_records, None, decoder,
+                                         DEFAULT_CLOCK)
+        assert replayer.columnar is False
+        replayer.feed_records(records[:100])
+        replayer.feed_records(records[100:])
+        assert _fingerprint(by_lines) == expect
+        assert _fingerprint(by_records) == expect
 
     def test_stub_choice_prefers_process_for_big_shardable(
             self, monkeypatch):
         stub = _import_columnar_without_numpy(monkeypatch)
         big = 2 * stub.MIN_PROCESS_BYTES
-        assert stub.choose_trace_backend(
-            strict=False, shards=4, jobs=4, size_bytes=big
+        assert stub.resolve_trace_backend(
+            "auto", False, shards=4, jobs=4, size_bytes=big
         ) == "process"
         # Small files, single shards or single workers stay serial.
-        assert stub.choose_trace_backend(
-            strict=False, shards=4, jobs=4, size_bytes=1024
+        assert stub.resolve_trace_backend(
+            "auto", False, shards=4, jobs=4, size_bytes=1024
         ) == "serial"
-        assert stub.choose_trace_backend(
-            strict=False, shards=1, jobs=4, size_bytes=big
+        assert stub.resolve_trace_backend(
+            "auto", False, shards=1, jobs=4, size_bytes=big
         ) == "serial"
-        assert stub.choose_trace_backend(
-            strict=False, shards=4, jobs=1, size_bytes=big
+        assert stub.resolve_trace_backend(
+            "auto", False, shards=4, jobs=1, size_bytes=big
         ) == "serial"
         assert stub.trace_downgrades() == 1
 

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.trace import TraceAccumulator, evaluate_trace
 from repro.description import Command
-from repro.trace import (AddressDecoder, DecodedAddress,
-                         TraceFormatError, TraceRecord,
+from repro.trace import (AddressDecoder, ColumnarReplayer,
+                         DecodedAddress, TraceFormatError, TraceRecord,
                          commands_from_records, detect_format,
                          evaluate_trace_file, iter_decompressed,
                          iter_jsonl, iter_k6, iter_lines, iter_mase,
@@ -236,14 +236,20 @@ class TestOpenPageExpansion:
         assert ops == [Command.ACT, Command.RD, Command.PRE,
                        Command.REF, Command.ACT, Command.RD]
 
-    def test_clock_scales_times(self):
+    def test_clock_scales_times(self, ddr3_model):
         decoder = self._decoder()
         records = [TraceRecord(0, "read", 800)]
         commands = list(commands_from_records(records, decoder,
                                               clock=800e6))
         assert commands[-1].time == pytest.approx(1e-6)
-        with pytest.raises(ValueError, match="clock"):
-            list(commands_from_records(records, decoder, clock=0.0))
+        for clock in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="clock"):
+                list(commands_from_records(records, decoder,
+                                           clock=clock))
+            with pytest.raises(ValueError, match="clock"):
+                ColumnarReplayer(TraceAccumulator(ddr3_model,
+                                                  strict=False),
+                                 "k6", decoder, clock)
 
 
 class TestEvaluateTraceFile:
@@ -338,6 +344,23 @@ class TestDecoderEdgeGeometries:
         assert decoder.shard_of(top) == 1
         lines = self._lines(decoder)
         self._parity(decoder, lines, ddr3_model)
+
+    def test_wide_fields_fold_scalar(self, ddr3_model, tmp_path):
+        # A 70-bit rank field overflows the int64 masks of the
+        # columnar kernel: every backend must price it scalar.
+        decoder = AddressDecoder.from_device(ddr3_model.device,
+                                             rank_bits=70)
+        assert decoder.address_bits >= 64
+        lines = self._lines(decoder)
+        serial = self._parity(decoder, lines, ddr3_model)
+        path = tmp_path / "wide.trc"
+        path.write_text("\n".join(lines) + "\n")
+        for backend in ("auto", "vector"):
+            result = evaluate_trace_file(ddr3_model, path,
+                                         decoder=decoder,
+                                         backend=backend)
+            assert result.energy == serial.energy
+            assert result.counts == serial.counts
 
     @pytest.mark.parametrize("policy", ["row-bank-column",
                                         "bank-row-column"])

@@ -86,9 +86,10 @@ def test_generator_and_list_inputs_agree(device_models):
 # ----------------------------------------------------------------------
 # Rank-sharded replay: merged shard states == serial one-shot replay.
 # ----------------------------------------------------------------------
-from repro.trace import (AddressDecoder, evaluate_file_sharded,
-                         evaluate_trace_file, fold_file_shards,
-                         iter_records, replay_records_sharded,
+from repro.core.trace import TraceError
+from repro.trace import (AddressDecoder, accumulate_records,
+                         evaluate_file_sharded, evaluate_trace_file,
+                         fold_file_shards, iter_records,
                          resolve_trace_format, shard_assignments)
 from repro.trace.ingest import DEFAULT_CLOCK
 
@@ -172,20 +173,16 @@ class TestShardedReplayParity:
             DEFAULT_CLOCK, jobs=2)
         assert _result_key(pooled.result()) == _result_key(serial)
 
-    def test_sharded_records_match_serial(self, ddr3_model):
+    def test_record_streams_refuse_process(self, ddr3_model):
+        """Shard workers re-read a file; a record stream cannot be
+        re-read, so sharded replay is file-only."""
         decoder = AddressDecoder.from_device(ddr3_model.device,
                                              rank_bits=2)
-        lines = _shard_lines("k6", 1500, decoder.address_bits)
-        records = list(iter_records(iter(lines), "k6"))
-        from repro.trace import accumulate_records
-        serial = accumulate_records(ddr3_model, iter(records),
-                                    decoder=decoder,
-                                    backend="serial")
-        # jobs=1 exercises the single-range in-process path.
-        sharded = replay_records_sharded(ddr3_model, records, decoder,
-                                         DEFAULT_CLOCK, jobs=1)
-        assert (_result_key(sharded.result())
-                == _result_key(serial.result()))
+        lines = _shard_lines("k6", 10, decoder.address_bits)
+        records = iter_records(iter(lines), "k6")
+        with pytest.raises(TraceError, match="process.*trace file"):
+            accumulate_records(ddr3_model, records, decoder=decoder,
+                               backend="process")
 
     def test_empty_and_full_shard_ranges(self, ddr3_model, tmp_path):
         decoder = AddressDecoder.from_device(ddr3_model.device,
