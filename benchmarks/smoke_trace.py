@@ -1,4 +1,4 @@
-"""CI smoke check: high-throughput trace replay, all backends.
+"""CI smoke check: high-throughput trace replay, every backend.
 
 Generates a gzipped k6 trace of ~400k transactions (open-page
 expansion grows it past one million DRAM commands) whose addresses
@@ -8,7 +8,6 @@ holds every replay backend to the same bar:
 * ``serial`` — the scalar oracle, timed as the baseline;
 * ``vector`` — the columnar kernel, timed and run under
   ``tracemalloc`` (batching must keep the footprint constant);
-* ``process`` — rank-sharded replay with exact merge;
 * a real ``python -m repro serve`` subprocess receives the same file
   as a gzipped chunked ``POST /trace`` upload and must reproduce the
   library result bit for bit, emitting incremental snapshots, at no
@@ -96,15 +95,14 @@ def _generate(path: Path, address_bits: int) -> None:
                 handle.write(f"0x0 REF {i * 16 + 8}\n")
 
 
-def _timed_replay(model, path, decoder, backend, jobs=None,
-                  traced=False):
+def _timed_replay(model, path, decoder, backend, traced=False):
     """Replay on one backend; returns (accumulator, seconds, peak)."""
     if traced:
         tracemalloc.start()
     started = time.perf_counter()
     accumulator, used = replay_trace_file(model, path,
                                           decoder=decoder,
-                                          backend=backend, jobs=jobs)
+                                          backend=backend)
     elapsed = time.perf_counter() - started
     peak = 0
     if traced:
@@ -202,16 +200,6 @@ def main() -> int:
                   f"(budget {PEAK_BUDGET})")
             return 1
 
-        sharded, sharded_used, sharded_seconds, _ = _timed_replay(
-            model, path, decoder, "process",
-            jobs=min(decoder.num_shards, max(2, cpus)))
-        sharded_rate = commands / sharded_seconds / 1e6
-        print(f"sharded: {sharded_seconds:.1f}s "
-              f"({sharded_rate:.2f} Mcmd/s, ran as {sharded_used})")
-        if _fingerprint(sharded) != baseline:
-            print("FAIL: sharded replay diverged from serial")
-            return 1
-
         speedup = serial_seconds / vector_seconds
         if columnar_available() and cpus >= MIN_CPUS_FOR_FLOOR:
             if speedup < MIN_SPEEDUP:
@@ -267,10 +255,7 @@ def main() -> int:
         "trace.numpy": columnar_available(),
         "trace.library.mcmd_per_s.serial": round(serial_rate, 3),
         "trace.library.mcmd_per_s.vector": round(vector_rate, 3),
-        "trace.library.mcmd_per_s.sharded": round(sharded_rate, 3),
         "trace.library.speedup.vector": round(speedup, 2),
-        "trace.library.speedup.sharded": round(
-            serial_seconds / sharded_seconds, 2),
         "trace.library.peak_mb": round(peak / 1e6, 2),
         "trace.upload.seconds": round(upload_seconds, 2),
         "trace.upload.mcmd_per_s": round(upload_rate, 3),

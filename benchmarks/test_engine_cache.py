@@ -73,6 +73,6 @@ def test_engine_cache_cold_vs_warm(benchmark, ddr3_device):
 def test_engine_parallel_map_matches_serial(ddr3_device):
     devices = _variants(ddr3_device)[:16]
     serial = _sweep(EvaluationSession(), devices)
-    threaded = EvaluationSession().map(
-        devices, lambda model: idd7_mixed(model).power, jobs=4)
-    assert threaded == serial
+    mapped = EvaluationSession().map(
+        devices, lambda model: idd7_mixed(model).power)
+    assert mapped == serial

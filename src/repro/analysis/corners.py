@@ -110,11 +110,7 @@ class CornerBand:
 
 def _measure_corner(model, measures: Tuple[IddMeasure, ...]
                     ) -> Dict[IddMeasure, float]:
-    """Worker callable: IDD currents of one corner model.
-
-    Module-level (pickled via :func:`functools.partial`) so the
-    process backend can ship it to worker sessions.
-    """
+    """IDD currents of one corner model."""
     return {which: run_measure(model, which).milliamps
             for which in measures}
 
@@ -126,14 +122,11 @@ def corner_sweep(device: DramDescription,
                  ),
                  corners: Iterable[Corner] = STANDARD_CORNERS,
                  session: Optional[EvaluationSession] = None,
-                 jobs: Optional[int] = None,
                  backend: Optional[str] = None) -> List[CornerBand]:
     """Evaluate the IDD measures at every corner.
 
-    Models route through ``session``; ``jobs``/``backend`` build the
-    corner models on a process pool (results are
-    order-stable and bit-for-bit equal to serial).  The standard
-    three-corner sweep is below the vector kernel's batch floor, so
+    Models route through ``session``.  The standard three-corner
+    sweep is below the vector kernel's batch floor, so
     ``backend="auto"`` keeps it scalar; wider custom corner sets
     fold columnarly like any other family.
     """
@@ -146,7 +139,6 @@ def corner_sweep(device: DramDescription,
     per_corner = session.map(
         corner_devices,
         partial(_measure_corner, measures=tuple(measures)),
-        jobs=jobs,
         backend=backend,
     )
     bands = []

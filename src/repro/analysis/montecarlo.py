@@ -94,11 +94,8 @@ class Distribution:
 
 def _measure_milliamps(model, measures: Tuple[IddMeasure, ...]
                        ) -> List[float]:
-    """Worker callable: the sampled IDD currents of one model.
-
-    Module-level (pickled via :func:`functools.partial`) so the
-    process backend can ship it to worker sessions.
-    """
+    """The sampled IDD currents of one model (shared with the
+    durable ``montecarlo`` job kind)."""
     return [run_measure(model, which).milliamps for which in measures]
 
 
@@ -124,16 +121,13 @@ def monte_carlo(device: DramDescription,
                 sigmas: Dict[str, float] = None,
                 seed: int = 1,
                 session: Optional[EvaluationSession] = None,
-                jobs: Optional[int] = None,
                 backend: Optional[str] = None) -> List[Distribution]:
     """Sample the variation space and summarise the IDD distributions.
 
     The random draws depend only on ``seed``; models route through
-    ``session`` and may be evaluated on ``jobs`` worker processes
-    (``backend="process"``) — the summaries are bit-for-bit
-    identical either way.  ``backend="auto"`` with numpy installed
-    folds the sample batch (one family: every draw shares the
-    nominal floorplan) through the columnar vector kernel instead.
+    ``session``.  ``backend="auto"`` with numpy installed folds the
+    sample batch (one family: every draw shares the nominal
+    floorplan) through the columnar vector kernel.
     """
     if samples <= 0:
         raise ModelError("samples must be positive")
@@ -146,7 +140,6 @@ def monte_carlo(device: DramDescription,
     per_sample = session.map(
         devices,
         partial(_measure_milliamps, measures=tuple(measures)),
-        jobs=jobs,
         backend=backend,
     )
     return [Distribution(measure=which,

@@ -184,28 +184,22 @@ def _pattern_power(device: DramDescription,
 
 
 def _idd7_power(model) -> float:
-    """Worker callable: Idd7-mixed pattern power of one built model.
-
-    Module-level so the process backend can pickle it to workers.
-    """
+    """Idd7-mixed pattern power of one built model."""
     return idd7_mixed(model).power
 
 
 def sensitivity(device: DramDescription, variation: float = 0.2,
                 parameters: Sequence[SensitivityParameter] = PARAMETERS,
                 session: Optional[EvaluationSession] = None,
-                jobs: Optional[int] = None,
                 backend: Optional[str] = None) -> List[SensitivityResult]:
     """The Figure 10 study: vary each parameter ±``variation``.
 
     Returns results sorted by impact magnitude, largest first.  All
     device models route through ``session`` (a private one when
-    omitted); ``jobs``/``backend`` evaluate the variants on a process
-    pool with results identical to the serial run.  With
-    ``backend="auto"`` and numpy installed the sweep — one batchable
-    family sharing the nominal floorplan — folds through the columnar
-    vector kernel (:mod:`repro.engine.vector`), identical ordering
-    and ~1e-15-relative powers.
+    omitted).  With ``backend="auto"`` and numpy installed the sweep
+    — one batchable family sharing the nominal floorplan — folds
+    through the columnar vector kernel (:mod:`repro.engine.vector`),
+    identical ordering and ~1e-15-relative powers.
     """
     if not 0.0 < variation < 1.0:
         raise ValueError("variation must be a fraction in (0, 1)")
@@ -214,8 +208,7 @@ def sensitivity(device: DramDescription, variation: float = 0.2,
     for parameter in parameters:
         devices.append(parameter.apply(device, 1.0 - variation))
         devices.append(parameter.apply(device, 1.0 + variation))
-    powers = session.map(devices, _idd7_power, jobs=jobs,
-                         backend=backend)
+    powers = session.map(devices, _idd7_power, backend=backend)
     base = powers[0]
     results = []
     for index, parameter in enumerate(parameters):

@@ -56,34 +56,23 @@ class GenerationPoint:
     """Share of Idd7 power in array components (bitline, SA, wordline)."""
 
 
-def _built_model(model):
-    """Worker callable: the built model itself (identity).
-
-    Module-level so the process backend can pickle it; workers then
-    ship whole built models back to the parent.
-    """
-    return model
-
-
 def generation_trend(io_width: int = 16,
                      node_list: Sequence[float] = None,
                      session: Optional[EvaluationSession] = None,
-                     jobs: Optional[int] = None,
                      backend: Optional[str] = None
                      ) -> List[GenerationPoint]:
     """Evaluate the mainstream device of each roadmap node.
 
-    Models route through ``session``; ``jobs``/``backend`` evaluate
-    the nodes on a process pool with identical,
-    node-ordered results.  Every node has its own floorplan, so the
-    columnar vector kernel finds no batchable family here and
-    ``backend="auto"`` stays on the scalar paths.
+    Models route through ``session``, in node order.  Every node has
+    its own floorplan, so the columnar vector kernel finds no
+    batchable family here and ``backend="auto"`` stays on the scalar
+    paths.
     """
     session = ensure_session(session)
     node_nms = list(node_list or nodes())
     devices = [build_device(node_nm, io_width=io_width)
                for node_nm in node_nms]
-    models = session.map(devices, _built_model, jobs=jobs,
+    models = session.map(devices, lambda model: model,
                          backend=backend)
     points: List[GenerationPoint] = []
     for node_nm, device, model in zip(node_nms, devices, models):

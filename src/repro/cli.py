@@ -34,7 +34,7 @@ from .core.idd import standard_idd_suite
 from .core.trace import TraceError, evaluate_trace
 from .trace import TRACE_BACKENDS, AddressDecoder, replay_trace_file
 from .description import DramDescription
-from .engine import EvaluationSession
+from .engine import AUTO, BACKENDS, VECTOR, EvaluationSession
 from .dsl import dumps, load
 from .schemes import compare_schemes, scheme_report
 from .units import parse_quantity
@@ -90,20 +90,13 @@ def _add_device_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """The uniform sweep-execution options of every sweep subcommand."""
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="evaluate sweep variants with N workers "
-                             "(default: every usable CPU)")
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "process",
-                                 "vector"],
+    parser.add_argument("--backend", default=AUTO,
+                        choices=BACKENDS + (AUTO, VECTOR),
                         help="sweep execution backend (default auto: "
-                             "serial, process or vector chosen per "
-                             "call from the sweep width, the measured "
-                             "per-build and per-fold costs and the "
-                             "usable core count; process = real "
-                             "multi-core scale-out, vector = columnar "
-                             "numpy kernel over batchable sweep "
-                             "families)")
+                             "vector when numpy is installed and the "
+                             "sweep holds a batchable family, serial "
+                             "otherwise; vector = columnar numpy "
+                             "kernel over batchable sweep families)")
     parser.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="persistent on-disk model cache directory "
                              "(default: disabled; ~/.cache/repro is "
@@ -157,7 +150,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_trends(args: argparse.Namespace) -> int:
     points = generation_trend(io_width=args.width,
                               session=_session_from_args(args),
-                              jobs=args.jobs, backend=args.backend)
+                              backend=args.backend)
     rows = [[point.node_nm, point.interface,
              point.datarate / 1e9, point.vdd, point.die_area_mm2,
              point.idd0_ma, point.idd4r_ma, point.energy_idd7_pj]
@@ -177,7 +170,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     results = sensitivity(device, variation=args.variation,
                           session=_session_from_args(args),
-                          jobs=args.jobs, backend=args.backend)
+                          backend=args.backend)
     rows = [[result.name, f"{result.impact:+.1%}"] for result in results]
     print(format_table(
         ["parameter", f"impact of +/-{args.variation:.0%}"], rows,
@@ -189,7 +182,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_schemes(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     results = compare_schemes(device, session=_session_from_args(args),
-                              jobs=args.jobs, backend=args.backend)
+                              backend=args.backend)
     print(scheme_report(results,
                         title=f"Section V - schemes on {device.name}"))
     return 0
@@ -223,8 +216,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _trace_file(args: argparse.Namespace, device, model) -> int:
     """``repro trace <file>``: replay an external trace on the chosen
-    backend (serial fold, columnar kernel or rank-sharded processes)
-    and summarize."""
+    backend (serial fold or columnar kernel) and summarize."""
     decoder = AddressDecoder.from_device(
         device, policy=args.policy,
         channel_bits=args.channel_bits, rank_bits=args.rank_bits,
@@ -235,7 +227,7 @@ def _trace_file(args: argparse.Namespace, device, model) -> int:
         accumulator, backend = replay_trace_file(
             model, args.trace_file, fmt=fmt, decoder=decoder,
             clock=parse_quantity(args.clock), strict=args.strict,
-            backend=args.backend, jobs=args.jobs)
+            backend=args.backend)
     except (TraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -438,9 +430,9 @@ def _cmd_corners(args: argparse.Namespace) -> int:
     corners = (VENDOR_SPREAD_CORNERS if args.vendor
                else None)
     bands = (corner_sweep(device, corners=corners, session=session,
-                          jobs=args.jobs, backend=args.backend)
+                          backend=args.backend)
              if corners
-             else corner_sweep(device, session=session, jobs=args.jobs,
+             else corner_sweep(device, session=session,
                                backend=args.backend))
     rows = []
     for band in bands:
@@ -457,7 +449,6 @@ def _cmd_corners(args: argparse.Namespace) -> int:
         rows = []
         for dist in monte_carlo(device, samples=args.samples,
                                 seed=args.seed, session=session,
-                                jobs=args.jobs,
                                 backend=args.backend):
             rows.append([dist.measure.value, round(dist.mean, 1),
                          round(dist.stdev, 2),
@@ -649,11 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--backend", default="auto",
                        choices=("auto",) + TRACE_BACKENDS,
                        help="replay backend: serial fold, columnar "
-                            "kernel (numpy), rank-sharded processes, "
-                            "or cost-based auto (default)")
-    trace.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the process "
-                            "backend (default: usable CPUs)")
+                            "kernel (numpy), or auto (default: "
+                            "columnar when numpy is installed and the "
+                            "replay is lenient)")
     trace.add_argument("--workload", default="random",
                        choices=["random", "streaming"])
     trace.add_argument("--accesses", type=int, default=2000)

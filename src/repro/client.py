@@ -118,7 +118,7 @@ def _evaluate_body(device: Optional[Any], devices: Optional[Iterable[Any]],
     return payload
 
 
-def _sweep_body(kind: str, device: Optional[Any], jobs: Optional[int],
+def _sweep_body(kind: str, device: Optional[Any],
                 backend: Optional[str],
                 params: Dict[str, Any]) -> Dict[str, Any]:
     """The ``/sweep`` payload of ``sweep``/``sweep_stream``."""
@@ -126,8 +126,6 @@ def _sweep_body(kind: str, device: Optional[Any], jobs: Optional[int],
     payload["kind"] = kind
     if device is not None:
         payload["device"] = device
-    if jobs is not None:
-        payload["jobs"] = jobs
     if backend is not None:
         payload["backend"] = backend
     return payload
@@ -559,14 +557,12 @@ class ServiceClient:
                             request_timeout=request_timeout)
 
     def sweep(self, kind: str, device: Optional[Any] = None,
-              jobs: Optional[int] = None,
               backend: Optional[str] = None,
               request_timeout: Optional[float] = None,
               **params: Any) -> Dict[str, Any]:
         """``POST /sweep`` — a named sweep with parameters."""
         return self.request("POST", "/sweep",
-                            _sweep_body(kind, device, jobs, backend,
-                                        params),
+                            _sweep_body(kind, device, backend, params),
                             request_timeout=request_timeout)
 
     # ------------------------------------------------------------------
@@ -588,14 +584,12 @@ class ServiceClient:
                             request_timeout)
 
     def sweep_stream(self, kind: str, device: Optional[Any] = None,
-                     jobs: Optional[int] = None,
                      backend: Optional[str] = None,
                      request_timeout: Optional[float] = None,
                      **params: Any) -> Iterator[Dict[str, Any]]:
         """Streaming ``POST /sweep``: one record per sweep row."""
         return self._stream("/sweep",
-                            _sweep_body(kind, device, jobs, backend,
-                                        params),
+                            _sweep_body(kind, device, backend, params),
                             request_timeout)
 
     def _stream(self, path: str, payload: Dict[str, Any],

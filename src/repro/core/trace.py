@@ -422,8 +422,8 @@ class TraceAccumulator:
         replays exactly: the counts, hit/conflict tallies, time
         watermarks (``-inf`` encodes as ``None``) and per-bank open
         rows.  Floats round-trip JSON losslessly, so a state that
-        travelled through a journal or a process pool merges
-        bit-for-bit identically to the in-memory object.
+        travelled through a job journal merges bit-for-bit
+        identically to the in-memory object.
         """
         if self.strict:
             raise TraceError(

@@ -19,15 +19,12 @@ The engine provides one construction path for all of them:
   with hit/miss/build-time counters;
 * :class:`repro.engine.session.EvaluationSession` — the user-facing
   façade: ``model(device)``, ``evaluate(device, pattern)`` and
-  ``map(devices, fn, jobs=N, backend=...)`` batch evaluation on a
-  serial, process, vector or ``auto`` backend;
+  ``map(devices, fn, backend=...)`` batch evaluation on a serial,
+  vector or ``auto`` backend;
 * :class:`repro.engine.diskcache.DiskModelCache` — a persistent,
   versioned on-disk spill of built models (fingerprint-keyed, with a
   model-code-hash invalidation token), so repeated processes skip
   cold builds;
-* :mod:`repro.engine.executor` — contiguous sharding of sweeps onto a
-  ``ProcessPoolExecutor`` of per-worker sessions, with merged
-  statistics and ordered, bit-for-bit-identical results;
 * :class:`repro.engine.variant.Variant` — declarative perturbations
   (deltas) of a base description, replacing ad-hoc
   ``dataclasses.replace`` scattering in the sweep code;
@@ -50,11 +47,9 @@ cross-analysis reuse for free.
 
 from .cache import EngineStats, ModelCache, merge_stats
 from .diskcache import DiskModelCache, default_cache_dir, model_code_token
-from .executor import (AUTO, BACKENDS, VECTOR, choose_backend,
-                       default_jobs, estimate_build_seconds,
-                       estimate_vector_seconds, resolve_backend)
 from .fingerprint import canonical_form, fingerprint
-from .session import EvaluationSession, ensure_session, evaluate_many
+from .session import (AUTO, BACKENDS, VECTOR, EvaluationSession,
+                      ensure_session, evaluate_many, resolve_backend)
 from .stages import (FIELD_STAGES, STAGE_INPUTS, STAGE_ORDER, StageCache,
                      build_model, dirty_stages, stage_keys)
 from .variant import Variant, scaling
@@ -70,10 +65,6 @@ __all__ = [
     "build_family_models",
     "numpy_available",
     "plan_batches",
-    "choose_backend",
-    "default_jobs",
-    "estimate_build_seconds",
-    "estimate_vector_seconds",
     "DiskModelCache",
     "EngineStats",
     "merge_stats",

@@ -12,16 +12,11 @@ service's request threads can share one session, and bounded
 (least-recently-used eviction) so open-ended sweeps cannot grow memory
 without limit.
 
-Two extensions feed the scale-out paths:
-
-* an optional :class:`~repro.engine.diskcache.DiskModelCache` is
-  consulted on every LRU miss and written on every cold build, so
-  repeated processes (CLI runs, CI jobs, pool workers) skip cold
-  builds entirely — a disk hit counts as a *hit* in the statistics,
-  since no model was built;
-* :meth:`ModelCache.absorb` folds the counter deltas of per-worker
-  caches back into the parent, so a process-backend sweep reports one
-  coherent :class:`EngineStats` line.
+An optional :class:`~repro.engine.diskcache.DiskModelCache` is
+consulted on every LRU miss and written on every cold build, so
+repeated processes (CLI runs, CI jobs, service workers) skip cold
+builds entirely — a disk hit counts as a *hit* in the statistics,
+since no model was built.
 """
 
 from __future__ import annotations
@@ -77,12 +72,6 @@ class EngineStats:
     """Cold builds persisted to the on-disk cache."""
     disk_corrupt: int = 0
     """Disk entries skipped as corrupt or stale (treated as misses)."""
-    pool_retries: int = 0
-    """Process-backend chunks re-dispatched to a fresh pool after a
-    worker died (crash/kill) mid-sweep."""
-    serial_fallbacks: int = 0
-    """Process-backend chunks degraded to in-parent serial evaluation
-    after the fresh-pool retry died too."""
     stage_hits: int = 0
     """Pipeline stages reused from the stage cache during cold model
     builds (geometry/capacitance/charge/current/power granularity)."""
@@ -151,9 +140,6 @@ class EngineStats:
                      f"fallbacks={self.vector_fallbacks} "
                      f"downgrades={self.vector_downgrades} "
                      f"time={self.vector_seconds:.3f}s]")
-        if self.pool_retries or self.serial_fallbacks:
-            text += (f" faults[pool-retries={self.pool_retries} "
-                     f"serial-fallbacks={self.serial_fallbacks}]")
         return text
 
     @classmethod
@@ -175,7 +161,7 @@ class EngineStats:
 
         ``size``/``capacity`` are states, not counters; the delta
         keeps this snapshot's values.  Used to report exactly the work
-        one sweep (or one worker chunk) performed.
+        one sweep performed.
         """
         return dataclasses.replace(self, **{
             name: getattr(self, name) - getattr(since, name)
@@ -206,10 +192,9 @@ def merge_stats(left: EngineStats, right: EngineStats) -> EngineStats:
     """Counter-wise sum of two snapshots (or deltas).
 
     ``size`` merges as the maximum occupancy and ``capacity`` keeps
-    the left operand's value (see :data:`_COMBINE`).  Shared by the
-    process-backend chunk merge and the multi-worker service's cluster
-    ``/stats`` (which overrides ``capacity`` with the fleet total it
-    computes itself).
+    the left operand's value (see :data:`_COMBINE`).  Used by the
+    multi-worker service's cluster ``/stats`` (which overrides
+    ``capacity`` with the fleet total it computes itself).
     """
     return EngineStats(**{
         field.name: _combine(field.name, getattr(left, field.name),
@@ -231,9 +216,9 @@ class ModelCache:
         self.stages = StageCache(
             max(DEFAULT_STAGE_CAPACITY, capacity * len(STAGE_ORDER)))
         # One ``_<name>`` attribute per counter.  ``_stage_hits``,
-        # ``_stage_misses`` and ``_disk_corrupt`` hold only what
-        # :meth:`absorb` folded in; :meth:`stats` adds the stage
-        # cache's and the disk cache's own counts.
+        # ``_stage_misses`` and ``_disk_corrupt`` stay zero:
+        # :meth:`stats` adds the stage cache's and the disk cache's
+        # own counts.
         zero = EngineStats()
         for name in _COUNTERS:
             setattr(self, "_" + name, getattr(zero, name))
@@ -364,20 +349,6 @@ class ModelCache:
                               geometry=cached.geometry)
 
     # ------------------------------------------------------------------
-    def absorb(self, worker_stats: EngineStats) -> None:
-        """Fold a worker cache's counter *delta* into this cache.
-
-        Process-backend workers build models in their own caches; the
-        executor snapshots their counters per chunk and merges them
-        here, so the parent session's statistics describe the whole
-        sweep.  ``size``/``capacity`` stay the parent's own.
-        """
-        with self._lock:
-            for name in _COUNTERS:
-                attr = "_" + name
-                setattr(self, attr, _combine(name, getattr(self, attr),
-                                             getattr(worker_stats, name)))
-
     def clear(self) -> None:
         """Drop every cached model and stage artifact (counters keep
         accumulating)."""

@@ -15,26 +15,18 @@ public API backward compatible while still deduplicating construction
 reuse across them — the nominal device of a sensitivity Pareto, a corner
 sweep and a scheme comparison is then built exactly once.
 
-Backends: ``map(..., backend=...)`` selects ``"serial"`` (default,
-also when only ``jobs`` is given), ``"process"`` (contiguous shards on
-a ``ProcessPoolExecutor`` of per-worker sessions — real CPU
-scale-out; requires a picklable callable), ``"vector"`` (batchable
-sweep families fold as (variants × events) array math in-process —
-see :mod:`repro.engine.vector`; needs the optional numpy dependency
-and degrades to serial without it) or ``"auto"`` (serial vs process
-vs vector chosen per call from the sweep width, the measured
-per-build and per-fold costs and the usable core count).  Serial and
-process preserve input ordering and equal each other bit-for-bit;
-vector agrees to ~1e-15 relative.  The process backend survives
-worker loss: a crashed or killed worker's chunks are retried once on
-a fresh pool and then degrade to in-parent serial evaluation, with
-the recovery recorded in ``session.stats`` (``pool_retries``,
-``serial_fallbacks``).
+Backends: ``map(..., backend=...)`` selects ``"serial"`` (the
+default), ``"vector"`` (batchable sweep families fold as (variants ×
+events) array math in-process — see :mod:`repro.engine.vector`; needs
+the optional numpy dependency and degrades to serial without it) or
+``"auto"`` (vector when numpy is present and the sweep holds a
+batchable family of at least :data:`~repro.engine.vector.MIN_BATCH`
+devices, serial otherwise).  Serial preserves input ordering and is
+the bit-level oracle; vector agrees to ~1e-15 relative.
 
 With ``cache_dir`` set, the session's model cache spills to a
 persistent on-disk store (see :mod:`repro.engine.diskcache`), so
-repeated runs — and process-backend workers, which inherit the same
-directory — skip cold builds entirely.
+repeated runs skip cold builds entirely.
 """
 
 from __future__ import annotations
@@ -47,29 +39,42 @@ from ..description import DramDescription, Pattern
 from ..errors import ModelError
 from .cache import DEFAULT_CAPACITY, EngineStats, ModelCache
 from .diskcache import DiskModelCache
-from .executor import (AUTO, VECTOR, choose_backend, default_jobs,
-                       estimate_build_seconds, estimate_vector_seconds,
-                       is_picklable, process_map, resolve_backend)
 from .fingerprint import fingerprint
 from .vector import (MIN_BATCH, VectorPlan, build_family_models,
                      numpy_available, plan_batches)
 
 Result = TypeVar("Result")
 
+#: The concrete scalar backends.
+BACKENDS = ("serial",)
 
-class _DeviceCall:
-    """Picklable adapter turning ``fn(device)`` into ``fn(model)``.
+#: The deferred backend name: vector when the sweep is eligible,
+#: serial otherwise (see :meth:`EvaluationSession.map`).
+AUTO = "auto"
 
-    :meth:`EvaluationSession.map_devices` needs the adapter to be a
-    module-level class (not a lambda) so the process backend can ship
-    it to workers.
+#: The columnar backend name: eligible sweep families fold as
+#: (variants × events) array math in-process (see
+#: :mod:`repro.engine.vector`); ineligible devices fall back to the
+#: scalar path silently.
+VECTOR = "vector"
+
+
+def resolve_backend(backend: Optional[str]) -> str:
+    """The validated backend name of a ``map`` call.
+
+    ``None`` is serial; ``"auto"`` passes through unresolved (the
+    caller holds the devices the decision needs).  Any other name not
+    in :data:`BACKENDS`, ``"auto"`` or ``"vector"`` raises
+    :class:`~repro.errors.ModelError` — the single validation point of
+    every sweep entry point.
     """
-
-    def __init__(self, fn: Callable[[DramDescription], Result]):
-        self.fn = fn
-
-    def __call__(self, model: DramPowerModel) -> Result:
-        return self.fn(model.device)
+    if backend is None:
+        return "serial"
+    choices = BACKENDS + (AUTO, VECTOR)
+    if backend not in choices:
+        raise ModelError(f"unknown backend {backend!r}; choose from "
+                         + "/".join(choices))
+    return backend
 
 
 class EvaluationSession:
@@ -81,8 +86,7 @@ class EvaluationSession:
         if disk is None and cache_dir is not None:
             disk = DiskModelCache(cache_dir)
         self.cache = ModelCache(capacity=capacity, disk=disk)
-        #: Directory handed to process-backend workers so their private
-        #: sessions share the same persistent store.
+        #: The persistent store's directory (``None`` without one).
         self.cache_dir = (str(disk.directory) if disk is not None
                           else None)
 
@@ -156,63 +160,44 @@ class EvaluationSession:
 
     def map(self, devices: Iterable[DramDescription],
             fn: Callable[[DramPowerModel], Result],
-            jobs: Optional[int] = None,
             backend: Optional[str] = None) -> List[Result]:
         """Apply ``fn`` to the built model of every device, in order.
 
-        ``backend`` selects serial, process or vector execution (see
-        the module docstring); omitted, the map runs serially.
-        ``"auto"`` picks serial, process or the columnar vector kernel
-        per call from the sweep width, the session's measured
-        per-build and per-fold costs and the worker count
-        (:func:`~repro.engine.executor.choose_backend`); an
-        unpicklable callable downgrades auto to serial instead of
-        failing.  The result list is always ordered like ``devices``;
-        serial and process agree bit-for-bit, the vector backend to
-        ~1e-15 relative (see :meth:`map_vectorized`).  A raising
-        ``fn`` surfaces as a :class:`ModelError` naming the failing
-        device's index and fingerprint.
+        ``backend`` selects serial or vector execution (see the module
+        docstring); omitted, the map runs serially.  ``"auto"`` runs
+        the columnar vector kernel when numpy is present, the sweep
+        has at least :data:`~repro.engine.vector.MIN_BATCH` devices
+        and :func:`~repro.engine.vector.plan_batches` finds a
+        batchable family in it; otherwise it runs serially.  The
+        result list is always ordered like ``devices``; the vector
+        backend agrees with serial to ~1e-15 relative (see
+        :meth:`map_vectorized`).  A raising ``fn`` surfaces as a
+        :class:`ModelError` naming the failing device's index and
+        fingerprint.
         """
         devices = list(devices)
-        backend = resolve_backend(backend, jobs)
-        workers = jobs if jobs is not None else default_jobs()
+        backend = resolve_backend(backend)
         plan = None
         if backend == AUTO:
-            snapshot = self.stats
+            backend = "serial"
             if len(devices) >= MIN_BATCH and numpy_available():
                 candidate = plan_batches(devices)
                 if candidate.eligible:
-                    plan = candidate
-            backend = choose_backend(
-                len(devices), jobs,
-                estimate_build_seconds(snapshot),
-                expected_hit_rate=snapshot.hit_rate,
-                vector_eligible=plan is not None,
-                vector_seconds=estimate_vector_seconds(snapshot))
-            if backend == "process" and not is_picklable(fn):
-                backend = "serial"
+                    plan, backend = candidate, VECTOR
         if backend == VECTOR:
             return self.map_vectorized(devices, fn, plan=plan)
-        if backend == "process" and len(devices) > 1 and workers > 1:
-            results, worker_stats = process_map(
-                devices, fn, jobs=workers,
-                capacity=self.cache.capacity,
-                cache_dir=self.cache_dir)
-            self.cache.absorb(worker_stats)
-            return results
         return [self._evaluate_one(index, device, fn)
                 for index, device in enumerate(devices)]
 
     def map_devices(self, devices: Iterable[DramDescription],
                     fn: Callable[[DramDescription], Result],
-                    jobs: Optional[int] = None,
                     backend: Optional[str] = None) -> List[Result]:
         """Like :meth:`map` but hands ``fn`` the description itself.
 
         For evaluation functions that route through the session on
         their own (e.g. scheme evaluations building several models).
         """
-        return self.map(devices, _DeviceCall(fn), jobs=jobs,
+        return self.map(devices, lambda model: fn(model.device),
                         backend=backend)
 
     # ------------------------------------------------------------------
@@ -237,10 +222,8 @@ def ensure_session(session: Optional[EvaluationSession]
 
 def evaluate_many(devices: Sequence[DramDescription],
                   fn: Callable[[DramPowerModel], Result],
-                  jobs: Optional[int] = None,
                   backend: Optional[str] = None,
                   session: Optional[EvaluationSession] = None
                   ) -> List[Result]:
     """One-shot convenience over :meth:`EvaluationSession.map`."""
-    return ensure_session(session).map(devices, fn, jobs=jobs,
-                                       backend=backend)
+    return ensure_session(session).map(devices, fn, backend=backend)

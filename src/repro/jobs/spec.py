@@ -68,6 +68,11 @@ DEFAULT_CHUNK_SIZE = 8
 #: Hard ceiling on Monte-Carlo samples per job (memory guard).
 MAX_SAMPLES = 1_000_000
 
+#: Hard ceiling on the (channel, rank) shards of a ``trace`` job: one
+#: unit per shard, and every chunk re-reads the whole trace file, so
+#: the shard count bounds how often a job reads its input.
+MAX_TRACE_SHARDS = 1024
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -177,7 +182,7 @@ class MonteCarloPlan(JobPlan):
         sigmas = params.get("sigmas")
         self.sigmas = dict(DEFAULT_SIGMAS if sigmas is None
                            else sigmas)
-        self.jobs, self.backend = execution_options(params)
+        self.backend = execution_options(params)
         # The deterministic core: the whole draw sequence depends
         # only on the seed, so a resumed plan regenerates the exact
         # device list and evaluates only the missing chunks.
@@ -214,7 +219,7 @@ class MonteCarloPlan(JobPlan):
         return self.session.map(
             self.devices[low:high],
             partial(_measure_milliamps, measures=self.measures),
-            jobs=self.jobs, backend=self.backend)
+            backend=self.backend)
 
     def _distributions(self, series: List[List[float]]
                        ) -> List[Distribution]:
@@ -313,9 +318,10 @@ class TracePlan(JobPlan):
     accumulator states, never trace lines), so multi-gigabyte traces
     replay as durable, crash-resumable jobs.  Each chunk folds a
     contiguous shard range through
-    :func:`~repro.trace.parallel.fold_file_shards` — columnar when
-    numpy is present — and assembly merges the states in shard order,
-    which reproduces serial one-shot replay bit for bit.
+    :func:`~repro.trace.fold_file_shards` — columnar when numpy is
+    present — and assembly merges the states in shard order, which
+    reproduces serial one-shot replay bit for bit.  At most
+    :data:`MAX_TRACE_SHARDS` shards are accepted.
     """
 
     def __init__(self, spec: JobSpec, session: EvaluationSession):
@@ -352,7 +358,15 @@ class TracePlan(JobPlan):
                 "sharded trace jobs replay leniently; strict "
                 "legality checking needs the serial CLI path")
         device_from_payload(params.get("device", {}))
-        decoder_params(params.get("decoder", {}))
+        decoder = decoder_params(params.get("decoder", {}))
+        shard_bits = (decoder.get("channel_bits", 0)
+                      + decoder.get("rank_bits", 0))
+        if shard_bits >= MAX_TRACE_SHARDS.bit_length():
+            raise ServiceError(
+                "a trace job plans one unit per (channel, rank) "
+                "shard and re-reads the file per chunk; "
+                f"2**{shard_bits} shards exceed the cap of "
+                f"{MAX_TRACE_SHARDS}")
 
     def run_chunk(self, index: int) -> List[Any]:
         low, high = self.chunk_range(index)

@@ -2,64 +2,32 @@
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable, List, Optional, Sequence
 
 from ..description import DramDescription
-from ..engine import EvaluationSession, ensure_session
-from ..engine.executor import (AUTO, choose_backend, default_jobs,
-                               estimate_build_seconds,
-                               process_map_items, resolve_backend)
+from ..engine import EvaluationSession, ensure_session, resolve_backend
 from .base import Scheme, SchemeResult
 from .library import ALL_SCHEMES
 from ..analysis.reporting import format_table
 
 
-def _evaluate_scheme(session: EvaluationSession, scheme: Scheme,
-                     device: DramDescription) -> SchemeResult:
-    """Worker callable: one scheme on one device via one session.
-
-    Module-level (pickled via :func:`functools.partial`) so the
-    process backend can ship it to per-worker sessions; schemes and
-    descriptions are plain picklable objects.
-    """
-    return scheme.evaluate(device, session=session)
-
-
 def compare_schemes(device: DramDescription,
                     schemes: Sequence[Scheme] = ALL_SCHEMES,
                     session: Optional[EvaluationSession] = None,
-                    jobs: Optional[int] = None,
                     backend: Optional[str] = None
                     ) -> List[SchemeResult]:
     """Evaluate every scheme on one device, sorted by power saving.
 
     One shared ``session`` means the unmodified baseline model is
     built once for the whole comparison instead of once per scheme.
-    ``backend="process"`` (or ``"auto"`` choosing it) spreads the
-    schemes over ``jobs`` worker processes; every other backend runs
-    serially.  The sorted result equals the serial run bit-for-bit.
+    ``backend`` is validated like every sweep's, but each scheme
+    builds its own transformed models, so the comparison always runs
+    serially.
     """
     session = ensure_session(session)
-    schemes = list(schemes)
-    backend = resolve_backend(backend, jobs)
-    workers = jobs if jobs is not None else default_jobs()
-    if backend == AUTO:
-        # Every scheme builds at least a baseline and a modified
-        # model, so the effective sweep width is twice the scheme
-        # count for the serial-vs-process projection.
-        backend = choose_backend(
-            2 * len(schemes), jobs,
-            estimate_build_seconds(session.stats))
-    if backend == "process" and len(schemes) > 1 and workers > 1:
-        results, worker_stats = process_map_items(
-            schemes, partial(_evaluate_scheme, device=device),
-            jobs=workers, capacity=session.cache.capacity,
-            cache_dir=session.cache_dir)
-        session.cache.absorb(worker_stats)
-    else:
-        results = [_evaluate_scheme(session, scheme, device)
-                   for scheme in schemes]
+    resolve_backend(backend)
+    results = [scheme.evaluate(device, session=session)
+               for scheme in schemes]
     results.sort(key=lambda result: -result.power_saving)
     return results
 

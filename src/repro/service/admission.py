@@ -99,8 +99,7 @@ class DeadlineSession(EvaluationSession):
     checks the request deadline before every model construction and at
     every ``map`` entry, so sweeps abort between builds — the cache
     only ever holds fully built models, keeping the shared session
-    consistent after a 504.  Process-backend chunks checkpoint at
-    chunk boundaries: a dispatched chunk runs to completion.
+    consistent after a 504.
     """
 
     def __init__(self, inner: EvaluationSession, deadline: Deadline):
@@ -114,9 +113,9 @@ class DeadlineSession(EvaluationSession):
         self.deadline.check()
         return super().model(device, events)
 
-    def map(self, devices, fn, jobs=None, backend=None):
+    def map(self, devices, fn, backend=None):
         self.deadline.check()
-        return super().map(devices, fn, jobs=jobs, backend=backend)
+        return super().map(devices, fn, backend=backend)
 
 
 class AdmissionController:

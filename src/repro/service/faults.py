@@ -2,7 +2,7 @@
 
 Every behaviour the resilience layer promises — load shedding under
 latency, 504s on slow handlers, client recovery from connection
-resets, executor recovery from killed pool workers — is *tested*, not
+resets, journaled jobs surviving a killed worker — is *tested*, not
 asserted.  This module is the switchboard those tests (and the CI
 resilience smoke) flip:
 
@@ -26,21 +26,14 @@ resilience smoke) flip:
   the environment) lets tests block handlers on an event for exact
   concurrency control.
 
-* worker-kill helpers — picklable evaluation callables for
-  process-backend sweeps that ``SIGKILL`` their own *worker* process
-  when an arming file exists (:func:`power_kill_once` consumes the
-  file atomically so only the first pool attempt dies;
-  :func:`power_kill_always` leaves it, forcing the executor all the
-  way to its serial fallback).  Both are no-ops outside pool workers,
-  so the serial baseline and the parent-side fallback evaluate the
-  same devices to bit-for-bit identical results.
+* :func:`kill_self` — the ``SIGKILL`` primitive behind the job crash
+  rules (``job-crash``/``job-torn-write``).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 import os
 import signal
 import threading
@@ -225,7 +218,7 @@ class FaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Worker-kill helpers for executor fault-tolerance tests.
+# The job-crash primitive.
 # ----------------------------------------------------------------------
 def kill_self() -> None:
     """``SIGKILL`` the current process — the job-crash primitive.
@@ -235,47 +228,3 @@ def kill_self() -> None:
     hit the disk — exactly the failure mode the journal must absorb.
     """
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def in_worker_process() -> bool:
-    """Whether this process is a multiprocessing pool worker."""
-    return multiprocessing.parent_process() is not None
-
-
-def maybe_kill_worker(flag_path: str, once: bool = True) -> None:
-    """``SIGKILL`` the current *worker* process if ``flag_path`` exists.
-
-    With ``once`` the flag is consumed atomically (``unlink``) so
-    exactly one worker dies per arming; without it every worker that
-    sees the flag dies, which defeats the executor's fresh-pool retry
-    and exercises its serial fallback.  A no-op in the parent process,
-    so serial baselines and fallbacks evaluate normally.
-    """
-    if not in_worker_process():
-        return
-    if once:
-        try:
-            os.unlink(flag_path)
-        except FileNotFoundError:
-            return
-    elif not os.path.exists(flag_path):
-        return
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def power_kill_once(flag_path: str, model) -> float:
-    """Evaluation callable whose first armed worker dies mid-chunk.
-
-    Use with ``functools.partial(power_kill_once, str(flag))`` — the
-    partial of a module-level function is picklable, as the process
-    backend requires.
-    """
-    maybe_kill_worker(flag_path, once=True)
-    return model.pattern_power(None).power
-
-
-def power_kill_always(flag_path: str, model) -> float:
-    """Evaluation callable killing *every* armed worker (degradation
-    path: fresh-pool retry dies too, forcing the serial fallback)."""
-    maybe_kill_worker(flag_path, once=False)
-    return model.pattern_power(None).power

@@ -284,24 +284,21 @@ def evaluate_payload(session: EvaluationSession, payload: Any,
 # ----------------------------------------------------------------------
 # Named sweeps.
 # ----------------------------------------------------------------------
-def execution_options(payload: Dict[str, Any]
-                      ) -> Tuple[Optional[int], Optional[str]]:
-    """The validated ``jobs``/``backend`` pair of a sweep-like body.
+def execution_options(payload: Dict[str, Any]) -> Optional[str]:
+    """The validated ``backend`` of a sweep-like body.
 
-    ``backend`` defaults to ``"auto"``; an unknown backend or a
-    non-positive worker count is a 400 here, before any work starts.
+    ``backend`` defaults to ``"auto"``; an unknown backend is a 400
+    here, before any work starts.  Keys the parser does not read are
+    ignored, so a job spec journaled with a ``jobs`` key resumes.
     """
-    jobs = payload.get("jobs")
-    if jobs is not None and not isinstance(jobs, int):
-        raise ServiceError("'jobs' must be an integer worker count")
     backend = payload.get("backend", AUTO)
     if backend is not None and not isinstance(backend, str):
         raise ServiceError("'backend' must be a backend name")
     try:
-        resolve_backend(backend, jobs)
+        resolve_backend(backend)
     except ReproError as exc:
         raise ServiceError(str(exc)) from exc
-    return jobs, backend
+    return backend
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,14 +307,12 @@ class SweepRequest:
 
     device: Optional[DramDescription]
     params: Dict[str, Any]
-    jobs: Optional[int]
     backend: Optional[str]
     echo: Dict[str, Any]
 
     def options(self, session: EvaluationSession) -> Dict[str, Any]:
         """Keyword arguments every analysis entry point takes."""
-        return {"session": session, "jobs": self.jobs,
-                "backend": self.backend}
+        return {"session": session, "backend": self.backend}
 
 
 def _checked(test: Callable[[Any], bool], wants: str
@@ -344,7 +339,7 @@ Param = Tuple[str, Any, Callable[[str, Any], Any], bool]
 
 def _parse_sweep(payload: Dict[str, Any], params: Tuple[Param, ...],
                  device: bool) -> SweepRequest:
-    jobs, backend = execution_options(payload)
+    backend = execution_options(payload)
     values = {name: check(name, payload[name]) if name in payload
               else default for name, default, check, _ in params}
     base = (device_from_payload(payload.get("device", {})) if device
@@ -352,7 +347,7 @@ def _parse_sweep(payload: Dict[str, Any], params: Tuple[Param, ...],
     echo = {"device": base.name} if device else {}
     echo.update((name, values[name])
                 for name, _, _, shown in params if shown)
-    return SweepRequest(base, values, jobs, backend, echo)
+    return SweepRequest(base, values, backend, echo)
 
 
 def _sweep(rows: Callable, units: Callable[[SweepRequest], Sequence],
@@ -447,10 +442,10 @@ def sweep_payload(session: EvaluationSession,
 
     ``{"kind": "sensitivity"|"corners"|"trends"|"schemes", ...}`` with
     kind-specific parameters (``device``, ``variation``, ``vendor``,
-    ``io_width``, ``nodes``) plus the uniform execution options
-    ``jobs`` and ``backend`` (default ``"auto"``, which folds
-    batchable sweep families through the columnar vector kernel when
-    numpy is installed — visible as the ``vector_*`` counters of
+    ``io_width``, ``nodes``) plus the uniform execution option
+    ``backend`` (default ``"auto"``, which folds batchable sweep
+    families through the columnar vector kernel when numpy is
+    installed — visible as the ``vector_*`` counters of
     ``GET /stats``; ``"vector"`` requests the kernel explicitly).
     Rows come in the analysis' own order (sensitivity by impact,
     schemes by saving), unlike the per-unit order of a stream.

@@ -65,12 +65,6 @@ _DECODER_KEYS = ("policy", "channel_bits", "rank_bits", "offset_bits")
 _TRACE_QUERY_KEYS = (("format", "clock", "strict", "snapshot_every")
                      + _DECODER_KEYS + ("backend",))
 
-#: Backends a streamed upload can ask for.  ``process`` is rejected:
-#: a socket stream is consumed sequentially and cannot be re-read by
-#: shard workers — file-scale sharded replays go through the CLI or
-#: the durable ``trace`` job kind instead.
-_STREAM_BACKENDS = ("auto", "serial", "vector")
-
 
 @dataclass
 class TraceRequest:
@@ -165,12 +159,6 @@ def _parse(request: TraceRequest, fields: Dict[str, Any],
         setattr(request, key, value)
     if not 0 < request.clock < math.inf:
         raise ServiceError("'clock' must be positive, finite Hz")
-    if request.backend not in _STREAM_BACKENDS:
-        raise ServiceError(
-            f"unknown trace backend {request.backend!r}; choose from "
-            + "/".join(_STREAM_BACKENDS)
-            + " (sharded process replay needs a seekable file: use "
-            "the CLI or a 'trace' job)")
     try:
         resolve_trace_backend(request.backend, request.strict)
     except TraceError as exc:

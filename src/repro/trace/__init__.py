@@ -2,10 +2,10 @@
 
 Public surface: line parsers and the one byte → line reader
 (:mod:`formats`), the configurable physical-address bit-slice decoder
-(:mod:`decoder`), the lazy record → command → energy pipeline
-(:mod:`ingest`), the one backend resolver and batch replayer with its
-columnar kernel (:mod:`columnar`, numpy-optional) and rank-sharded
-process-parallel file replay with exact merge (:mod:`parallel`).
+(:mod:`decoder`), the lazy record → command → energy pipeline with
+the shard-range fold of durable ``trace`` jobs (:mod:`ingest`), and
+the one backend resolver and batch replayer with its columnar kernel
+(:mod:`columnar`, numpy-optional).
 """
 
 from .decoder import POLICIES, AddressDecoder, DecodedAddress
@@ -15,14 +15,12 @@ from .formats import (FORMATS, TraceFormatError, TraceRecord,
                       iter_records, open_trace_bytes, open_trace_lines)
 from .ingest import (DEFAULT_CLOCK, accumulate_records,
                      commands_from_records, evaluate_trace_file,
-                     read_trace, replay_trace_file,
+                     fold_file_shards, read_trace, replay_trace_file,
                      resolve_trace_format)
 from .columnar import (TRACE_BACKENDS, ColumnarReplayer,
                        columnar_available, parse_columns,
                        replay_lines_columnar, resolve_trace_backend,
                        trace_downgrades)
-from .parallel import (evaluate_file_sharded, fold_file_shards,
-                       shard_assignments)
 
 __all__ = [
     "POLICIES",
@@ -46,6 +44,7 @@ __all__ = [
     "accumulate_records",
     "commands_from_records",
     "evaluate_trace_file",
+    "fold_file_shards",
     "read_trace",
     "replay_trace_file",
     "resolve_trace_format",
@@ -55,7 +54,4 @@ __all__ = [
     "replay_lines_columnar",
     "resolve_trace_backend",
     "trace_downgrades",
-    "evaluate_file_sharded",
-    "fold_file_shards",
-    "shard_assignments",
 ]

@@ -42,8 +42,7 @@ the batch reduction discards.
 from __future__ import annotations
 
 import itertools
-from typing import (Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 try:
     import numpy as _np
@@ -231,7 +230,7 @@ def _parse_tokenized(lines: Sequence[str], n: int,
 def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
                  decoder: AddressDecoder, period: float,
                  open_rows: Dict[int, int],
-                 shards: Optional[FrozenSet[int]] = None) -> None:
+                 shards: Optional[range] = None) -> None:
     """Expand and fold one parsed batch into ``accumulator``.
 
     Mirrors the scalar ``commands_from_records`` + ``feed`` pipeline
@@ -240,7 +239,8 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
     open) + REF, and every access to the already-open row is a row
     hit except the one its activate paid for.  ``open_rows`` is the
     carried open-row register, updated in place.  With ``shards`` the
-    batch is first masked to the given (channel, rank) shard indices.
+    batch is first masked to the (channel, rank) shard indices in
+    that contiguous range.
     """
     n = len(columns)
     if n == 0:
@@ -253,8 +253,7 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
         rank_shift = layout["rank"][0]
         shard_index = ((addresses >> rank_shift)
                        & (decoder.num_shards - 1))
-        mask = _np.isin(shard_index, _np.array(sorted(shards),
-                                               dtype=_np.int64))
+        mask = (shard_index >= shards.start) & (shard_index < shards.stop)
         addresses = addresses[mask]
         kinds = kinds[mask]
         cycles = cycles[mask]
@@ -337,13 +336,13 @@ class ColumnarReplayer:
     — folds through the scalar pipeline.  The replayer tracks global
     line numbers (for exact error parity), carries the open-row
     register across batches of either kind, and optionally masks to a
-    (channel, rank) shard set.
+    contiguous ``range`` of (channel, rank) shards.
     """
 
     def __init__(self, accumulator: TraceAccumulator,
                  fmt: Optional[str], decoder: AddressDecoder,
                  clock: float, source: str = "<trace>",
-                 shards: Optional[FrozenSet[int]] = None,
+                 shards: Optional[range] = None,
                  backend: str = "vector"):
         self.period = clock_period(clock)
         self.accumulator = accumulator
@@ -409,7 +408,7 @@ def replay_lines_columnar(accumulator: TraceAccumulator,
                           lines: Iterable[str], fmt: str,
                           decoder: AddressDecoder, clock: float,
                           source: str = "<trace>",
-                          shards: Optional[FrozenSet[int]] = None,
+                          shards: Optional[range] = None,
                           batch_lines: int = LINES_PER_BATCH
                           ) -> TraceAccumulator:
     """Drive a whole line iterable through the replayer in batches of
@@ -424,34 +423,21 @@ def replay_lines_columnar(accumulator: TraceAccumulator,
 # ----------------------------------------------------------------------
 # Backend choice.
 # ----------------------------------------------------------------------
-#: Replay backends accepted by the file entry points; record streams
-#: take all but ``process``.  ``auto`` defers to
-#: :func:`resolve_trace_backend`.
-TRACE_BACKENDS = ("serial", "vector", "process")
-
-#: Trace files below this size (bytes) never leave the serial path
-#: under ``backend="auto"`` without numpy: forking workers costs more
-#: than replaying a small file.
-MIN_PROCESS_BYTES = 4 * 1024 * 1024
+#: Replay backends accepted by every replay entry point; ``auto``
+#: defers to :func:`resolve_trace_backend`.
+TRACE_BACKENDS = ("serial", "vector")
 
 
-def resolve_trace_backend(backend: Optional[str], strict: bool,
-                          shards: int = 1, jobs: Optional[int] = None,
-                          size_bytes: Optional[int] = None) -> str:
-    """The concrete backend (``serial``/``vector``/``process``) that
-    runs a ``backend`` request.
+def resolve_trace_backend(backend: Optional[str], strict: bool) -> str:
+    """The concrete backend (``serial``/``vector``) that runs a
+    ``backend`` request.
 
-    Strict replay needs per-command timing state the batched paths
-    discard: ``vector`` and ``process`` refuse ``strict=True`` and
-    ``auto`` stays serial.  Lenient ``auto`` picks ``vector`` when
-    numpy is present — the columnar kernel folds in-process, needs no
-    fork and measured ~15× over scalar.  Without numpy rank-sharded
-    process replay is the only speedup left; it pays one whole-file
-    parse per worker, so ``auto`` picks it only for a file of at
-    least :data:`MIN_PROCESS_BYTES` with real shards and usable
-    workers, and serial otherwise.  A lenient request for the
-    columnar path (``vector`` or ``auto``) without numpy fires the
-    one-time :func:`trace_downgrades` marker.
+    Strict replay needs per-command timing state the batched path
+    discards: ``vector`` refuses ``strict=True`` and ``auto`` stays
+    serial.  Lenient ``auto`` picks ``vector`` when numpy is present
+    and serial otherwise.  A lenient request for the columnar path
+    (``vector`` or ``auto``) without numpy fires the one-time
+    :func:`trace_downgrades` marker.
     """
     if backend is None:
         backend = "auto"
@@ -460,23 +446,15 @@ def resolve_trace_backend(backend: Optional[str], strict: bool,
             f"unknown trace backend {backend!r}; choose from "
             + "/".join(TRACE_BACKENDS + ("auto",)), 0.0, None)
     if strict:
-        if backend in ("vector", "process"):
+        if backend == "vector":
             raise TraceError(
-                f"the {backend} backend replays batched/sharded and "
-                "cannot honour strict=True; use backend='serial' for "
-                "strict legality checking", 0.0, None)
+                "the vector backend replays batched and cannot "
+                "honour strict=True; use backend='serial' for strict "
+                "legality checking", 0.0, None)
         return "serial"
-    if backend not in ("auto", "vector"):
+    if backend == "serial":
         return backend
     if columnar_available():
         return "vector"
     record_downgrade()
-    if backend == "vector":
-        return "serial"
-    from ..engine.executor import default_jobs
-    workers = jobs if jobs is not None else default_jobs()
-    if (shards > 1 and workers > 1
-            and size_bytes is not None
-            and size_bytes >= MIN_PROCESS_BYTES):
-        return "process"
     return "serial"

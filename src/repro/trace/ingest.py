@@ -15,12 +15,10 @@ evaluated with ``strict=False``.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..core.model import DramPowerModel
-from ..core.trace import (TraceAccumulator, TraceCommand, TraceError,
-                          TraceResult)
+from ..core.trace import TraceAccumulator, TraceCommand, TraceResult
 from ..description import Command
 from .decoder import AddressDecoder
 from .formats import (TraceRecord, detect_format, iter_records,
@@ -93,8 +91,8 @@ def resolve_trace_format(path, fmt: Optional[str] = None) -> str:
     """The concrete format of a trace file: sniffed when ``fmt`` is
     ``None`` or ``"auto"``, passed through otherwise.
 
-    Sharded replay needs the sniff done once in the parent so every
-    worker parses with the same format.
+    A sharded ``trace`` job sniffs once at planning so every chunk
+    parses with the same format.
     """
     if fmt is not None and fmt != "auto":
         return fmt
@@ -111,40 +109,28 @@ def replay_trace_file(model: DramPowerModel, path,
                       decoder: Optional[AddressDecoder] = None,
                       clock: float = DEFAULT_CLOCK,
                       strict: bool = False,
-                      backend: str = "auto",
-                      jobs: Optional[int] = None
+                      backend: str = "auto"
                       ) -> Tuple[TraceAccumulator, str]:
     """Replay an external trace file on the chosen backend.
 
     Returns ``(accumulator, backend_used)``.  The backend is resolved
     by :func:`~repro.trace.columnar.resolve_trace_backend` (serial vs
-    the columnar kernel vs rank-sharded processes); every backend
-    produces bit-for-bit identical aggregates, so the choice is purely
-    a throughput decision.  ``serial`` runs the scalar oracle: records
-    → commands → :meth:`TraceAccumulator.feed`.
+    the columnar kernel); both produce bit-for-bit identical
+    aggregates, so the choice is purely a throughput decision.
+    ``serial`` runs the scalar oracle: records → commands →
+    :meth:`TraceAccumulator.feed`.
     """
     from .columnar import replay_lines_columnar, resolve_trace_backend
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     resolved_fmt = resolve_trace_format(path, fmt)
-    try:
-        size: Optional[int] = os.path.getsize(path)
-    except OSError:
-        size = None
-    backend = resolve_trace_backend(backend, strict,
-                                    shards=decoder.num_shards,
-                                    jobs=jobs, size_bytes=size)
+    backend = resolve_trace_backend(backend, strict)
     if backend == "vector":
         accumulator = TraceAccumulator(model, strict=False)
         with open_trace_lines(path) as lines:
             replay_lines_columnar(accumulator, lines, resolved_fmt,
                                   decoder, clock, source=str(path))
         return accumulator, "vector"
-    if backend == "process":
-        from .parallel import evaluate_file_sharded
-        accumulator = evaluate_file_sharded(model, path, resolved_fmt,
-                                            decoder, clock, jobs=jobs)
-        return accumulator, "process"
     accumulator = TraceAccumulator(model, strict=strict)
     accumulator.feed(commands_from_records(
         read_trace(path, resolved_fmt), decoder, clock))
@@ -156,14 +142,37 @@ def evaluate_trace_file(model: DramPowerModel, path,
                         decoder: Optional[AddressDecoder] = None,
                         clock: float = DEFAULT_CLOCK,
                         strict: bool = False,
-                        backend: str = "auto",
-                        jobs: Optional[int] = None) -> TraceResult:
+                        backend: str = "auto") -> TraceResult:
     """One-call evaluation of an external trace file."""
     accumulator, _ = replay_trace_file(model, path, fmt=fmt,
                                        decoder=decoder, clock=clock,
-                                       strict=strict, backend=backend,
-                                       jobs=jobs)
+                                       strict=strict, backend=backend)
     return accumulator.result()
+
+
+def fold_file_shards(model: DramPowerModel, path, fmt: str,
+                     decoder: AddressDecoder, clock: float,
+                     shards: range) -> TraceAccumulator:
+    """Lenient replay of only the (channel, rank) shards in ``shards``.
+
+    The shard index occupies the top bits of every flat bank, so bank
+    state never crosses a shard boundary: folding contiguous shard
+    ranges separately and merging their
+    :meth:`~TraceAccumulator.export_state` dictionaries in range order
+    reproduces a one-shot replay bit for bit.  The durable ``trace``
+    job kind journals one such state per chunk.  The range is masked
+    as bounds (never expanded into a set), so a huge shard count costs
+    nothing extra.
+    """
+    from .columnar import replay_lines_columnar
+    accumulator = TraceAccumulator(model, strict=False)
+    if not shards:
+        return accumulator
+    everything = shards.start <= 0 and shards.stop >= decoder.num_shards
+    with open_trace_lines(path) as lines:
+        return replay_lines_columnar(
+            accumulator, lines, fmt, decoder, clock, source=str(path),
+            shards=None if everything else shards)
 
 
 def accumulate_records(model: DramPowerModel,
@@ -177,16 +186,10 @@ def accumulate_records(model: DramPowerModel,
     ``serial`` runs the scalar oracle; ``vector`` (what lenient
     ``auto`` resolves to with numpy) feeds the batch replayer
     :data:`~repro.trace.columnar.RECORDS_PER_BATCH` records at a
-    time.  ``process`` is refused: shard workers re-read a trace
-    file, and a stream cannot be re-read.
+    time.
     """
     from .columnar import (RECORDS_PER_BATCH, ColumnarReplayer, batches,
                            resolve_trace_backend)
-    if backend == "process":
-        raise TraceError(
-            "the process backend needs a trace file its shard workers "
-            "can re-read; replay the file with replay_trace_file",
-            0.0, None)
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     if resolve_trace_backend(backend, strict) == "serial":

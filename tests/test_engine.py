@@ -156,14 +156,10 @@ class TestEvaluationSession:
                    for step in range(8)]
         serial = EvaluationSession().map(
             devices, lambda model: idd7_mixed(model).power)
-        threaded = EvaluationSession().map(
-            devices, lambda model: idd7_mixed(model).power, jobs=2)
-        assert threaded == serial
-
-    def test_map_rejects_nonpositive_jobs(self, ddr3_device):
-        session = EvaluationSession()
-        with pytest.raises(ModelError):
-            session.map([ddr3_device], lambda model: model, jobs=0)
+        explicit = EvaluationSession().map(
+            devices, lambda model: idd7_mixed(model).power,
+            backend="serial")
+        assert explicit == serial
 
     def test_map_devices_hands_descriptions(self, ddr3_device):
         session = EvaluationSession()

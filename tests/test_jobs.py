@@ -202,6 +202,8 @@ class TestTracePlan:
                     decoder={"policy": "diagonal"}),
                 lambda p: p["params"].update(
                     decoder={"channel_bits": -1}),
+                lambda p: p["params"].update(
+                    decoder={"rank_bits": 70}),
         ):
             payload = self._payload(path)
             mutate(payload)
@@ -417,6 +419,34 @@ class TestRunner:
         after = store.status(status["job"])
         assert after["state"] == "failed"
         assert after["error"]
+
+    @pytest.mark.parametrize("params", [{"backend": "process"},
+                                        {"jobs": 2}],
+                             ids=["backend-process", "jobs-2"])
+    def test_journaled_montecarlo_spec_from_older_release(
+            self, tmp_path, params):
+        """Specs journaled before the process backend and the ``jobs``
+        worker count were removed: ``process`` fails that job alone
+        with the unknown-backend error, ``jobs`` is ignored."""
+        store = JobStore(tmp_path)
+        old, _ = store.submit(MC_PAYLOAD)
+        spec_path = store.job_dir(old["job"]) / "spec.json"
+        spec = json.loads(spec_path.read_text())
+        spec["params"].update(params)
+        spec_path.write_text(json.dumps(spec))
+        clean, _ = store.submit(dict(MC_PAYLOAD,
+                                     idempotency_key="clean"))
+        manager = _run_all(tmp_path)
+        assert manager.jobs_started == 2
+        assert store.status(clean["job"])["state"] == "done"
+        after = store.status(old["job"])
+        if "backend" in params:
+            assert after["state"] == "failed"
+            assert "unknown backend 'process'" in after["error"]
+        else:
+            assert after["state"] == "done"
+            assert (store.result(old["job"])
+                    == store.result(clean["job"]))
 
     def test_cancel_marker_stops_at_chunk_boundary(self, tmp_path):
         store = JobStore(tmp_path)

@@ -121,7 +121,7 @@ BAD_SWEEPS = {
     "vendor-int": {"kind": "corners", "vendor": 0},
     "backend-unknown": {"kind": "schemes", "backend": "bogus"},
     "backend-thread": {"kind": "schemes", "backend": "thread"},
-    "jobs-zero": {"kind": "schemes", "jobs": 0},
+    "backend-process": {"kind": "schemes", "backend": "process"},
     "device-unknown-key": {"kind": "schemes", "device": {"nope": 1}},
 }
 

@@ -361,10 +361,10 @@ class TestBackendSelection:
             assert request.backend == backend
 
     def test_query_rejects_process_backend(self):
-        # Sharded process replay re-reads the file per worker; a
-        # socket stream cannot be re-read, so the endpoint says no
-        # and points at the alternatives.
-        with pytest.raises(ServiceError, match="trace.*job"):
+        # ``process`` is no backend: the resolver's unknown-backend
+        # error, like any other name.
+        with pytest.raises(ServiceError,
+                           match="unknown trace backend 'process'"):
             parse_trace_query({"backend": ["process"]})
 
     def test_query_rejects_unknown_backend(self):
@@ -385,7 +385,8 @@ class TestBackendSelection:
             parse_trace_payload({"device": {"node": 55},
                                  "text": "0x0 READ 0",
                                  "backend": 7})
-        with pytest.raises(ServiceError, match="process"):
+        with pytest.raises(ServiceError,
+                           match="unknown trace backend 'process'"):
             parse_trace_payload({"device": {"node": 55},
                                  "text": "0x0 READ 0",
                                  "backend": "process"})

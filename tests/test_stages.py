@@ -157,14 +157,13 @@ class TestIncrementalParity:
         assert model.geometry.device is variant
         assert model.energies.device is variant
 
-    @pytest.mark.parametrize("backend", ["serial", "process", "auto"])
+    @pytest.mark.parametrize("backend", ["serial", "auto"])
     def test_session_sweep_matches_cold_builds(self, ddr3_device,
                                                backend):
         devices = [ddr3_device.scale_path("voltages.vdd",
                                           1.0 + 0.01 * step)
                    for step in range(6)]
-        jobs = 2 if backend == "process" else None
-        swept = EvaluationSession().map(devices, _power, jobs=jobs,
+        swept = EvaluationSession().map(devices, _power,
                                         backend=backend)
         cold = [_power(DramPowerModel(device)) for device in devices]
         assert swept == cold

@@ -214,10 +214,9 @@ class TestStrictRejection:
                                            tmp_path):
         path = tmp_path / "s.trc"
         path.write_text("0x100 READ 1\n")
-        for backend in ("vector", "process"):
-            with pytest.raises(TraceError, match="strict"):
-                evaluate_trace_file(ddr3_model, path, backend=backend,
-                                    strict=True)
+        with pytest.raises(TraceError, match="strict"):
+            evaluate_trace_file(ddr3_model, path, backend="vector",
+                                strict=True)
 
     def test_auto_stays_serial_for_strict(self, ddr3_model, tmp_path):
         # Expanded ACT+RD share a timestamp, so only a refresh-only
@@ -236,14 +235,11 @@ class TestStrictRejection:
 
 class TestBackendChoice:
     def test_strict_is_always_serial(self):
-        assert resolve_trace_backend("auto", True, shards=64,
-                                     jobs=32) == "serial"
+        assert resolve_trace_backend("auto", True) == "serial"
 
     @needs_numpy
     def test_numpy_means_vector(self):
         assert resolve_trace_backend("auto", False) == "vector"
-        assert resolve_trace_backend("auto", False, shards=64,
-                                     jobs=32) == "vector"
 
 
 def _import_columnar_without_numpy(monkeypatch):
@@ -323,25 +319,6 @@ class TestNoNumpyDegradation:
         replayer.feed_records(records[100:])
         assert _fingerprint(by_lines) == expect
         assert _fingerprint(by_records) == expect
-
-    def test_stub_choice_prefers_process_for_big_shardable(
-            self, monkeypatch):
-        stub = _import_columnar_without_numpy(monkeypatch)
-        big = 2 * stub.MIN_PROCESS_BYTES
-        assert stub.resolve_trace_backend(
-            "auto", False, shards=4, jobs=4, size_bytes=big
-        ) == "process"
-        # Small files, single shards or single workers stay serial.
-        assert stub.resolve_trace_backend(
-            "auto", False, shards=4, jobs=4, size_bytes=1024
-        ) == "serial"
-        assert stub.resolve_trace_backend(
-            "auto", False, shards=1, jobs=4, size_bytes=big
-        ) == "serial"
-        assert stub.resolve_trace_backend(
-            "auto", False, shards=4, jobs=1, size_bytes=big
-        ) == "serial"
-        assert stub.trace_downgrades() == 1
 
     def test_downgrade_marker_reset_hook(self):
         before = trace_downgrades()

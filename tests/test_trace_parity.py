@@ -87,10 +87,10 @@ def test_generator_and_list_inputs_agree(device_models):
 # Rank-sharded replay: merged shard states == serial one-shot replay.
 # ----------------------------------------------------------------------
 from repro.core.trace import TraceError
-from repro.trace import (AddressDecoder, accumulate_records,
-                         evaluate_file_sharded, evaluate_trace_file,
-                         fold_file_shards, iter_records,
-                         resolve_trace_format, shard_assignments)
+from repro.trace import (AddressDecoder, ColumnarReplayer,
+                         accumulate_records, commands_from_records,
+                         evaluate_trace_file, fold_file_shards,
+                         iter_records)
 from repro.trace.ingest import DEFAULT_CLOCK
 
 
@@ -147,7 +147,8 @@ class TestShardedReplayParity:
                                             backend="serial")
         assert backend == "serial"
         merged = TraceAccumulator(ddr3_model, strict=False)
-        for low, high in shard_assignments(decoder.num_shards, 3):
+        bounds = (0, 1, 3, decoder.num_shards)
+        for low, high in zip(bounds, bounds[1:]):
             piece = fold_file_shards(ddr3_model, path, fmt, decoder,
                                      DEFAULT_CLOCK, range(low, high))
             merged.merge(piece)
@@ -155,34 +156,46 @@ class TestShardedReplayParity:
                 == _result_key(serial.result()))
         assert merged.commands_seen == serial.commands_seen
 
-    def test_process_pool_matches_serial(self, ddr3_model, tmp_path):
-        """One real multi-process run (pools are slow to spawn, so a
-        single pooled case guards the wire format; the in-process
-        matrix above covers the fold/merge algebra)."""
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_range_masked_fold_matches_filtered_oracle(
+            self, backend, ddr3_model):
+        """A shard range masks by its bounds (a 2**70 stop costs
+        nothing) and folds exactly the records a scalar filter
+        keeps, on the columnar and the scalar replay path."""
+        from repro.core.trace import TraceAccumulator
+
         decoder = AddressDecoder.from_device(ddr3_model.device,
                                              channel_bits=1,
                                              rank_bits=1)
-        lines = _shard_lines("k6", 4000, decoder.address_bits)
-        path = tmp_path / "pool.trc"
-        path.write_text("\n".join(lines) + "\n")
-        serial = evaluate_trace_file(ddr3_model, path,
-                                     decoder=decoder,
-                                     backend="serial")
-        pooled = evaluate_file_sharded(
-            ddr3_model, path, resolve_trace_format(path), decoder,
-            DEFAULT_CLOCK, jobs=2)
-        assert _result_key(pooled.result()) == _result_key(serial)
+        lines = _shard_lines("k6", 1500, decoder.address_bits)
+        masked = TraceAccumulator(ddr3_model, strict=False)
+        replayer = ColumnarReplayer(masked, "k6", decoder,
+                                    DEFAULT_CLOCK,
+                                    shards=range(1, 2 ** 70),
+                                    backend=backend)
+        replayer.feed_lines(lines[:700])
+        replayer.feed_lines(lines[700:])
+        kept = [record for record in iter_records(iter(lines), "k6")
+                if decoder.shard_of(record.address) >= 1]
+        oracle = TraceAccumulator(ddr3_model, strict=False)
+        oracle.feed(commands_from_records(kept, decoder,
+                                          DEFAULT_CLOCK))
+        assert 0 < len(kept) < len(lines)
+        assert (_result_key(masked.result())
+                == _result_key(oracle.result()))
+        assert masked.commands_seen == oracle.commands_seen
 
     def test_record_streams_refuse_process(self, ddr3_model):
-        """Shard workers re-read a file; a record stream cannot be
-        re-read, so sharded replay is file-only."""
+        """``process`` is an unknown backend like any other name."""
         decoder = AddressDecoder.from_device(ddr3_model.device,
                                              rank_bits=2)
         lines = _shard_lines("k6", 10, decoder.address_bits)
-        records = iter_records(iter(lines), "k6")
-        with pytest.raises(TraceError, match="process.*trace file"):
-            accumulate_records(ddr3_model, records, decoder=decoder,
-                               backend="process")
+        for backend in ("thread", "process"):
+            records = iter_records(iter(lines), "k6")
+            with pytest.raises(TraceError,
+                               match="unknown trace backend"):
+                accumulate_records(ddr3_model, records,
+                                   decoder=decoder, backend=backend)
 
     def test_empty_and_full_shard_ranges(self, ddr3_model, tmp_path):
         decoder = AddressDecoder.from_device(ddr3_model.device,
@@ -200,10 +213,3 @@ class TestShardedReplayParity:
                                 DEFAULT_CLOCK,
                                 range(decoder.num_shards))
         assert _result_key(full.result()) == _result_key(serial)
-
-    def test_shard_assignments_cover_in_order(self):
-        for shards, workers in ((1, 4), (4, 2), (8, 3), (16, 16)):
-            ranges = shard_assignments(shards, workers)
-            covered = [i for low, high in ranges
-                       for i in range(low, high)]
-            assert covered == list(range(shards))

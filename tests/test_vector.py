@@ -11,8 +11,9 @@ Three concerns, in the order the ISSUE states them:
   take the scalar path and are counted, and a process without numpy
   degrades whole batches to scalar with the one-time
   ``vector_downgrades`` marker;
-* **policy** — grouping, eligibility, the cost model extension of
-  ``choose_backend`` and the counters the engine stats report.
+* **policy** — grouping, eligibility and the counters the engine
+  stats report (the ``auto`` rule itself is tabled in
+  ``test_auto_backend.py``).
 """
 
 import importlib.util
@@ -25,10 +26,8 @@ from repro.analysis.montecarlo import monte_carlo
 from repro.analysis.sensitivity import sensitivity
 from repro.devices import build_device
 from repro.engine import (MIN_BATCH, VECTOR, EvaluationSession,
-                          build_family_models, choose_backend,
-                          estimate_vector_seconds, numpy_available,
+                          build_family_models, numpy_available,
                           plan_batches, resolve_backend)
-from repro.engine.executor import DEFAULT_VECTOR_SECONDS
 from repro.engine.cache import EngineStats
 
 needs_numpy = pytest.mark.skipif(not numpy_available(),
@@ -310,63 +309,12 @@ def test_plan_keys_align_with_devices(ddr3_device):
 
 
 # ----------------------------------------------------------------------
-# Backend policy and cost model.
+# Backend names.
 # ----------------------------------------------------------------------
 def test_resolve_backend_passes_vector_through():
-    assert resolve_backend(VECTOR, None) == VECTOR
+    assert resolve_backend(VECTOR) == VECTOR
     with pytest.raises(Exception, match="vector"):
-        resolve_backend("cluster", None)
-
-
-class TestChooseBackendVector:
-    def test_single_worker_still_chooses_vector(self):
-        # The kernel folds in-process: one usable CPU rules out the
-        # pool, not the columnar path (the bug the ISSUE's cost-model
-        # satellite names).
-        assert choose_backend(64, jobs=1, build_seconds=0.005,
-                              vector_eligible=True) == VECTOR
-
-    def test_vector_beats_pool_on_fold_cost(self):
-        assert choose_backend(400, jobs=4, build_seconds=0.005,
-                              vector_eligible=True) == VECTOR
-
-    def test_ineligible_keeps_scalar_decision(self):
-        assert choose_backend(400, jobs=4, build_seconds=0.005,
-                              vector_eligible=False) == "process"
-        assert choose_backend(64, jobs=1, build_seconds=0.005,
-                              vector_eligible=False) == "serial"
-
-    def test_expensive_fold_loses_to_serial(self):
-        assert choose_backend(64, jobs=1, build_seconds=0.005,
-                              vector_eligible=True,
-                              vector_seconds=0.05) == "serial"
-
-    def test_tiny_sweeps_stay_serial_even_when_eligible(self):
-        assert choose_backend(2, jobs=1, build_seconds=0.005,
-                              vector_eligible=True) == "serial"
-
-    def test_warm_cache_discounts_both_sides_equally(self):
-        # A 99 % hit rate shrinks serial and vector alike; vector
-        # still wins on the per-variant cost ratio.
-        assert choose_backend(64, jobs=1, build_seconds=0.005,
-                              expected_hit_rate=0.99,
-                              vector_eligible=True) == VECTOR
-
-
-class TestEstimateVectorSeconds:
-    def test_default_without_stats(self):
-        assert estimate_vector_seconds(None) == DEFAULT_VECTOR_SECONDS
-
-    def test_default_before_first_fold(self):
-        stats = EngineStats(hits=0, misses=0, evictions=0, size=0,
-                            capacity=8, build_seconds=0.0)
-        assert estimate_vector_seconds(stats) == DEFAULT_VECTOR_SECONDS
-
-    def test_observed_cost_is_per_build(self):
-        stats = EngineStats(hits=0, misses=0, evictions=0, size=0,
-                            capacity=8, build_seconds=0.0,
-                            vector_builds=50, vector_seconds=0.005)
-        assert estimate_vector_seconds(stats) == pytest.approx(1e-4)
+        resolve_backend("cluster")
 
 
 # ----------------------------------------------------------------------
