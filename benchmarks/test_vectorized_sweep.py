@@ -4,9 +4,9 @@ A 64-point sweep family is evaluated three ways through the engine:
 
 * **cold** — every variant is a full scalar ``DramPowerModel`` build;
 * **scalar warm** — the family maps through an
-  :class:`~repro.engine.EvaluationSession` whose stage cache already
-  holds the base model, ``backend="serial"`` (the incremental path of
-  E-INC: clean stages reuse, dirty stages rebuild per variant);
+  :class:`~repro.engine.EvaluationSession` whose model cache already
+  holds the base model, ``backend="serial"``: every variant is still a
+  full scalar build (there is no stage reuse between builds);
 * **vectorized** — the same warm-session scenario with
   ``backend="vector"``: the whole family folds as one
   (variants × events) broadcast plus one firing-weight matmul

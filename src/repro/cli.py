@@ -268,16 +268,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                        title=f"Feasibility of {device.name}"))
     stats = session.stats
     print(f"engine: {stats}")
-    if stats.stage_lookups:
-        print(f"stage-cache: hits={stats.stage_hits} "
-              f"misses={stats.stage_misses} "
-              f"hit-rate={stats.stage_hit_rate:.1%}")
-    if stats.vector_batches or stats.vector_downgrades:
-        print(f"vector: batches={stats.vector_batches} "
-              f"builds={stats.vector_builds} "
-              f"fallbacks={stats.vector_fallbacks} "
-              f"downgrades={stats.vector_downgrades} "
-              f"time={stats.vector_seconds:.3f}s")
     if session.cache_dir is not None:
         print(f"model-cache: dir={session.cache_dir} "
               f"hit-rate={stats.hit_rate:.1%} "

@@ -11,12 +11,12 @@ stage of Figure 4, now split along the paper's own pipeline boundary:
   skeletons are resolved against the device's voltage set into finished
   :class:`~repro.core.events.ChargeEvent` objects.
 
-Keeping the two stages separate lets the evaluation engine reuse the
-(expensive) capacitance extraction across device variants that only
-perturb voltages; :func:`build_events` composes both for callers that
-want the historical single-step behaviour.  Both paths are bit-for-bit
-identical: skeleton resolution applies exactly the swing arithmetic the
-one-step builder used.
+Keeping the two stages separate lets the vectorized kernel run the
+(expensive) capacitance extraction once for all variants of a sweep
+family that only perturb voltages; :func:`build_events` composes both
+for callers that want the historical single-step behaviour.  Both
+paths are bit-for-bit identical: skeleton resolution applies exactly
+the swing arithmetic the one-step builder used.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ energy-per-bit figures.  The pipeline mirrors the paper:
 3. fold events into per-operation energies and background power;
 4. evaluate command patterns: power = background + Σ count·E_op / time;
 5. report currents at the external supply (datasheet IDD convention).
+
+A cold build runs these steps straight through.  Only the vectorized
+kernel (:mod:`repro.engine.vector`) hands in prebuilt geometry,
+skeletons and folded energies.
 """
 
 from __future__ import annotations
@@ -66,19 +70,17 @@ class DramPowerModel:
 
     Construction runs the Figure-4 pipeline stage by stage — geometry,
     capacitance extraction (skeletons), charge determination (events),
-    per-operation energies — and each stage can be handed in prebuilt by
-    the evaluation engine's incremental builder
-    (:mod:`repro.engine.stages`), which reuses every stage whose inputs
-    are unchanged from an earlier build.  A model assembled from reused
-    stage artifacts is bit-for-bit identical to a cold build.
+    per-operation energies.  ``events`` substitutes a transformed charge
+    list (the schemes); ``geometry``, ``skeletons`` and ``energies``
+    let the vectorized kernel hand in what it built for a whole sweep
+    family.
     """
 
     def __init__(self, device: DramDescription,
                  events: Optional[Tuple[ChargeEvent, ...]] = None,
                  geometry: Optional[FloorplanGeometry] = None, *,
                  skeletons: Optional[Tuple[EventSkeleton, ...]] = None,
-                 energies: Optional[OperationEnergies] = None,
-                 default_power: Optional["PatternPower"] = None):
+                 energies: Optional[OperationEnergies] = None):
         self.device = device
         if geometry is None:
             geometry = FloorplanGeometry(device)
@@ -96,7 +98,7 @@ class DramPowerModel:
         self._events = tuple(events) if events is not None else None
         self.energies = (energies if energies is not None
                          else OperationEnergies(device, self._events))
-        self._default_power = default_power
+        self._default_power: Optional[PatternPower] = None
 
     @property
     def events(self) -> Tuple[ChargeEvent, ...]:

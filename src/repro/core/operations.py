@@ -197,22 +197,6 @@ class OperationEnergies:
             )
         return breakdown
 
-    def rebind(self, device: DramDescription) -> "OperationEnergies":
-        """A copy of these energies bound to ``device``.
-
-        The folded results are shared, not recomputed — valid exactly
-        when ``device`` carries the same voltages, specification and
-        constant-current values as the original, which is what the
-        engine's current-stage fingerprint guarantees.
-        """
-        clone = object.__new__(OperationEnergies)
-        clone.device = device
-        clone._events = self._events
-        clone._skeletons = self._skeletons
-        clone._energies = self._energies
-        clone._background = self._background
-        return clone
-
     # ------------------------------------------------------------------
     def operation_energy(self, command: Command) -> EnergyBreakdown:
         """Energy per occurrence of ``command`` (J at Vdd), by component."""

@@ -28,10 +28,10 @@ The engine provides one construction path for all of them:
 * :class:`repro.engine.variant.Variant` — declarative perturbations
   (deltas) of a base description, replacing ad-hoc
   ``dataclasses.replace`` scattering in the sweep code;
-* :mod:`repro.engine.stages` — the Figure-4 pipeline split into
-  individually fingerprinted stages (geometry, capacitance, charge,
-  current, power) with a :class:`~repro.engine.stages.StageCache`, so
-  cold builds reuse every stage whose inputs are unchanged;
+* :mod:`repro.engine.stages` — chained keys of the first two
+  Figure-4 stages (geometry, capacitance), the two keys the vector
+  planner groups a sweep family by; a cold scalar build itself runs
+  the pipeline straight through;
 * :mod:`repro.engine.vector` — the columnar kernel: batchable sweep
   families evaluate as (variants × events) array math against the
   scalar path as bit-level oracle, picked automatically by
@@ -50,8 +50,7 @@ from .diskcache import DiskModelCache, default_cache_dir, model_code_token
 from .fingerprint import canonical_form, fingerprint
 from .session import (AUTO, BACKENDS, VECTOR, EvaluationSession,
                       ensure_session, evaluate_many, resolve_backend)
-from .stages import (FIELD_STAGES, STAGE_INPUTS, STAGE_ORDER, StageCache,
-                     build_model, dirty_stages, stage_keys)
+from .stages import STAGE_INPUTS, STAGE_ORDER, stage_keys
 from .variant import Variant, scaling
 from .vector import (MIN_BATCH, VectorPlan, build_family_models,
                      numpy_available, plan_batches)
@@ -77,12 +76,8 @@ __all__ = [
     "EvaluationSession",
     "ensure_session",
     "evaluate_many",
-    "FIELD_STAGES",
     "STAGE_INPUTS",
     "STAGE_ORDER",
-    "StageCache",
-    "build_model",
-    "dirty_stages",
     "stage_keys",
     "Variant",
     "scaling",

@@ -34,8 +34,6 @@ from ..description import DramDescription
 from ..errors import ModelError
 from .diskcache import DiskModelCache
 from .fingerprint import fingerprint
-from .stages import (DEFAULT_STAGE_CAPACITY, STAGE_ORDER, StageCache,
-                     build_model, seed_stage_cache, stage_payload)
 
 #: Default number of built models kept alive.
 DEFAULT_CAPACITY = 256
@@ -72,11 +70,6 @@ class EngineStats:
     """Cold builds persisted to the on-disk cache."""
     disk_corrupt: int = 0
     """Disk entries skipped as corrupt or stale (treated as misses)."""
-    stage_hits: int = 0
-    """Pipeline stages reused from the stage cache during cold model
-    builds (geometry/capacitance/charge/current/power granularity)."""
-    stage_misses: int = 0
-    """Pipeline stages that had to be computed during cold builds."""
     vector_batches: int = 0
     """Sweep-family batches folded columnarly by the vectorized
     kernel (one batch = one (variants × events) array fold)."""
@@ -106,27 +99,10 @@ class EngineStats:
             return 0.0
         return (self.hits + self.disk_hits) / self.lookups
 
-    @property
-    def stage_lookups(self) -> int:
-        """Total stage-cache lookups during cold builds."""
-        return self.stage_hits + self.stage_misses
-
-    @property
-    def stage_hit_rate(self) -> float:
-        """Pipeline stages reused instead of recomputed; 0.0 before
-        the first cold build."""
-        if not self.stage_lookups:
-            return 0.0
-        return self.stage_hits / self.stage_lookups
-
     def __str__(self) -> str:
         text = (f"hits={self.hits} misses={self.misses} "
                 f"hit-rate={self.hit_rate:.1%} size={self.size}/"
                 f"{self.capacity} build-time={self.build_seconds:.3f}s")
-        if self.stage_hits or self.stage_misses:
-            text += (f" stages[hits={self.stage_hits} "
-                     f"misses={self.stage_misses} "
-                     f"hit-rate={self.stage_hit_rate:.1%}]")
         if (self.disk_hits or self.disk_misses or self.disk_writes
                 or self.disk_corrupt):
             text += (f" disk[hits={self.disk_hits} "
@@ -213,12 +189,8 @@ class ModelCache:
         self.disk = disk
         self._models: "OrderedDict[str, DramPowerModel]" = OrderedDict()
         self._lock = threading.Lock()
-        self.stages = StageCache(
-            max(DEFAULT_STAGE_CAPACITY, capacity * len(STAGE_ORDER)))
-        # One ``_<name>`` attribute per counter.  ``_stage_hits``,
-        # ``_stage_misses`` and ``_disk_corrupt`` stay zero:
-        # :meth:`stats` adds the stage cache's and the disk cache's
-        # own counts.
+        # One ``_<name>`` attribute per counter.  ``_disk_corrupt``
+        # stays zero: :meth:`stats` adds the disk cache's own count.
         zero = EngineStats()
         for name in _COUNTERS:
             setattr(self, "_" + name, getattr(zero, name))
@@ -309,14 +281,10 @@ class ModelCache:
             elapsed = 0.0
             if loaded is None:
                 started = time.perf_counter()
-                built = build_model(device, self.stages)
+                built = DramPowerModel(device)
                 elapsed = time.perf_counter() - started
             else:
                 built = loaded
-                payload = stage_payload(device, loaded)
-                if payload is not None:
-                    # Disk-loaded stages feed later incremental builds.
-                    seed_stage_cache(self.stages, payload)
             stored_fresh = False
             with self._lock:
                 if loaded is not None:
@@ -350,22 +318,17 @@ class ModelCache:
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every cached model and stage artifact (counters keep
-        accumulating)."""
+        """Drop every cached model (counters keep accumulating)."""
         with self._lock:
             self._models.clear()
-        self.stages.clear()
 
     def stats(self) -> EngineStats:
         """A consistent snapshot of the counters."""
         corrupt = (self.disk.corrupt_entries
                    if self.disk is not None else 0)
-        stage_hits, stage_misses = self.stages.counters()
         with self._lock:
             counts = {name: getattr(self, "_" + name)
                       for name in _COUNTERS}
             size = len(self._models)
         counts["disk_corrupt"] += corrupt
-        counts["stage_hits"] += stage_hits
-        counts["stage_misses"] += stage_misses
         return EngineStats(size=size, capacity=self.capacity, **counts)

@@ -125,37 +125,6 @@ class Variant:
     def __bool__(self) -> bool:
         return bool(self.deltas)
 
-    # -- stage introspection -------------------------------------------
-    def touched_fields(self) -> Tuple[str, ...]:
-        """The top-level description fields this variant may change.
-
-        Path deltas touch their dotted path's root field; logic deltas
-        touch ``logic_blocks``; ``call`` deltas are opaque transforms
-        and conservatively touch every field.  Sorted and deduplicated.
-        """
-        fields = set()
-        for delta in self.deltas:
-            if delta.kind in ("scale", "set"):
-                fields.add(delta.target.split(".", 1)[0])
-            elif delta.kind == "logic":
-                fields.add("logic_blocks")
-            else:
-                fields.update(
-                    item.name
-                    for item in dataclasses.fields(DramDescription))
-        return tuple(sorted(fields))
-
-    def dirty_stages(self) -> Tuple[str, ...]:
-        """Pipeline stages this variant invalidates (see
-        :func:`repro.engine.stages.dirty_stages`).
-
-        A voltage-only variant, for example, reports
-        ``("charge", "current", "power")`` — its sweeps reuse the
-        geometry and capacitance stages of the base model verbatim.
-        """
-        from .stages import dirty_stages
-        return dirty_stages(self.touched_fields())
-
 
 def scaling(paths: Iterable[str], factor: float,
             label: str = "") -> Variant:

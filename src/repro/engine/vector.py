@@ -3,10 +3,9 @@
 A sweep family — the variants of a sensitivity Pareto, a Monte-Carlo
 draw, a voltage or technology trend — is a batch of devices that share
 a floorplan and differ in a handful of numeric fields.  The scalar
-path builds each variant's model independently; even with perfect
-stage-cache reuse, the per-variant charge → current → power fold
-dominates (the incremental benchmarks record voltage sweeps at ~1×
-warm).  This module folds the *whole family at once* as array math:
+path builds each variant's model independently, running the whole
+charge → current → power fold once per variant.  This module folds the
+*whole family at once* as array math:
 
 * devices group by their **geometry** stage key (shared floorplan and
   spec, hence shared firing rates) and subgroup by the **structure
@@ -24,6 +23,10 @@ warm).  This module folds the *whole family at once* as array math:
   lands real :class:`~repro.core.DramPowerModel` objects whose folded
   energies agree with the scalar oracle to ~1e-15 relative (the only
   difference is float summation order).
+
+One call builds one :class:`~repro.floorplan.FloorplanGeometry` per
+geometry group and one skeleton list per capacitance key, and keeps
+them in locals; nothing is memoised across calls.
 
 numpy is an *optional* dependency (the ``repro[vector]`` extra): with
 numpy missing every entry point degrades to the scalar path and sets
@@ -57,7 +60,7 @@ from ..core.operations import (EnergyBreakdown, OperationEnergies,
 from ..description import Command, DramDescription
 from ..description.voltages import RAIL_INDEX
 from ..floorplan import FloorplanGeometry
-from .stages import chain_stage_key
+from .stages import STAGE_INPUTS, chain_stage_key
 
 #: Narrowest sweep the auto policy will consider vector-eligible: the
 #: kernel's per-batch setup (grouping, weight matrix, array staging)
@@ -98,37 +101,32 @@ class VectorPlan:
                    for members in self.groups.values())
 
 
-#: Stage-input field names, loaded once (identity-dedup below).
-_GEOMETRY_FIELDS = ("floorplan", "spec")
-_CAPACITANCE_FIELDS = ("technology", "floorplan", "spec", "signaling",
-                       "logic_blocks")
-
-
 def plan_batches(devices: Sequence[DramDescription]) -> VectorPlan:
     """Group a device batch by shared geometry stage key.
 
-    Two chained hashes per device (geometry, capacitance) — the head
-    of the :func:`~repro.engine.stages.stage_keys` chain — instead of
-    all five: the kernel never keys charge/current/power artifacts.
-    Variants built by ``dataclasses.replace`` share their unchanged
-    sub-objects, so the hashes dedupe by input *identity* within the
-    call — a 64-point voltage family hashes its shared floorplan and
-    spec once, not 64 times.  (Identity keys are only valid while the
-    devices stay alive, which the local scope guarantees.)
+    Two chained hashes per device (geometry, capacitance), the links
+    of :func:`~repro.engine.stages.stage_keys`.  Variants built by
+    ``dataclasses.replace`` share their unchanged sub-objects, so the
+    hashes dedupe by input *identity* within the call — a 64-point
+    voltage family hashes its shared floorplan and spec once, not 64
+    times.  (Identity keys are only valid while the devices stay
+    alive, which the local scope guarantees.)
     """
+    geometry_fields = STAGE_INPUTS["geometry"]
+    capacitance_fields = STAGE_INPUTS["capacitance"]
     geometry_keys: List[str] = []
     capacitance_keys: List[str] = []
     groups: Dict[str, List[int]] = {}
     memo: Dict[Tuple, str] = {}
     for index, device in enumerate(devices):
         identity = tuple(id(getattr(device, name))
-                         for name in _GEOMETRY_FIELDS)
+                         for name in geometry_fields)
         gkey = memo.get(identity)
         if gkey is None:
             gkey = chain_stage_key("", "geometry", device)
             memo[identity] = gkey
         identity = (gkey,) + tuple(id(getattr(device, name))
-                                   for name in _CAPACITANCE_FIELDS)
+                                   for name in capacitance_fields)
         ckey = memo.get(identity)
         if ckey is None:
             ckey = chain_stage_key(gkey, "capacitance", device)
@@ -324,25 +322,15 @@ def build_family_models(devices: Sequence[DramDescription], cache,
     builds = 0
     leftover: List[Tuple[int, str]] = []
     started = time.perf_counter()
-    for gkey, entries in pending.items():
-        stages = cache.stages
-        geometry = stages.get("geometry", gkey)
-        if geometry is None:
-            geometry = FloorplanGeometry(devices[entries[0][0]])
-            stages.put("geometry", gkey, geometry)
-
+    for entries in pending.values():
+        geometry = FloorplanGeometry(devices[entries[0][0]])
         skeletons_by_ckey: Dict[str, tuple] = {}
         for index, _key in entries:
             ckey = plan.capacitance_keys[index]
-            if ckey in skeletons_by_ckey:
-                continue
-            skeletons = stages.get("capacitance", ckey)
-            if skeletons is None:
+            if ckey not in skeletons_by_ckey:
                 device = devices[index]
-                skeletons = build_skeletons(device,
-                                            geometry.rebind(device))
-                stages.put("capacitance", ckey, skeletons)
-            skeletons_by_ckey[ckey] = skeletons
+                skeletons_by_ckey[ckey] = build_skeletons(
+                    device, geometry.rebind(device))
 
         signature_by_ckey = {
             ckey: skeleton_signature(skeletons)

@@ -472,8 +472,6 @@ def engine_payload(stats: EngineStats) -> Dict[str, Any]:
     engine: Dict[str, Any] = dataclasses.asdict(stats)
     engine["hit_rate"] = stats.hit_rate
     engine["lookups"] = stats.lookups
-    engine["stage_hit_rate"] = stats.stage_hit_rate
-    engine["stage_lookups"] = stats.stage_lookups
     return engine
 
 

@@ -68,6 +68,7 @@ import dataclasses
 import gzip as gzip_module
 import json
 import logging
+import re
 import signal
 import socket
 import struct
@@ -102,6 +103,10 @@ _LOG = logging.getLogger("repro.service")
 #: Largest accepted request body; bigger posts are refused with 413
 #: so one misbehaving client cannot balloon the daemon.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: A chunk-size line of a chunked request body: one or more hex
+#: digits, optional ``;`` extensions, then the line end.
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:;[^\r\n]*)?\r?\n")
 
 #: Per-request deadline override header (seconds, e.g. ``0.5``).
 TIMEOUT_HEADER = "X-Request-Timeout"
@@ -442,12 +447,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             line = self.rfile.readline(1026)
             if not line:
                 raise ServiceError("chunked request body truncated")
-            try:
-                size = int(line.split(b";", 1)[0].strip() or b"x", 16)
-            except ValueError:
+            match = _CHUNK_SIZE_LINE.fullmatch(line)
+            if match is None:
                 raise ServiceError(
-                    "malformed chunk-size line in request body"
-                ) from None
+                    "malformed chunk-size line in request body")
+            size = int(match.group(1), 16)
             if size == 0:
                 # Consume optional trailers up to the blank line.
                 while True:
@@ -463,7 +467,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                         "chunked request body truncated")
                 remaining -= len(chunk)
                 yield chunk
-            self.rfile.read(2)  # CRLF after each chunk's data
+            if self.rfile.read(2) != b"\r\n":
+                raise ServiceError(
+                    "chunk data not followed by CRLF in request body")
 
     # ------------------------------------------------------------------
     def _authorized(self, path: str) -> bool:

@@ -1,6 +1,8 @@
 """The ``POST /trace`` endpoint: JSON mode, raw chunked uploads."""
 
 import gzip
+import json
+import socket
 import threading
 
 import pytest
@@ -274,6 +276,48 @@ class TestRawMode:
         with pytest.raises(ServiceError, match="BOGUS"):
             client.trace(b"0x0 READ 0\n0x10 BOGUS 5\n",
                          device={"node": 55})
+
+    @pytest.mark.parametrize("head, tail, verdict", [
+        (b"18\r\n", b"\r\n0\r\n\r\n", "done"),
+        (b"18;name=v\r\n", b"\r\n0\r\n\r\n", "done"),
+        (b"0x18\r\n", b"\r\n0\r\n\r\n", 400),
+        (b"+18\r\n", b"\r\n0\r\n\r\n", 400),
+        (b"1_8\r\n", b"\r\n0\r\n\r\n", 400),
+        (b"18\r\n", b"\r\n-0\r\n\r\n", 400),
+        (b"18\r\n", b"ZZ0\r\n\r\n", 400),
+        (b"-2\r\n18\r\n", b"\r\n0\r\n\r\n", 400),
+    ], ids=["plain", "extension", "0x-prefix", "plus-sign",
+            "underscore", "minus-zero-last", "no-crlf-after-data",
+            "negative-size"])
+    def test_chunk_framing_is_checked(self, service, head, tail,
+                                      verdict):
+        trace = b"0x0 P_MEM_RD 0\n0x4 RD 9\n"  # 0x18 bytes
+        request = (b"POST /trace?node=55 HTTP/1.1\r\n"
+                   b"Host: 127.0.0.1\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n")
+        with socket.create_connection(
+                ("127.0.0.1", service.server_port), timeout=30) as sock:
+            sock.sendall(request + head + trace + tail)
+            reply = b""
+            while True:  # raw uploads always close the connection
+                data = sock.recv(65536)
+                if not data:
+                    break
+                reply += data
+        _, _, body = reply.partition(b"\r\n\r\n")
+        records = []
+        while body:
+            size_line, _, body = body.partition(b"\r\n")
+            size = int(size_line, 16)
+            if not size:
+                break
+            records.append(json.loads(body[:size]))
+            body = body[size + 2:]
+        last = records[-1]
+        if verdict == "done":
+            assert last.get("done") is True, last
+        else:
+            assert last.get("status") == verdict, last
 
 
 # ----------------------------------------------------------------------
