@@ -132,6 +132,10 @@ def _block_to_dict(block: LogicBlock) -> Dict[str, Any]:
 
 def from_dict(data: Dict[str, Any]) -> DramDescription:
     """Rebuild a description from :func:`to_dict` output."""
+    if not isinstance(data, dict):
+        raise DescriptionError(
+            "a JSON description must be an object, not "
+            f"{type(data).__name__}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DescriptionError(

@@ -34,6 +34,8 @@ description never takes the daemon down.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import threading
 from collections import OrderedDict
@@ -51,8 +53,7 @@ from ..description.jsonio import from_dict
 from ..description.pattern import Command
 from ..devices import build_device
 from ..dsl import loads
-from ..engine import (AUTO, EngineStats, EvaluationSession,
-                      fingerprint, resolve_backend)
+from ..engine import AUTO, EngineStats, EvaluationSession, resolve_backend
 from ..errors import ReproError, ServiceError
 from ..schemes import ALL_SCHEMES, compare_schemes
 from ..technology.roadmap import nodes
@@ -74,16 +75,17 @@ def _finite(value: float) -> Optional[float]:
 class ResultCache:
     """Bounded LRU of whole ``/evaluate`` responses.
 
-    Keyed on ``(device fingerprints, pattern string)`` — everything
-    that determines the response — so a warm repeat skips not just the
-    model build but the evaluation and response assembly too.  Thread
-    safe; a zero capacity disables it.  Hit/miss counters surface in
+    Keyed on :func:`request_key`, the SHA-256 digest of the canonical
+    request body: the reply is a pure function of the body, so a warm
+    repeat skips device decoding, fingerprinting, the model build,
+    the evaluation and response assembly.  Thread safe; a zero
+    capacity disables it.  Hit/miss counters surface in
     ``GET /stats`` under ``result_cache``.
     """
 
     def __init__(self, capacity: int = 256):
         self.capacity = max(0, capacity)
-        self._entries: "OrderedDict[Tuple, Dict[str, Any]]" = \
+        self._entries: "OrderedDict[bytes, Dict[str, Any]]" = \
             OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -93,7 +95,7 @@ class ResultCache:
     def enabled(self) -> bool:
         return self.capacity > 0
 
-    def get(self, key: Tuple) -> Optional[Dict[str, Any]]:
+    def get(self, key: bytes) -> Optional[Dict[str, Any]]:
         """The cached response for ``key``, counting hit or miss."""
         if not self.enabled:
             return None
@@ -106,7 +108,7 @@ class ResultCache:
             self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: Tuple, value: Dict[str, Any]) -> None:
+    def put(self, key: bytes, value: Dict[str, Any]) -> None:
         if not self.enabled:
             return
         with self._lock:
@@ -254,6 +256,22 @@ EVALUATE = Operation(
     rows=_evaluate_rows, record="result")
 
 
+def request_key(payload: Any) -> bytes:
+    """The :class:`ResultCache` key of a request body: the SHA-256
+    digest of its key-sorted JSON.
+
+    A digest, not the canonical string, keeps every key at 32 bytes
+    however long the body (a DSL text may carry comments up to the
+    body cap).  A body too deeply nested to re-encode is a 400, like
+    one too deeply nested to decode.
+    """
+    try:
+        canonical = json.dumps(payload, sort_keys=True)
+    except RecursionError as exc:
+        raise ServiceError(f"invalid JSON body: {exc}") from exc
+    return hashlib.sha256(canonical.encode("utf-8")).digest()
+
+
 def evaluate_payload(session: EvaluationSession, payload: Any,
                      cache: Optional[ResultCache] = None
                      ) -> Dict[str, Any]:
@@ -263,17 +281,17 @@ def evaluate_payload(session: EvaluationSession, payload: Any,
     optional ``"pattern"`` command loop evaluated on every device
     (the device default pattern when omitted).  Results keep the
     request order.  With a :class:`ResultCache` the whole response is
-    memoized on ``(fingerprints, pattern)``: a repeat request skips
-    evaluation entirely.
+    memoized on :func:`request_key`, looked up before the body is
+    parsed: a repeat request does no model work at all.  Only
+    successful replies are stored.
     """
-    request = parse_evaluate_request(payload)
     key = None
     if cache is not None and cache.enabled:
-        key = (tuple(fingerprint(device) for device in request[0]),
-               payload.get("pattern"))
+        key = request_key(payload)
         memoized = cache.get(key)
         if memoized is not None:
             return memoized
+    request = parse_evaluate_request(payload)
     results = _buffered_rows(session, EVALUATE, request)
     body = {"count": len(results), "results": results}
     if key is not None:

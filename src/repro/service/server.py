@@ -200,10 +200,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
     #: this many silent seconds (also bounds half-sent requests).
     timeout = 30.0
 
-    #: TCP_NODELAY: headers and body are separate writes, and on a
-    #: reused keep-alive connection Nagle would hold the body until
-    #: the peer's delayed ACK (~40 ms per warm request).  Streaming
-    #: chunks need immediate flushes for the same reason.
+    #: TCP_NODELAY: a stream's header block and each of its chunks
+    #: are separate writes, and on a reused keep-alive connection
+    #: Nagle would hold the next one until the peer's delayed ACK
+    #: (~40 ms).  A buffered reply is a single write.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -518,7 +518,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         raw = b"".join(self._iter_sized_body(length))
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder's stack.
             raise ServiceError(f"invalid JSON body: {exc}") from exc
 
     def _accepts_gzip(self) -> bool:
@@ -566,9 +567,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header(WORKER_HEADER, str(server.worker_id))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
+        # One write for the header block, its blank line and the body
+        # (``end_headers`` would send the headers on their own).  An
+        # HTTP/0.9 reply has no header block.
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = [blob]
+        else:
+            self._headers_buffer += [b"\r\n", blob]
         try:
-            self.wfile.write(blob)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing left to tell it
 

@@ -69,6 +69,15 @@ class TestJobEndpoints:
         assert caught.value.status == 409
         client.close()
 
+    def test_non_object_json_device_is_400(self, jobs_service):
+        client = _client(jobs_service, retry=NO_RETRY)
+        with pytest.raises(ServiceError) as caught:
+            client.submit_job("evaluate",
+                              params={"devices": [{"json": []}]})
+        assert caught.value.status == 400
+        assert client.request("GET", "/jobs")["count"] == 0
+        client.close()
+
     def test_listing_counts_jobs(self, jobs_service):
         client = _client(jobs_service)
         client.submit_job("montecarlo", params=MC)

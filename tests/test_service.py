@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.client import ServiceClient
+from repro.client import NO_RETRY, ServiceClient
 from repro.description.jsonio import to_dict
 from repro.devices import build_device
 from repro.dsl import dumps
@@ -20,9 +20,16 @@ from repro.engine import EvaluationSession
 from repro.errors import ServiceError
 from repro.analysis.sensitivity import sensitivity
 from repro.schemes import compare_schemes
-from repro.service import create_service
+from repro.service import create_service, jsonapi
+from repro.service.faults import FaultInjector, FaultRule
 from repro.service.jsonapi import (device_from_payload,
                                    evaluate_payload, sweep_kinds)
+
+
+def _nested(depth):
+    """A JSON body nested ``depth`` levels: two objects, then lists."""
+    inner = "[" * (depth - 2) + "]" * (depth - 2)
+    return ('{"device": {"x": ' + inner + "}}").encode()
 
 
 @pytest.fixture()
@@ -110,17 +117,92 @@ class TestEvaluate:
         assert reply["results"][0]["device"] == ddr3_device.name
 
     def test_second_identical_request_hits_warm_cache(self, client):
-        client.evaluate(device={"node": 55})
+        first = client.evaluate(device={"node": 55})
         cold = client.stats()
-        client.evaluate(device={"node": 55})
+        second = client.evaluate(device={"node": 55})
         warm = client.stats()
         # Answered from the memoized response: one more result-cache
         # hit, and the engine never even sees the repeat (no new
         # lookup, no cold build).
+        assert second == first
         assert warm["result_cache"]["hits"] == \
             cold["result_cache"]["hits"] + 1
         assert warm["engine"]["misses"] == cold["engine"]["misses"]
         assert warm["engine"]["lookups"] == cold["engine"]["lookups"]
+
+    def test_cache_hit_parses_nothing(self, client, monkeypatch):
+        body = {"device": {"node": 65}, "pattern": "act nop rd pre"}
+        first = client.request("POST", "/evaluate", body)
+
+        def refuse(payload):
+            raise AssertionError("a cache hit must not parse the body")
+
+        monkeypatch.setattr(jsonapi, "parse_evaluate_request", refuse)
+        assert client.request("POST", "/evaluate", body) == first
+
+    def test_key_order_does_not_matter(self, client):
+        pattern = "act nop rd nop pre"
+        first = client.request("POST", "/evaluate", {
+            "device": {"node": 55, "io_width": 16},
+            "pattern": pattern})
+        before = client.stats()["result_cache"]
+        again = client.request("POST", "/evaluate", {
+            "pattern": pattern,
+            "device": {"io_width": 16, "node": 55}})
+        after = client.stats()["result_cache"]
+        assert again == first
+        assert after["hits"] == before["hits"] + 1
+        assert after["size"] == before["size"]
+
+    def test_each_spelling_of_a_device_is_its_own_entry(self, client):
+        # One device, three request bodies: equal answers, but the key
+        # is the body, so each spelling takes its own entry.
+        replies = [client.request("POST", "/evaluate", body)
+                   for body in ({"device": {}},
+                                {"device": {"node": 55}},
+                                {"devices": [{"node": 55}]})]
+        assert replies[0] == replies[1] == replies[2]
+        cache = client.stats()["result_cache"]
+        assert cache["size"] == 3
+        assert cache["hits"] == 0
+
+    def test_failed_request_is_never_stored(self, client):
+        before = client.stats()["result_cache"]
+        for _ in range(2):
+            with pytest.raises(ServiceError) as failure:
+                client.evaluate(device={"nodes": 55})
+            assert failure.value.status == 400
+        after = client.stats()["result_cache"]
+        assert after["size"] == before["size"]
+        assert after["misses"] == before["misses"] + 2
+
+    def test_spent_budget_is_504_even_when_cached(self, service,
+                                                  client):
+        client.evaluate(device={"node": 55})
+        before = client.stats()
+        service.faults = FaultInjector(rules=[
+            FaultRule(kind="latency", path="/evaluate",
+                      seconds=0.05)])
+        with pytest.raises(ServiceError) as failure:
+            client.request("POST", "/evaluate", {"device": {"node": 55}},
+                           request_timeout=0.01, retry=NO_RETRY)
+        assert failure.value.status == 504
+        after = client.stats()
+        assert after["timeouts"] == before["timeouts"] + 1
+        assert after["result_cache"]["hits"] == \
+            before["result_cache"]["hits"]
+
+    def test_keys_stay_32_bytes(self, service, client, ddr3_device):
+        padding = "# " + "x" * (1 << 20) + "\n"
+        client.evaluate(device={"dsl": padding + dumps(ddr3_device)})
+        keys = list(service.result_cache._entries)
+        assert len(keys) == 1
+        assert isinstance(keys[0], bytes) and len(keys[0]) == 32
+
+    def test_non_object_json_device_is_400(self, client):
+        with pytest.raises(ServiceError) as failure:
+            client.evaluate(device={"json": 5})
+        assert failure.value.status == 400
 
     def test_missing_device_key_is_400(self, client):
         with pytest.raises(ServiceError) as failure:
@@ -197,14 +279,24 @@ class TestTransport:
             client.request("POST", "/evaluate/extra", {"device": {}})
         assert failure.value.status == 404
 
-    def test_invalid_json_body_is_400(self, client, service):
-        url = f"http://127.0.0.1:{service.server_port}/evaluate"
-        request = urllib.request.Request(
-            url, data=b"not json", method="POST",
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as failure:
-            urllib.request.urlopen(request, timeout=10)
-        assert failure.value.code == 400
+    @pytest.mark.parametrize(
+        "body", [b"not json", _nested(5000)]
+        + [_nested(depth) for depth in range(970, 1001)],
+        ids=["not-json", "depth-5000"]
+        + [f"depth-{depth}" for depth in range(970, 1001)])
+    def test_invalid_json_body_is_400(self, client, service, body):
+        # Too deep for the stack is a 400 whether the decoder or the
+        # result-cache key runs out of it; a parsed body is a 400 for
+        # its unknown device key.  /evaluate twice covers the lookup.
+        for path in ("/evaluate", "/evaluate", "/sweep"):
+            url = f"http://127.0.0.1:{service.server_port}{path}"
+            request = urllib.request.Request(
+                url, data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as failure:
+                urllib.request.urlopen(request, timeout=10)
+            failure.value.close()
+            assert failure.value.code == 400, path
 
     def test_unreachable_service_raises_status_zero(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
@@ -252,9 +344,14 @@ class TestJsonApiDirect:
                                       "datarate": "1.6Gbps"})
         assert device.spec.datarate == pytest.approx(1.6e9)
 
-    def test_non_object_payload_rejected(self):
+    @pytest.mark.parametrize("payload", [
+        ["node", 55], {"json": 5}, {"json": []}, {"json": None},
+        {"json": "device"}],
+        ids=["list", "json-int", "json-list", "json-null",
+             "json-string"])
+    def test_non_object_payload_rejected(self, payload):
         with pytest.raises(ServiceError):
-            device_from_payload(["node", 55])
+            device_from_payload(payload)
 
     def test_evaluate_requires_object_body(self):
         with pytest.raises(ServiceError):

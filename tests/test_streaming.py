@@ -12,6 +12,7 @@ from repro.client import ServiceClient
 from repro.engine import EvaluationSession
 from repro.errors import ServiceError
 from repro.service import create_service
+from repro.service import server as server_module
 from repro.service.admission import Deadline, DeadlineSession
 from repro.service.jsonapi import evaluate_payload
 from repro.service.streaming import (evaluate_stream, sweep_stream,
@@ -171,7 +172,24 @@ class TestStreamingHttp:
             client.sweep_stream("bogus")
         assert err.value.status == 400
 
-    def test_mid_stream_disconnect_counts_abort(self, service):
+    def test_mid_stream_disconnect_counts_abort(self, service,
+                                                monkeypatch):
+        # Hold the stream after its first record until the client has
+        # reset the socket, so the rest is always written to a dead
+        # connection however the threads are scheduled.
+        reset = threading.Event()
+        real_stream = server_module.sweep_stream
+
+        def held_stream(session, payload):
+            records = real_stream(session, payload)
+
+            def hold():
+                yield next(records)
+                reset.wait(30)
+                yield from records
+            return hold()
+
+        monkeypatch.setattr(server_module, "sweep_stream", held_stream)
         payload = json.dumps({"kind": "trends",
                               "stream": True}).encode()
         request = (b"POST /sweep HTTP/1.1\r\n"
@@ -181,14 +199,17 @@ class TestStreamingHttp:
                    % (len(payload), payload))
         sock = socket.create_connection(
             ("127.0.0.1", service.server_port), timeout=30)
-        sock.sendall(request)
-        sock.settimeout(30)
-        sock.recv(1)  # wait for the stream to actually start
-        # Hard reset (RST) mid-stream: the server's next chunk write
-        # must fail and be tallied, not crash the daemon.
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0))
-        sock.close()
+        try:
+            sock.sendall(request)
+            sock.settimeout(30)
+            sock.recv(1)  # wait for the stream to actually start
+            # Hard reset (RST) mid-stream: the server's next chunk
+            # write must fail and be tallied, not crash the daemon.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+        finally:
+            reset.set()
         deadline = time.monotonic() + 15
         while time.monotonic() < deadline:
             if service.counters.stream_aborts >= 1:
