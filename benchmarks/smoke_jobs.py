@@ -80,14 +80,14 @@ def _baseline(root: str):
     return blob, elapsed
 
 
-def _boot(cache_dir: str):
+def _boot(jobs_dir: str):
     port = _free_port()
     root = Path(__file__).parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     command = [sys.executable, "-m", "repro", "serve",
-               "--port", str(port), "--cache-dir", cache_dir,
+               "--port", str(port), "--jobs-dir", jobs_dir,
                "--workers", str(WORKERS)]
     process = subprocess.Popen(command, stdout=subprocess.PIPE,
                                stderr=subprocess.STDOUT, text=True,
@@ -149,9 +149,9 @@ def _await_resume(handle, killed_pid):
     raise RuntimeError("job never finished after the kill")
 
 
-def _chaos(cache_dir: str):
+def _chaos(jobs_dir: str):
     """Kill a worker mid-job; returns (bytes, metrics) on success."""
-    process, port = _boot(cache_dir)
+    process, port = _boot(jobs_dir)
     client = ServiceClient(f"http://127.0.0.1:{port}")
     try:
         if not client.wait_until_ready(timeout=60):
@@ -175,8 +175,7 @@ def _chaos(cache_dir: str):
     if returncode != 0:
         raise SystemExit(_fail(
             None, f"fleet exit code {returncode}\n{output}"))
-    jobs_root = Path(cache_dir) / "jobs"
-    blob = (jobs_root / handle.id / "result.json").read_bytes()
+    blob = (Path(jobs_dir) / handle.id / "result.json").read_bytes()
     return blob, {"final": final, "latency": latency,
                   "journaled_at_kill": journaled, "total": total}
 
@@ -186,7 +185,7 @@ def main() -> int:
         baseline_blob, baseline_s = _baseline(
             os.path.join(tmp, "baseline-jobs"))
         print(f"baseline: uninterrupted run in {baseline_s:.2f}s")
-        chaos_blob, chaos = _chaos(os.path.join(tmp, "cache"))
+        chaos_blob, chaos = _chaos(os.path.join(tmp, "jobs"))
 
     final = chaos["final"]
     replayed = final.get("replayed_chunks", 0)

@@ -1,8 +1,8 @@
 """CI smoke check: pre-fork scale-out throughput and parity.
 
 Boots the service twice from the real CLI entry point — once single
-process, once with ``--workers 4`` sharing the same disk cache — and
-drives both with the same closed-loop client load:
+process, once with ``--workers 4`` — and drives both with the same
+closed-loop client load:
 
 * responses must be byte-identical between the two deployments (and
   across repeats), so forking N processes never changes an answer;
@@ -26,7 +26,6 @@ import socket
 import statistics
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -56,15 +55,14 @@ def _fail(process, message):
     return 1
 
 
-def _boot(workers, cache_dir):
+def _boot(workers):
     port = _free_port()
     root = Path(__file__).parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     command = [sys.executable, "-m", "repro", "serve",
-               "--port", str(port), "--cache-dir", cache_dir,
-               "--result-cache", "0"]
+               "--port", str(port), "--result-cache", "0"]
     if workers > 1:
         command += ["--workers", str(workers)]
     process = subprocess.Popen(command, stdout=subprocess.PIPE,
@@ -129,8 +127,8 @@ def _drive(port):
     return rate, p50, p95, errors
 
 
-def _measure(workers, cache_dir, label):
-    process, port = _boot(workers, cache_dir)
+def _measure(workers, label):
+    process, port = _boot(workers)
     client = ServiceClient(f"http://127.0.0.1:{port}")
     if not client.wait_until_ready(timeout=60):
         return None, _fail(process, f"{label}: service never ready "
@@ -158,15 +156,12 @@ def _measure(workers, cache_dir, label):
 
 def main() -> int:
     cpus = os.cpu_count() or 1
-    with tempfile.TemporaryDirectory(prefix="repro-scaleout-") \
-            as cache_dir:
-        single, code = _measure(1, cache_dir, "1 worker")
-        if code:
-            return code
-        fleet, code = _measure(FLEET_WORKERS, cache_dir,
-                               f"{FLEET_WORKERS} workers")
-        if code:
-            return code
+    single, code = _measure(1, "1 worker")
+    if code:
+        return code
+    fleet, code = _measure(FLEET_WORKERS, f"{FLEET_WORKERS} workers")
+    if code:
+        return code
 
     if single["reference"] != fleet["reference"]:
         print("FAIL: fleet reply differs from single-process reply")

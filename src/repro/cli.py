@@ -97,16 +97,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                              "sweep holds a batchable family, serial "
                              "otherwise; vector = columnar numpy "
                              "kernel over batchable sweep families)")
-    parser.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        help="persistent on-disk model cache directory "
-                             "(default: disabled; ~/.cache/repro is "
-                             "the conventional location)")
-
-
-def _session_from_args(args: argparse.Namespace) -> EvaluationSession:
-    """One evaluation session per CLI command, disk-backed on demand."""
-    return EvaluationSession(
-        cache_dir=getattr(args, "cache_dir", None))
 
 
 def _cmd_idd(args: argparse.Namespace) -> int:
@@ -149,7 +139,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_trends(args: argparse.Namespace) -> int:
     points = generation_trend(io_width=args.width,
-                              session=_session_from_args(args),
                               backend=args.backend)
     rows = [[point.node_nm, point.interface,
              point.datarate / 1e9, point.vdd, point.die_area_mm2,
@@ -169,7 +158,6 @@ def _cmd_trends(args: argparse.Namespace) -> int:
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     results = sensitivity(device, variation=args.variation,
-                          session=_session_from_args(args),
                           backend=args.backend)
     rows = [[result.name, f"{result.impact:+.1%}"] for result in results]
     print(format_table(
@@ -181,8 +169,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
-    results = compare_schemes(device, session=_session_from_args(args),
-                              backend=args.backend)
+    results = compare_schemes(device, backend=args.backend)
     print(scheme_report(results,
                         title=f"Section V - schemes on {device.name}"))
     return 0
@@ -259,27 +246,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import check_device
 
     device = _device_from_args(args)
-    session = _session_from_args(args)
+    session = EvaluationSession()
     session.model(device)
     results = check_device(device, session=session)
     rows = [[result.severity, result.check, result.message]
             for result in results]
     print(format_table(["severity", "check", "finding"], rows,
                        title=f"Feasibility of {device.name}"))
-    stats = session.stats
-    print(f"engine: {stats}")
-    if session.cache_dir is not None:
-        print(f"model-cache: dir={session.cache_dir} "
-              f"hit-rate={stats.hit_rate:.1%} "
-              f"cold-builds={stats.misses} "
-              f"disk-hits={stats.disk_hits} "
-              f"disk-writes={stats.disk_writes}")
+    print(f"engine: {session.stats}")
     return 0 if all(result.is_ok for result in results) else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
-    import os
 
     from .service import ApiKeyAuth, ServiceLimits, create_service
     from .service.prefork import serve_prefork
@@ -294,24 +273,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            retry_after=args.retry_after,
                            result_cache=args.result_cache)
     auth = ApiKeyAuth.from_options(keys=args.api_key)
-    cache = args.cache_dir or "disabled"
     guard = f"{len(auth)} API key(s)" if auth is not None else "open"
-    jobs_dir = args.jobs_dir
-    if jobs_dir is None and args.cache_dir is not None:
-        jobs_dir = os.path.join(args.cache_dir, "jobs")
-    jobs = jobs_dir or "disabled"
+    jobs = args.jobs_dir or "disabled"
     if args.workers > 1:
         supervisor = serve_prefork(
             host=args.host, port=args.port, workers=args.workers,
-            capacity=args.capacity, cache_dir=args.cache_dir,
-            limits=limits, auth=auth,
-            jobs_dir=jobs_dir, job_ttl=args.job_ttl)
+            capacity=args.capacity, limits=limits, auth=auth,
+            jobs_dir=args.jobs_dir, job_ttl=args.job_ttl)
         print(f"repro service listening on "
               f"http://{args.host}:{supervisor.port} "
               f"({args.workers} workers, "
               f"model-cache capacity={args.capacity}, "
-              f"cache-dir={cache}, jobs-dir={jobs}, "
-              f"auth={guard}); "
+              f"jobs-dir={jobs}, auth={guard}); "
               f"SIGTERM or Ctrl-C drains and exits",
               flush=True)
         supervisor.run_until_signal()
@@ -320,14 +293,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     service = create_service(host=args.host, port=args.port,
                              capacity=args.capacity,
-                             cache_dir=args.cache_dir,
                              limits=limits, auth=auth,
-                             jobs_dir=jobs_dir,
+                             jobs_dir=args.jobs_dir,
                              job_ttl=args.job_ttl)
     print(f"repro service listening on "
           f"http://{args.host}:{service.server_port} "
           f"(model-cache capacity={args.capacity}, "
-          f"cache-dir={cache}, jobs-dir={jobs}, auth={guard}, "
+          f"jobs-dir={jobs}, auth={guard}, "
           f"in-flight<={limits.max_inflight}, "
           f"queue<={limits.max_queue}, "
           f"request-timeout={limits.request_timeout:g}s); "
@@ -416,7 +388,7 @@ def _cmd_corners(args: argparse.Namespace) -> int:
     from .analysis.montecarlo import monte_carlo
 
     device = _device_from_args(args)
-    session = _session_from_args(args)
+    session = EvaluationSession()
     corners = (VENDOR_SPREAD_CORNERS if args.vendor
                else None)
     bands = (corner_sweep(device, corners=corners, session=session,
@@ -646,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser(
         "check", help="feasibility checks (stripe shares, die area)")
     _add_device_arguments(check)
-    _add_sweep_arguments(check)
     check.set_defaults(handler=_cmd_check)
 
     serve = subparsers.add_parser(
@@ -660,13 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--capacity", type=int, default=256,
                        help="in-memory model cache capacity "
                             "(default 256 models)")
-    serve.add_argument("--cache-dir", dest="cache_dir", default=None,
-                       help="persistent on-disk model cache directory "
-                            "(default: disabled)")
     serve.add_argument("--jobs-dir", dest="jobs_dir", default=None,
-                       help="durable job journal directory; default "
-                            "<cache-dir>/jobs when --cache-dir is "
-                            "set, else the job API is disabled")
+                       help="durable job journal directory (default: "
+                            "none, and the job API answers 503)")
     serve.add_argument("--job-ttl", dest="job_ttl",
                        type=float, default=3600.0,
                        help="seconds a finished job's journal and "

@@ -14,17 +14,14 @@ The engine provides one construction path for all of them:
 * :func:`repro.engine.fingerprint.fingerprint` — a canonical,
   order-stable key of a :class:`~repro.description.DramDescription`
   (recursive dataclass walk, independent of ``repr``);
-* :class:`repro.engine.cache.ModelCache` — a bounded LRU memoising
-  built :class:`~repro.core.DramPowerModel` instances by fingerprint,
-  with hit/miss/build-time counters;
+* :class:`repro.engine.cache.ModelCache` — a bounded in-memory LRU
+  memoising built :class:`~repro.core.DramPowerModel` instances by
+  fingerprint, with hit/miss/build-time counters — the engine's only
+  model cache;
 * :class:`repro.engine.session.EvaluationSession` — the user-facing
   façade: ``model(device)``, ``evaluate(device, pattern)`` and
   ``map(devices, fn, backend=...)`` batch evaluation on a serial,
   vector or ``auto`` backend;
-* :class:`repro.engine.diskcache.DiskModelCache` — a persistent,
-  versioned on-disk spill of built models (fingerprint-keyed, with a
-  model-code-hash invalidation token), so repeated processes skip
-  cold builds;
 * :class:`repro.engine.variant.Variant` — declarative perturbations
   (deltas) of a base description, replacing ad-hoc
   ``dataclasses.replace`` scattering in the sweep code;
@@ -46,7 +43,6 @@ cross-analysis reuse for free.
 """
 
 from .cache import EngineStats, ModelCache, merge_stats
-from .diskcache import DiskModelCache, default_cache_dir, model_code_token
 from .fingerprint import canonical_form, fingerprint
 from .session import (AUTO, BACKENDS, VECTOR, EvaluationSession,
                       ensure_session, evaluate_many, resolve_backend)
@@ -64,14 +60,11 @@ __all__ = [
     "build_family_models",
     "numpy_available",
     "plan_batches",
-    "DiskModelCache",
     "EngineStats",
     "merge_stats",
     "ModelCache",
     "canonical_form",
-    "default_cache_dir",
     "fingerprint",
-    "model_code_token",
     "resolve_backend",
     "EvaluationSession",
     "ensure_session",

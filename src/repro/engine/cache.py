@@ -10,13 +10,9 @@ events and energies bit-for-bit.
 The cache is thread-safe (a single lock around the table) so the
 service's request threads can share one session, and bounded
 (least-recently-used eviction) so open-ended sweeps cannot grow memory
-without limit.
-
-An optional :class:`~repro.engine.diskcache.DiskModelCache` is
-consulted on every LRU miss and written on every cold build, so
-repeated processes (CLI runs, CI jobs, service workers) skip cold
-builds entirely — a disk hit counts as a *hit* in the statistics,
-since no model was built.
+without limit.  It lives and dies with its process: a cold build
+(about 0.5 ms per device) costs too little for a persistent copy to
+pay back.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import Optional, Tuple
 from ..core import ChargeEvent, DramPowerModel
 from ..description import DramDescription
 from ..errors import ModelError
-from .diskcache import DiskModelCache
 from .fingerprint import fingerprint
 
 #: Default number of built models kept alive.
@@ -44,9 +39,8 @@ class EngineStats:
     """Snapshot of one cache's counters (all cumulative).
 
     Every field but ``size`` and ``capacity`` is a counter: adding a
-    counter means adding one field here, which :meth:`delta`,
-    :func:`merge_stats` and :class:`ModelCache` pick up from
-    :func:`dataclasses.fields`.
+    counter means adding one field here, which :func:`merge_stats`
+    and :class:`ModelCache` pick up from :func:`dataclasses.fields`.
     """
 
     hits: int = 0
@@ -62,14 +56,6 @@ class EngineStats:
     """Maximum models held."""
     build_seconds: float = 0.0
     """Total wall-clock time spent building models (s)."""
-    disk_hits: int = 0
-    """LRU misses answered by the on-disk cache (no build needed)."""
-    disk_misses: int = 0
-    """LRU misses the on-disk cache could not answer either."""
-    disk_writes: int = 0
-    """Cold builds persisted to the on-disk cache."""
-    disk_corrupt: int = 0
-    """Disk entries skipped as corrupt or stale (treated as misses)."""
     vector_batches: int = 0
     """Sweep-family batches folded columnarly by the vectorized
     kernel (one batch = one (variants × events) array fold)."""
@@ -88,27 +74,20 @@ class EngineStats:
     @property
     def lookups(self) -> int:
         """Total lookups served."""
-        return (self.hits + self.disk_hits + self.misses
-                + self.vector_builds)
+        return self.hits + self.misses + self.vector_builds
 
     @property
     def hit_rate(self) -> float:
-        """Lookups answered without a cold build; 0.0 before the
-        first lookup.  Disk hits count — no model was built."""
+        """Lookups answered without a build; 0.0 before the first
+        lookup."""
         if not self.lookups:
             return 0.0
-        return (self.hits + self.disk_hits) / self.lookups
+        return self.hits / self.lookups
 
     def __str__(self) -> str:
         text = (f"hits={self.hits} misses={self.misses} "
                 f"hit-rate={self.hit_rate:.1%} size={self.size}/"
                 f"{self.capacity} build-time={self.build_seconds:.3f}s")
-        if (self.disk_hits or self.disk_misses or self.disk_writes
-                or self.disk_corrupt):
-            text += (f" disk[hits={self.disk_hits} "
-                     f"misses={self.disk_misses} "
-                     f"writes={self.disk_writes} "
-                     f"corrupt={self.disk_corrupt}]")
         if (self.vector_batches or self.vector_builds
                 or self.vector_fallbacks or self.vector_downgrades):
             text += (f" vector[batches={self.vector_batches} "
@@ -132,17 +111,6 @@ class EngineStats:
         return cls(**{key: value for key, value in dict(payload).items()
                       if key in fields})
 
-    def delta(self, since: "EngineStats") -> "EngineStats":
-        """The counter growth between ``since`` and this snapshot.
-
-        ``size``/``capacity`` are states, not counters; the delta
-        keeps this snapshot's values.  Used to report exactly the work
-        one sweep performed.
-        """
-        return dataclasses.replace(self, **{
-            name: getattr(self, name) - getattr(since, name)
-            for name in _COUNTERS})
-
 
 #: The counter fields of :class:`EngineStats` (all but the ``size``
 #: gauge and the ``capacity`` setting), in declaration order.
@@ -165,7 +133,7 @@ def _combine(name: str, left, right):
 
 
 def merge_stats(left: EngineStats, right: EngineStats) -> EngineStats:
-    """Counter-wise sum of two snapshots (or deltas).
+    """Counter-wise sum of two snapshots.
 
     ``size`` merges as the maximum occupancy and ``capacity`` keeps
     the left operand's value (see :data:`_COMBINE`).  Used by the
@@ -181,16 +149,13 @@ def merge_stats(left: EngineStats, right: EngineStats) -> EngineStats:
 class ModelCache:
     """LRU-memoised construction of :class:`DramPowerModel` instances."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 disk: Optional[DiskModelCache] = None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ModelError("cache capacity must be positive")
         self.capacity = capacity
-        self.disk = disk
         self._models: "OrderedDict[str, DramPowerModel]" = OrderedDict()
         self._lock = threading.Lock()
-        # One ``_<name>`` attribute per counter.  ``_disk_corrupt``
-        # stays zero: :meth:`stats` adds the disk cache's own count.
+        # One ``_<name>`` attribute per counter.
         zero = EngineStats()
         for name in _COUNTERS:
             setattr(self, "_" + name, getattr(zero, name))
@@ -199,20 +164,18 @@ class ModelCache:
         return len(self._models)
 
     # ------------------------------------------------------------------
-    # Vectorized-kernel hooks.  The columnar kernel wants the raw LRU —
-    # consult it per device, then store whole folded batches — without
-    # triggering the scalar cold-build path of :meth:`model`.
+    # The two halves of :meth:`model`.  The columnar kernel calls them
+    # directly — probe per device, then store whole folded batches —
+    # so its builds count as ``vector_builds``, not cold builds.
     # ------------------------------------------------------------------
     def lookup(self, device: DramDescription
                ) -> Tuple[str, Optional[DramPowerModel]]:
         """``(fingerprint, cached model or None)`` — LRU probe only.
 
         A hit counts as a hit; a miss counts *nothing* here — the
-        kernel either folds the model (counted as ``vector_builds``
-        via :meth:`record_vector`) or falls back to :meth:`model`,
-        which does its own accounting.  The disk cache is not
-        consulted: vector-built models are cheaper to refold than to
-        round-trip through pickle.
+        caller either builds the model and counts it through
+        :meth:`store_built`, or (the kernel) folds it and counts it
+        as ``vector_builds`` via :meth:`record_vector`.
         """
         key = fingerprint(device)
         with self._lock:
@@ -222,15 +185,20 @@ class ModelCache:
                 self._models.move_to_end(key)
         return key, cached
 
-    def store_built(self, key: str,
-                    model: DramPowerModel) -> DramPowerModel:
+    def store_built(self, key: str, model: DramPowerModel,
+                    build_seconds: Optional[float] = None
+                    ) -> DramPowerModel:
         """Insert an externally built model under ``key``.
 
         Keeps the first copy on a race (hits stay identity-stable)
-        and returns the canonical instance.  Vector-built models are
-        not written to the disk cache — see :meth:`lookup`.
+        and returns the canonical instance.  With ``build_seconds``
+        the insert also counts one cold build (a miss) of that
+        duration, under the same lock.
         """
         with self._lock:
+            if build_seconds is not None:
+                self._misses += 1
+                self._build_seconds += build_seconds
             racing = self._models.get(key)
             if racing is not None:
                 self._models.move_to_end(key)
@@ -262,55 +230,20 @@ class ModelCache:
               ) -> DramPowerModel:
         """The built model of ``device``, from cache when possible.
 
-        Lookup order: in-memory LRU, then the disk cache (when
-        configured), then a cold build — which is persisted to disk so
-        the *next* process hits.  With ``events`` given
-        (scheme-transformed charge lists) the returned model is built
-        fresh around those events — it is never cached, since events
-        are not part of the key — but it still reuses the cached
-        model's resolved geometry.
+        A miss builds cold and stores the result; when two threads
+        miss on one device at once both build, and both get the
+        first stored copy.  With ``events`` given (scheme-transformed
+        charge lists) the returned model is built fresh around those
+        events — it is never cached, since events are not part of the
+        key — but it still reuses the cached model's resolved
+        geometry.
         """
-        key = fingerprint(device)
-        with self._lock:
-            cached = self._models.get(key)
-            if cached is not None:
-                self._hits += 1
-                self._models.move_to_end(key)
+        key, cached = self.lookup(device)
         if cached is None:
-            loaded = self.disk.load(key) if self.disk is not None else None
-            elapsed = 0.0
-            if loaded is None:
-                started = time.perf_counter()
-                built = DramPowerModel(device)
-                elapsed = time.perf_counter() - started
-            else:
-                built = loaded
-            stored_fresh = False
-            with self._lock:
-                if loaded is not None:
-                    self._disk_hits += 1
-                else:
-                    self._misses += 1
-                    self._build_seconds += elapsed
-                    if self.disk is not None:
-                        self._disk_misses += 1
-                racing = self._models.get(key)
-                if racing is not None:
-                    # Another thread built it first; keep one canonical
-                    # model so hits stay identity-stable.
-                    cached = racing
-                    self._models.move_to_end(key)
-                else:
-                    cached = built
-                    self._models[key] = cached
-                    stored_fresh = loaded is None
-                    while len(self._models) > self.capacity:
-                        self._models.popitem(last=False)
-                        self._evictions += 1
-            if stored_fresh and self.disk is not None:
-                if self.disk.store(key, cached):
-                    with self._lock:
-                        self._disk_writes += 1
+            started = time.perf_counter()
+            built = DramPowerModel(device)
+            cached = self.store_built(
+                key, built, build_seconds=time.perf_counter() - started)
         if events is None:
             return cached
         return DramPowerModel(device, events=events,
@@ -324,11 +257,8 @@ class ModelCache:
 
     def stats(self) -> EngineStats:
         """A consistent snapshot of the counters."""
-        corrupt = (self.disk.corrupt_entries
-                   if self.disk is not None else 0)
         with self._lock:
             counts = {name: getattr(self, "_" + name)
                       for name in _COUNTERS}
             size = len(self._models)
-        counts["disk_corrupt"] += corrupt
         return EngineStats(size=size, capacity=self.capacity, **counts)

@@ -23,10 +23,6 @@ the optional numpy dependency and degrades to serial without it) or
 batchable family of at least :data:`~repro.engine.vector.MIN_BATCH`
 devices, serial otherwise).  Serial preserves input ordering and is
 the bit-level oracle; vector agrees to ~1e-15 relative.
-
-With ``cache_dir`` set, the session's model cache spills to a
-persistent on-disk store (see :mod:`repro.engine.diskcache`), so
-repeated runs skip cold builds entirely.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from ..core import ChargeEvent, DramPowerModel, PatternPower
 from ..description import DramDescription, Pattern
 from ..errors import ModelError
 from .cache import DEFAULT_CAPACITY, EngineStats, ModelCache
-from .diskcache import DiskModelCache
 from .fingerprint import fingerprint
 from .vector import (MIN_BATCH, VectorPlan, build_family_models,
                      numpy_available, plan_batches)
@@ -80,15 +75,8 @@ def resolve_backend(backend: Optional[str]) -> str:
 class EvaluationSession:
     """One shared context for building and evaluating device models."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 cache_dir: Optional[str] = None,
-                 disk: Optional[DiskModelCache] = None):
-        if disk is None and cache_dir is not None:
-            disk = DiskModelCache(cache_dir)
-        self.cache = ModelCache(capacity=capacity, disk=disk)
-        #: The persistent store's directory (``None`` without one).
-        self.cache_dir = (str(disk.directory) if disk is not None
-                          else None)
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        self.cache = ModelCache(capacity=capacity)
 
     # ------------------------------------------------------------------
     def model(self, device: DramDescription,

@@ -35,9 +35,7 @@ the one-time ``vector_downgrades`` marker in
 cannot express — singleton subgroups, empty event lists, non-clocked
 background events — fall back to the scalar path silently and are
 counted as ``vector_fallbacks``.  Vector-built models enter the
-session's in-memory LRU (so later scalar lookups hit) but are not
-written to the disk cache: refolding is cheaper than a pickle
-round-trip.
+session's LRU, so later scalar lookups hit.
 """
 
 from __future__ import annotations

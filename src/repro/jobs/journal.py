@@ -50,13 +50,26 @@ def fsync_path(path: Path) -> None:
 
 
 def write_json_atomic(path: Path, payload: Any) -> None:
-    """Write ``payload`` as JSON via tmp + fsync + rename."""
+    """Write ``payload`` as key-sorted JSON via tmp + fsync + rename."""
+    write_text_atomic(path, json.dumps(payload, sort_keys=True))
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` via tmp + fsync + rename.
+
+    A failed write deletes its staging file, so nothing but ``path``
+    itself is ever left behind.
+    """
     staging = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(staging, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    staging.replace(path)
+    try:
+        with open(staging, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        staging.replace(path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
     fsync_path(path.parent)
 
 

@@ -42,7 +42,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from ..errors import JobNotFound, ServiceError
-from .journal import JobJournal, read_json, write_json_atomic
+from .journal import (JobJournal, read_json, write_json_atomic,
+                      write_text_atomic)
 from .spec import JobSpec, parse_job_spec
 
 #: Job states; the last three are terminal.
@@ -127,14 +128,21 @@ class JobStore:
         key = payload.get("idempotency_key")
         if key is not None and not isinstance(key, str):
             raise ServiceError("'idempotency_key' must be a string")
+        try:
+            # Encoded before the directory exists: a spec too deeply
+            # nested to encode leaves nothing behind.
+            canonical = spec.canonical()
+        except RecursionError as exc:
+            raise ServiceError(f"job spec nested too deeply: {exc}"
+                               ) from exc
         job_id = (_job_id_for_key(key) if key is not None
                   else _random_job_id())
         directory = self.job_dir(job_id)
         try:
             directory.mkdir(parents=False, exist_ok=False)
         except FileExistsError:
-            return self._existing(job_id, spec, key), False
-        write_json_atomic(directory / "spec.json", spec.to_dict())
+            return self._existing(job_id, canonical, key), False
+        write_text_atomic(directory / "spec.json", canonical)
         now = self.clock()
         status = {"job": job_id, "state": "pending",
                   "kind": spec.kind, "created_unix": now,
@@ -144,7 +152,7 @@ class JobStore:
         write_json_atomic(directory / "status.json", status)
         return status, True
 
-    def _existing(self, job_id: str, spec: JobSpec,
+    def _existing(self, job_id: str, canonical: str,
                   key: Optional[str]) -> Dict[str, Any]:
         """Resolve an idempotent re-submit against the existing job."""
         existing = None
@@ -157,8 +165,7 @@ class JobStore:
             raise ServiceError(
                 f"job {job_id!r} exists but its spec is unreadable",
                 status=409)
-        if (json.dumps(existing, sort_keys=True)
-                != spec.canonical()):
+        if json.dumps(existing, sort_keys=True) != canonical:
             raise ServiceError(
                 f"idempotency key {key!r} already used by a "
                 "different spec", status=409)

@@ -15,8 +15,8 @@ Stdlib only (``http.server.ThreadingHTTPServer``); endpoints:
 * ``POST /sweep`` — a named sweep (``sensitivity`` / ``corners`` /
   ``trends`` / ``schemes``) with parameters, executed on the adaptive
   ``auto`` backend by default;
-* ``GET /stats``  — engine counters (incl. disk cache), uptime and
-  per-endpoint request counts;
+* ``GET /stats``  — engine counters, uptime and per-endpoint request
+  counts;
 * ``GET /healthz`` — liveness probe.
 
 ``repro serve`` starts the daemon from the CLI; SIGTERM/SIGINT drain
@@ -34,19 +34,18 @@ testable deterministically.
 
 Scale-out: ``repro serve --workers N`` forks N such servers accepting
 on one shared port under a respawning supervisor
-(:mod:`repro.service.prefork`), sharing the common disk cache; every
+(:mod:`repro.service.prefork`), each with its own model cache; every
 worker serves every request it accepts.  ``"stream": true`` turns
 batch replies into chunked NDJSON (:mod:`repro.service.streaming`),
 API keys guard the perimeter (:mod:`repro.service.auth`), and
 ``GET /stats?scope=cluster`` merges the whole fleet's counters
 through the worker registry (:mod:`repro.service.routing`).
 
-Durability: with ``--jobs-dir`` (defaulted to ``<cache-dir>/jobs``
-by the CLI) the service also fronts the crash-recoverable job layer
-(:mod:`repro.jobs`) — ``POST /jobs`` submits journaled, chunk-
-checkpointed campaigns, ``GET /jobs/<id>`` reports progress,
-``DELETE /jobs/<id>`` cancels cooperatively, and the prefork
-supervisor reassigns jobs orphaned by a killed worker.
+Durability: with ``--jobs-dir`` the service also fronts the
+crash-recoverable job layer (:mod:`repro.jobs`) — ``POST /jobs``
+submits journaled, chunk-checkpointed campaigns, ``GET /jobs/<id>``
+reports progress, ``DELETE /jobs/<id>`` cancels cooperatively, and
+the prefork supervisor reassigns jobs orphaned by a killed worker.
 """
 
 from .admission import (AdmissionController, AdmissionShed, Deadline,

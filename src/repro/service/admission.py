@@ -106,7 +106,6 @@ class DeadlineSession(EvaluationSession):
         # Deliberately no super().__init__: the whole point is to
         # share (not duplicate) the inner session's cache.
         self.cache = inner.cache
-        self.cache_dir = inner.cache_dir
         self.deadline = deadline
 
     def model(self, device, events=None):

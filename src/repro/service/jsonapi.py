@@ -481,8 +481,7 @@ def stats_payload(session: EvaluationSession) -> Dict[str, Any]:
     The server wraps this with uptime and request counts; keeping the
     engine part here lets tests assert cache behaviour without HTTP.
     """
-    return {"engine": engine_payload(session.stats),
-            "cache_dir": session.cache_dir}
+    return {"engine": engine_payload(session.stats)}
 
 
 def engine_payload(stats: EngineStats) -> Dict[str, Any]:

@@ -18,12 +18,12 @@ lock, no thundering herd.  The supervisor keeps a bound-but-silent
 fork.  Without ``SO_REUSEPORT`` the anchor itself listens and the
 workers inherit it across ``fork``, accepting from the shared queue.
 
-The workers share one fingerprint-keyed *disk* cache directory
-(``--cache-dir``), so any worker's cold build is every worker's warm
-disk hit.  Each worker also opens a private *direct* port and
-publishes it in a :class:`~repro.service.routing.WorkerRegistry`;
-cluster ``/stats`` reads its siblings' counters through it.  Every
-worker serves every request it accepts.
+Each worker holds its own in-memory model cache, so a device is
+built once per worker that sees it.  Each worker also opens a private
+*direct* port and publishes it in a
+:class:`~repro.service.routing.WorkerRegistry`; cluster ``/stats``
+reads its siblings' counters through it.  Every worker serves every
+request it accepts.
 
 The supervisor itself never serves a request: its only jobs are the
 port reservation, the fork/respawn loop and the shutdown fan-out
@@ -87,8 +87,7 @@ def _bind_socket(host: str, port: int,
 
 def _worker_main(worker_id: int, host: str, port: int,
                  anchor: socket.socket, reuseport: bool,
-                 capacity: int, cache_dir: Optional[str],
-                 limits: Optional[ServiceLimits],
+                 capacity: int, limits: Optional[ServiceLimits],
                  auth: Optional[ApiKeyAuth], run_dir: str,
                  jobs_dir: Optional[str] = None,
                  job_ttl: float = 3600.0) -> None:
@@ -107,9 +106,8 @@ def _worker_main(worker_id: int, host: str, port: int,
         listen_sock = anchor  # inherited shared accept queue
     registry = WorkerRegistry(run_dir)
     primary = EvaluationService((host, port), capacity=capacity,
-                                cache_dir=cache_dir, limits=limits,
-                                auth=auth, worker_id=worker_id,
-                                registry=registry,
+                                limits=limits, auth=auth,
+                                worker_id=worker_id, registry=registry,
                                 listen_socket=listen_sock,
                                 jobs_dir=jobs_dir, job_ttl=job_ttl)
     direct = EvaluationService(("127.0.0.1", 0), auth=auth,
@@ -150,7 +148,6 @@ class PreforkSupervisor:
     def __init__(self, host: str = "127.0.0.1", port: int = 8080,
                  workers: int = 2,
                  capacity: int = DEFAULT_CAPACITY,
-                 cache_dir: Optional[str] = None,
                  limits: Optional[ServiceLimits] = None,
                  auth: Optional[ApiKeyAuth] = None,
                  run_dir: Optional[str] = None,
@@ -164,7 +161,6 @@ class PreforkSupervisor:
         self.port: Optional[int] = None
         self.workers = workers
         self.capacity = capacity
-        self.cache_dir = cache_dir
         self.limits = limits
         self.auth = auth
         self.grace = grace
@@ -203,10 +199,6 @@ class PreforkSupervisor:
         self.port = self._anchor.getsockname()[1]
         if self.run_dir is None:
             self.run_dir = tempfile.mkdtemp(prefix="repro-prefork-")
-        if self.jobs_dir is None and self.cache_dir is not None:
-            # The shared cache dir is the durable home the journaled
-            # jobs need to survive a full-fleet restart.
-            self.jobs_dir = os.path.join(self.cache_dir, "jobs")
         for worker_id in range(self.workers):
             self._spawn(worker_id)
         return self.port
@@ -215,9 +207,9 @@ class PreforkSupervisor:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, self.host, self.port, self._anchor,
-                  self._reuseport, self.capacity, self.cache_dir,
-                  self.limits, self.auth, self.run_dir,
-                  self.jobs_dir, self.job_ttl),
+                  self._reuseport, self.capacity, self.limits,
+                  self.auth, self.run_dir, self.jobs_dir,
+                  self.job_ttl),
             name=f"repro-worker-{worker_id}")
         proc.start()
         self._procs[worker_id] = proc
@@ -344,7 +336,6 @@ class PreforkSupervisor:
 
 def serve_prefork(host: str, port: int, workers: int,
                   capacity: int = DEFAULT_CAPACITY,
-                  cache_dir: Optional[str] = None,
                   limits: Optional[ServiceLimits] = None,
                   auth: Optional[ApiKeyAuth] = None,
                   jobs_dir: Optional[str] = None,
@@ -357,7 +348,6 @@ def serve_prefork(host: str, port: int, workers: int,
     """
     supervisor = PreforkSupervisor(
         host=host, port=port, workers=workers, capacity=capacity,
-        cache_dir=cache_dir, limits=limits, auth=auth,
-        jobs_dir=jobs_dir, job_ttl=job_ttl)
+        limits=limits, auth=auth, jobs_dir=jobs_dir, job_ttl=job_ttl)
     supervisor.start()
     return supervisor

@@ -639,7 +639,6 @@ class EvaluationService(ThreadingHTTPServer):
 
     def __init__(self, address: Tuple[str, int] = ("127.0.0.1", 8080),
                  capacity: int = DEFAULT_CAPACITY,
-                 cache_dir: Optional[str] = None,
                  limits: Optional[ServiceLimits] = None,
                  auth: Optional[ApiKeyAuth] = None,
                  worker_id: int = 0,
@@ -683,8 +682,7 @@ class EvaluationService(ThreadingHTTPServer):
             self.jobs = shared_with.jobs
             self._owns_jobs = False
             return
-        self.session = EvaluationSession(capacity=capacity,
-                                         cache_dir=cache_dir)
+        self.session = EvaluationSession(capacity=capacity)
         self.limits = limits if limits is not None else ServiceLimits()
         self.admission = AdmissionController(
             capacity=self.limits.max_inflight,
@@ -696,10 +694,8 @@ class EvaluationService(ThreadingHTTPServer):
         self.started_monotonic = time.monotonic()
         self.started_unix = time.time()
         # Durable jobs need a durable directory: enabled when the
-        # caller names one (the CLI defaults it to
-        # ``<cache-dir>/jobs``), otherwise /jobs answers 503 rather
-        # than journaling into a directory that vanishes with the
-        # process.
+        # caller names one, otherwise /jobs answers 503 rather than
+        # journaling into a directory that vanishes with the process.
         self.jobs = None
         self._owns_jobs = False
         if jobs_dir is not None:
@@ -729,7 +725,7 @@ class EvaluationService(ThreadingHTTPServer):
         if self.jobs is None:
             raise ServiceError(
                 "job subsystem disabled: start the service with "
-                "--cache-dir or --jobs-dir", status=503)
+                "--jobs-dir", status=503)
         return self.jobs
 
     def submit_job(self, payload: Any) -> Dict[str, Any]:
@@ -930,7 +926,6 @@ class EvaluationService(ThreadingHTTPServer):
 
 def create_service(host: str = "127.0.0.1", port: int = 8080,
                    capacity: int = DEFAULT_CAPACITY,
-                   cache_dir: Optional[str] = None,
                    limits: Optional[ServiceLimits] = None,
                    auth: Optional[ApiKeyAuth] = None,
                    worker_id: int = 0,
@@ -951,8 +946,7 @@ def create_service(host: str = "127.0.0.1", port: int = 8080,
     single-process embedders can ignore them.
     """
     return EvaluationService((host, port), capacity=capacity,
-                             cache_dir=cache_dir, limits=limits,
-                             auth=auth, worker_id=worker_id,
-                             registry=registry,
+                             limits=limits, auth=auth,
+                             worker_id=worker_id, registry=registry,
                              listen_socket=listen_socket,
                              jobs_dir=jobs_dir, job_ttl=job_ttl)

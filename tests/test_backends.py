@@ -63,29 +63,31 @@ class TestWorkerStatsMerge:
         # point of view.  The pre-fix merge summed it.
         left = EngineStats(hits=2, misses=3, evictions=1, size=3,
                            capacity=8, build_seconds=0.25,
-                           disk_hits=1, disk_misses=2, disk_writes=2)
+                           vector_batches=1, vector_builds=8)
         right = EngineStats(hits=1, misses=5, evictions=0, size=5,
                             capacity=8, build_seconds=0.5,
-                            disk_misses=5, disk_writes=5,
-                            disk_corrupt=1)
+                            vector_fallbacks=2, vector_downgrades=1)
         merged = merge_stats(left, right)
         assert merged.size == 5
 
     def test_counters_still_sum(self):
         left = EngineStats(hits=2, misses=3, evictions=1, size=3,
                            capacity=8, build_seconds=0.25,
-                           disk_hits=1, disk_misses=2, disk_writes=2)
+                           vector_batches=1, vector_builds=8,
+                           vector_seconds=0.125)
         right = EngineStats(hits=1, misses=5, evictions=0, size=5,
                             capacity=8, build_seconds=0.5,
-                            disk_misses=5, disk_writes=5,
-                            disk_corrupt=1)
+                            vector_batches=2, vector_builds=16,
+                            vector_fallbacks=2, vector_downgrades=1,
+                            vector_seconds=0.25)
         merged = merge_stats(left, right)
         assert merged.hits == 3
         assert merged.misses == 8
         assert merged.evictions == 1
         assert merged.capacity == 8
         assert merged.build_seconds == pytest.approx(0.75)
-        assert merged.disk_hits == 1
-        assert merged.disk_misses == 7
-        assert merged.disk_writes == 7
-        assert merged.disk_corrupt == 1
+        assert merged.vector_batches == 3
+        assert merged.vector_builds == 24
+        assert merged.vector_fallbacks == 2
+        assert merged.vector_downgrades == 1
+        assert merged.vector_seconds == pytest.approx(0.375)

@@ -21,6 +21,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--cache-dir", "cache"],
+        ["trends", "--cache-dir", "cache"],
+        ["check", "--backend", "serial"],
+    ], ids=["serve-cache-dir", "trends-cache-dir", "check-backend"])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestIddCommand:
     def test_default_device(self, capsys):
@@ -127,6 +138,8 @@ class TestCheckCommand:
         out = run(capsys, "check", "--node", "55")
         assert "Feasibility" in out
         assert "sa_stripe_share" in out
+        assert "engine: hits=" in out
+        assert "misses=1 " in out
 
     def test_infeasible_device_exits_nonzero(self, capsys, tmp_path,
                                              ddr3_device):

@@ -1,8 +1,11 @@
 """Engine package: fingerprints, model cache, sessions, variants."""
 
+import threading
+
 import pytest
 
 from repro.analysis.sensitivity import PARAMETERS, sensitivity
+from repro.core import DramPowerModel
 from repro.core.idd import idd7_mixed
 from repro.devices import build_device, ddr3_2g_55nm
 from repro.engine import (
@@ -141,6 +144,38 @@ class TestModelCache:
         assert stats.hit_rate == 0.5
         assert stats.build_seconds > 0.0
         assert "hit-rate=50.0%" in str(stats)
+
+    def test_racing_misses_share_one_model(self, ddr3_device,
+                                           monkeypatch):
+        # Both threads miss and build; the barrier holds each build
+        # until the other has started, so both stores race and the
+        # second must hand back the first copy.
+        barrier = threading.Barrier(2, timeout=30)
+
+        def waiting_build(device):
+            barrier.wait()
+            return DramPowerModel(device)
+
+        monkeypatch.setattr("repro.engine.cache.DramPowerModel",
+                            waiting_build)
+        cache = ModelCache()
+        models = [None, None]
+
+        def build(slot):
+            models[slot] = cache.model(ddr3_device)
+
+        threads = [threading.Thread(target=build, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert models[0] is not None
+        assert models[0] is models[1]
+        stats = cache.stats()
+        assert stats.size == 1
+        assert stats.misses == 2
 
 
 class TestEvaluationSession:

@@ -22,6 +22,7 @@ from repro.errors import JobError, JobNotFound, ServiceError
 from repro.jobs import (DEFAULT_CHUNK_SIZE, JobJournal, JobManager,
                         JobRunner, JobSpec, JobStore, parse_job_spec,
                         plan_job)
+from repro.jobs.journal import write_json_atomic
 from repro.service.faults import FaultInjector, FaultRule
 
 MC_PAYLOAD = {"kind": "montecarlo",
@@ -93,6 +94,20 @@ class TestJournal:
         journal.append_chunk(0, [1.0])  # duplicate, same value
         journal.append_chunk(1, [2.0])
         assert JobJournal(tmp_path).replay() == {0: [1.0], 1: [2.0]}
+
+    def test_failed_atomic_write_leaves_no_staging_file(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "status.json"
+        with pytest.raises(TypeError):
+            write_json_atomic(target, {"unencodable": {1, 2}})
+
+        def failing_fsync(handle):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.jobs.journal.os.fsync", failing_fsync)
+        with pytest.raises(OSError):
+            write_json_atomic(target, {"state": "pending"})
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

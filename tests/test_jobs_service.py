@@ -1,7 +1,10 @@
 """The job subsystem over HTTP: endpoints, handles, fleet sharing."""
 
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -30,6 +33,33 @@ def jobs_service(tmp_path):
 def _client(svc, **kwargs):
     return ServiceClient(f"http://127.0.0.1:{svc.server_port}",
                          **kwargs)
+
+
+#: Nesting depths around the stack limits of the JSON decoder and
+#: encoders: some bodies parse and validate, some do not.
+DEEP = range(960, 1001)
+
+
+def _deep_job(depth, key=None):
+    """A valid ``POST /jobs`` body nested ``depth`` levels: two
+    objects, then lists under an unknown (kept) ``params`` key."""
+    head = json.dumps({"kind": "montecarlo", "idempotency_key": key,
+                       "params": {"samples": 2, "seed": 1}})[:-2]
+    inner = "[" * (depth - 2) + "]" * (depth - 2)
+    return (head + ', "deep": ' + inner + "}}").encode()
+
+
+def _post_status(svc, body):
+    """The HTTP status of one raw ``POST /jobs``."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{svc.server_port}/jobs", data=body,
+        method="POST", headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as reply:
+            return reply.status
+    except urllib.error.HTTPError as failure:
+        failure.close()
+        return failure.code
 
 
 class TestJobEndpoints:
@@ -77,6 +107,30 @@ class TestJobEndpoints:
         assert caught.value.status == 400
         assert client.request("GET", "/jobs")["count"] == 0
         client.close()
+
+    def test_deep_nesting_is_never_500(self, jobs_service):
+        # A body too deep to re-encode is a 400 before the job
+        # directory exists, so none is left without its spec.
+        for depth in DEEP:
+            status = _post_status(jobs_service, _deep_job(depth))
+            assert status in (200, 400), depth
+        root = jobs_service.jobs.store.root
+        assert [entry.name for entry in root.iterdir()
+                if not (entry / "spec.json").is_file()] == []
+
+    def test_deep_rejection_leaves_idempotency_key_free(
+            self, jobs_service):
+        rejected = 0
+        for depth in DEEP:
+            key = f"deep-{depth}"
+            if _post_status(jobs_service, _deep_job(depth, key)) == 200:
+                continue  # accepted: the key now names that spec
+            rejected += 1
+            valid = json.dumps({"kind": "montecarlo", "params": MC,
+                                "idempotency_key": key})
+            assert _post_status(jobs_service, valid.encode()) == 200, \
+                depth
+        assert rejected
 
     def test_listing_counts_jobs(self, jobs_service):
         client = _client(jobs_service)
@@ -190,6 +244,8 @@ class TestJobsDisabled:
                                    if method == "POST" else None)
                 assert caught.value.status == 503
                 assert caught.value.retry_after is not None
+                assert "--jobs-dir" in str(caught.value)
+                assert "--cache-dir" not in str(caught.value)
             client.close()
         finally:
             svc.shutdown()

@@ -227,11 +227,11 @@ def _child_pids(pid):
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
     port = _free_port()
-    cache_dir = tmp_path_factory.mktemp("fleet-cache")
+    jobs_dir = tmp_path_factory.mktemp("fleet-jobs")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--port", str(port), "--workers", "2",
-         "--cache-dir", str(cache_dir)],
+         "--jobs-dir", str(jobs_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=_fleet_env())
     client = ServiceClient(f"http://127.0.0.1:{port}")
@@ -320,9 +320,9 @@ class TestFleet:
             device={})["results"][0]["power_w"] > 0
 
     def test_durable_job_runs_across_the_fleet(self, fleet):
-        """Jobs are on by default with --cache-dir; any worker can
-        answer for a job another worker is running, because the
-        journal and status live in the shared store."""
+        """Jobs are on with --jobs-dir; any worker can answer for a
+        job another worker is running, because the journal and
+        status live in the shared store."""
         handle = fleet.client.submit_job(
             "montecarlo", params={"samples": 6, "seed": 5},
             chunk_size=2, idempotency_key="fleet-mc")

@@ -60,13 +60,14 @@ class TestHealthAndStats:
         body = client.stats()
         engine = body["engine"]
         for key in ("hits", "misses", "size", "capacity",
-                    "build_seconds", "disk_hits", "disk_writes",
-                    "hit_rate", "lookups", "vector_seconds"):
+                    "build_seconds", "hit_rate", "lookups",
+                    "vector_seconds"):
             assert key in engine, key
+        assert not [key for key in engine if key.startswith("disk_")]
+        assert "cache_dir" not in body
         assert body["requests"]["/evaluate"] == 1
         assert body["requests_total"] >= 1
         assert body["uptime_seconds"] > 0.0
-        assert body["cache_dir"] is None
         admission = body["admission"]
         for key in ("in_flight", "queued", "admitted", "shed_busy",
                     "shed_timeout", "shed_total", "max_in_flight",
@@ -365,7 +366,7 @@ class TestJsonApiDirect:
 class TestServeSubprocess:
     """`repro serve` end to end: start, query, SIGTERM, clean exit."""
 
-    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+    def test_sigterm_drains_and_exits_zero(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -375,8 +376,7 @@ class TestServeSubprocess:
             env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--port", str(port),
-             "--cache-dir", str(tmp_path / "cache")],
+             "--port", str(port)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             env=env, text=True)
         try:
@@ -385,7 +385,7 @@ class TestServeSubprocess:
             reply = client.evaluate(device={"node": 55})
             assert reply["results"][0]["power_w"] > 0
             stats = client.stats()
-            assert stats["engine"]["disk_writes"] == 1
+            assert stats["engine"]["misses"] == 1
             process.send_signal(signal.SIGTERM)
             out, _ = process.communicate(timeout=30)
         finally:
