@@ -603,8 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto",) + TRACE_BACKENDS,
                        help="replay backend: serial fold, columnar "
                             "kernel (numpy), or auto (default: "
-                            "columnar when numpy is installed and the "
-                            "replay is lenient)")
+                            "columnar when numpy is installed)")
     trace.add_argument("--workload", default="random",
                        choices=["random", "streaming"])
     trace.add_argument("--accesses", type=int, default=2000)

@@ -26,13 +26,30 @@ raises :class:`TraceError`; with ``strict=False`` the trace is priced as
 given — out-of-order timestamps (common in merged external simulator
 traces) are clamped to the latest time seen, and accesses to a row other
 than the open one are tallied as ``row_conflicts`` instead of raising.
+
+Two folds share the accumulator.  :meth:`TraceAccumulator.feed` is the
+scalar one, a Python loop over :meth:`TraceAccumulator._step`: the
+oracle, and the only fold without numpy.
+:meth:`TraceAccumulator.feed_columnar` (what :func:`evaluate_trace`
+runs) applies the same checks and register updates to
+:data:`COMMANDS_PER_BATCH` commands at a time as array operations, in
+both modes; a batch with any violation replays through ``_step``, so
+errors and results are the scalar fold's, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on the no-numpy leg
+    _np = None
 
 from ..description import Command
 from ..errors import ModelError
@@ -48,6 +65,26 @@ TIMING_EPSILON = 1e-12
 #: fixed order the energy fold adds them (order is part of the
 #: bit-for-bit parity contract between chunked and one-shot paths).
 _PRICED_COMMANDS = (Command.ACT, Command.PRE, Command.RD, Command.WR)
+
+#: Commands per batch of :meth:`TraceAccumulator.feed_columnar`: enough
+#: to amortize numpy's per-call cost, few enough that a batch of
+#: generator-made commands and its temporaries stay near 1 MB (about
+#: 500 bytes a command).
+COMMANDS_PER_BATCH = 2048
+
+#: Command codes of the columnar fold (positions in ``Command``), looked
+#: up by the member's plain string value: hashing an Enum member runs
+#: Python code, hashing a ``str`` does not.
+_CODE_BY_VALUE = {command._value_: code
+                  for code, command in enumerate(Command)}
+_ACT, _PRE, _RD, _WR, _REF, _NOP = (
+    _CODE_BY_VALUE[command._value_] for command in (
+        Command.ACT, Command.PRE, Command.RD, Command.WR, Command.REF,
+        Command.NOP))
+
+#: The commands whose latest time per bank is a timing register, in
+#: register order: last ACT, PRE, REF, RD, and WR (write-data end).
+_REGISTER_CODES = ((_ACT,), (_PRE,), (_REF,), (_RD,), (_WR,))
 
 
 class TraceError(ModelError):
@@ -75,21 +112,38 @@ class TraceCommand:
     """One timed command of a trace."""
 
     time: float
-    """Issue time (s), non-decreasing along the trace."""
+    """Issue time (s): finite, non-negative and non-decreasing along
+    the trace."""
     command: Command
     """Command mnemonic (ACT / PRE / RD / WR / REF; NOP is ignored)."""
     bank: int = 0
     """Target bank."""
     row: int = 0
-    """Target row (ACT and column accesses) — row-hit bookkeeping."""
+    """Target row (ACT and column accesses), non-negative — row-hit
+    bookkeeping."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "command", Command(self.command))
+        try:
+            finite = math.isfinite(self.time)
+        except OverflowError:  # an int beyond any float
+            finite = False
+        if not finite:
+            raise TraceError("command time must be finite",
+                             self.time, None)
         if self.time < 0:
             raise TraceError("command time must not be negative",
                              self.time, None)
-        if self.bank < 0:
+        try:  # the columnar fold would read a bank or row of 1.5 as 1
+            bank, row = operator.index(self.bank), operator.index(self.row)
+        except TypeError:
+            raise TraceError("bank and row must be integers",
+                             self.time, None) from None
+        if bank < 0:
             raise TraceError("bank must not be negative",
+                             self.time, None)
+        if row < 0:
+            raise TraceError("row must not be negative",
                              self.time, None)
 
 
@@ -172,6 +226,9 @@ class TraceAccumulator:
     length.  :meth:`snapshot` (and its alias :meth:`result`) derive the
     energy breakdown purely from the counts, so any chunking of the
     same command stream yields bit-for-bit identical results.
+    :meth:`feed` folds one command at a time; :meth:`feed_columnar`
+    folds batches as array operations, with the same registers,
+    results and errors, and either may follow the other.
     """
 
     def __init__(self, model: DramPowerModel, strict: bool = True):
@@ -181,7 +238,9 @@ class TraceAccumulator:
         self._device = device
         self._timing = device.timing
         self._n_banks = device.spec.banks
+        self._banks_per_group = device.spec.banks_per_group
         self._burst = device.spec.burst_length / device.spec.datarate
+        self._offsets = None  # per-command check offsets, built lazily
         self._banks: Dict[int, _BankState] = {}
         # Strict-mode activation bookkeeping.  The window holds only
         # the activate times still inside the tFAW horizon (pruned
@@ -375,10 +434,265 @@ class TraceAccumulator:
             raise TraceError("tFAW violation", time, index)
 
     # ------------------------------------------------------------------
-    # Batched and sharded replay.  Both are lenient-only: the columnar
-    # fold carries no per-command timing state, and strict legality
-    # (the activate window) is global across banks, so neither batches
-    # nor (channel, rank) shards could reproduce strict replay.
+    # The columnar fold.
+    # ------------------------------------------------------------------
+    def feed_columnar(self, commands: Iterable[TraceCommand]
+                      ) -> "TraceAccumulator":
+        """Consume commands like :meth:`feed`, as array operations.
+
+        Folds :data:`COMMANDS_PER_BATCH` commands at a time through
+        :meth:`_fold_batch`.  A batch it cannot commit (a violation, or
+        a bank or row beyond int64) replays through :meth:`feed` from
+        the same state, so errors keep their text, index and time and
+        results are the scalar fold's bit for bit.  Single pass over
+        ``commands``; without numpy this is :meth:`feed`.
+        """
+        if _np is None:
+            return self.feed(commands)
+        iterator = iter(commands)
+        for batch in iter(lambda: list(islice(iterator,
+                                              COMMANDS_PER_BATCH)), []):
+            if not self._fold_batch(batch):
+                self.feed(batch)
+        return self
+
+    def _check_offsets(self):
+        """Per-command-code offsets of the strict per-bank checks.
+
+        Row ``i`` holds what command code ``c`` adds to the register
+        ``i`` (last ACT, PRE, REF, RD, write-data end) before comparing
+        with its own time, as in :meth:`_step` and
+        :meth:`_check_activate`; ``-inf`` means code ``c`` does not
+        check that register.
+        """
+        if self._offsets is None:
+            timing = self._timing
+            offsets = _np.full((5, len(_CODE_BY_VALUE)), -math.inf)
+            offsets[0, [_ACT, _PRE, _RD, _WR]] = (
+                timing.trc, timing.tras, timing.trcd, timing.trcd)
+            offsets[1, [_ACT, _REF]] = timing.trp
+            offsets[2, [_ACT, _REF]] = timing.trfc
+            offsets[3, _PRE] = timing.trtp
+            offsets[4, _PRE] = timing.twr
+            self._offsets = offsets
+        return self._offsets
+
+    def _fold_batch(self, batch: List[TraceCommand]) -> bool:
+        """Apply :meth:`_step` to a whole batch; False (and nothing
+        committed) when the batch must replay scalar instead.
+
+        A stable sort by bank makes each bank's commands one run.  A
+        per-bank register before a command is then the latest command
+        of its kind earlier in the run (a running maximum of
+        positions), or the register carried in at the run's start.  The
+        activate checks compare each ACT, in time order, with the
+        previous ACT, the previous one in its bank group and the fourth
+        one before it.  Each check assumes the commands before it were
+        legal, so it is exact up to the first violation; any violation
+        sends the whole batch scalar, which finds that one.
+        """
+        np = _np
+        strict = self.strict
+        try:
+            times = np.array([entry.time for entry in batch], np.float64)
+            banks = np.array([entry.bank for entry in batch], np.int64)
+            rows = np.array([entry.row for entry in batch], np.int64)
+        except OverflowError:
+            return False
+        kinds = np.array([_CODE_BY_VALUE[entry.command._value_]
+                          for entry in batch], np.int8)
+        if strict:
+            if times[0] < self._previous \
+                    or (times[1:] < times[:-1]).any():
+                return False
+        else:  # lenient: clamp to the latest time seen
+            times = np.maximum.accumulate(times)
+            np.maximum(times, self._previous, out=times)
+        last_time = float(times[-1])
+        live = kinds != _NOP  # NOPs only advance the index and clock
+        if not live.all():
+            times, kinds = times[live], kinds[live]
+            banks, rows = banks[live], rows[live]
+        if len(kinds):
+            if strict:
+                if int(banks.max()) >= self._n_banks:
+                    return False
+                activates = self._activate_registers(times, kinds, banks)
+                if activates is None:
+                    return False
+            banked = self._bank_registers(times, kinds, banks, rows)
+            if banked is None:
+                return False
+            run_banks, registers, hits, conflicts = banked
+            # Commit: new banks join in order of first appearance.
+            states = [self._banks.get(bank) for bank in run_banks]
+            for i in sorted((i for i, state in enumerate(states)
+                             if state is None),
+                            key=registers[-1].__getitem__):
+                states[i] = self._banks[run_banks[i]] = _BankState()
+            for state, row, pending, act, pre, ref, read, write, _ in \
+                    zip(states, *registers):
+                state.active_row = None if row < 0 else row
+                state.pending_access = pending
+                state.last_act = act
+                state.last_pre = pre
+                state.last_ref = ref
+                state.last_read = read
+                state.write_data_end = write
+            if strict:
+                (self._act_window, self._last_act_time, groups,
+                 group_times) = activates
+                self._group_last_act.update(zip(groups, group_times))
+            tally = np.bincount(kinds, minlength=len(_CODE_BY_VALUE))
+            for command, count in zip(Command, tally.tolist()):
+                if count:
+                    self.counts[command] += count
+            self._row_hits += hits
+            self._row_conflicts += conflicts
+        self._index += len(batch)
+        self._previous = last_time
+        if last_time > self._last_time:
+            self._last_time = last_time
+        return True
+
+    def _activate_registers(self, times, kinds, banks):
+        """tRRD, tRRD_L and tFAW of a strict batch's activates (in time
+        order).  Returns the new activate window, last-activate time,
+        and the groups and times to enter into the per-group register,
+        or ``None`` on a violation."""
+        np = _np
+        act = kinds == _ACT
+        if not act.any():
+            return self._act_window, self._last_act_time, [], []
+        timing = self._timing
+        act_time = times[act]
+        count = len(act_time)
+        previous = np.empty(count)
+        previous[0] = self._last_act_time
+        previous[1:] = act_time[:-1]
+        if (previous > act_time - timing.trrd + TIMING_EPSILON).any():
+            return None
+        groups = banks[act] // self._banks_per_group
+        order = np.argsort(groups, kind="stable")
+        group_sorted = groups[order]
+        time_sorted = act_time[order]
+        heads, _ = _runs(group_sorted)
+        previous[1:] = time_sorted[:-1]
+        previous[heads] = [
+            self._group_last_act.get(group, -math.inf)
+            for group in group_sorted[heads].tolist()]
+        if (previous > time_sorted - timing.trrd_l
+                + TIMING_EPSILON).any():
+            return None
+        # A window older than four activates is pruned already, so the
+        # fourth activate before each one decides tFAW.
+        window = list(self._act_window)[-4:]
+        history = np.concatenate(
+            ([-math.inf] * (4 - len(window)), window, act_time))
+        if (history[:count] > act_time - timing.tfaw
+                + TIMING_EPSILON).any():
+            return None
+        last = float(act_time[-1])
+        horizon = last - timing.tfaw + TIMING_EPSILON
+        kept = [value for value in history[count:count + 3].tolist()
+                if value > horizon]
+        return (deque(kept + [last]), last, groups.tolist(),
+                act_time.tolist())
+
+    def _bank_registers(self, times, kinds, banks, rows):
+        """Per-bank checks and registers of a batch of non-NOP commands.
+
+        Returns ``(run banks, registers, row hits, row conflicts)``,
+        where ``registers`` holds per run bank the open row (-1 idle),
+        pending flag, last ACT, PRE, REF and RD times, write-data end
+        and first batch position; ``None`` on a strict violation or a
+        carried row beyond int64.  The five time registers are the
+        rows of one 2-D array, so each step is one numpy call.
+        """
+        np = _np
+        order = np.argsort(banks, kind="stable")
+        bank = banks[order]
+        kind = kinds[order]
+        time = times[order]
+        row = rows[order]
+        size = len(kind)
+        heads, run = _runs(bank)
+        ends = np.append(heads[1:], size) - 1
+        start = heads[run]
+        run_banks = bank[heads].tolist()
+        carried = [self._banks.get(b) or _BankState() for b in run_banks]
+        try:
+            carried_row = np.array([-1 if s.active_row is None
+                                    else s.active_row for s in carried],
+                                   np.int64)
+        except OverflowError:
+            return None
+        carried_pending = np.array([s.pending_access for s in carried])
+        carried_times = np.array(
+            [[s.last_act, s.last_pre, s.last_ref, s.last_read,
+              s.write_data_end] for s in carried]).T
+        # latest[i, j]: position of the latest command of register i's
+        # kind at or before j (-1 when none).
+        position = np.arange(size)
+        latest = np.where(kind == _REGISTER_CODES, position, -1)
+        np.maximum.accumulate(latest, axis=1, out=latest)
+        latest_change = latest[:3].max(axis=0)  # ACT, PRE or REF
+        is_act = kind == _ACT
+        is_access = (kind == _RD) | (kind == _WR)
+        # The open row after each ACT/PRE/REF, and before each command.
+        opened = np.where(is_act, row, -1)
+        change = _shifted(latest_change)
+        own = change >= start
+        open_row = np.where(own, opened[change], carried_row[run])
+        matching = is_access & (row == open_row)
+        if self.strict:
+            before = _shifted(latest)
+            value = time[before]
+            value[4] += self._burst
+            np.copyto(value, carried_times[:, run], where=before < start)
+            value += self._check_offsets()[:, kind]
+            value -= TIMING_EPSILON
+            # PRE, RD and WR need an open row; ACT and REF an idle bank.
+            needs_open = is_access | (kind == _PRE)
+            if ((open_row >= 0) != needs_open).any() \
+                    or (is_access & ~matching).any() \
+                    or (time < value).any():
+                return None
+        # Row hits: every matching access but the first of each open
+        # segment (a bank's commands after one ACT) whose activate
+        # still waits for its paid-for access.
+        matched = np.flatnonzero(matching)
+        hits = len(matched)
+        if hits:
+            segment = np.where(own, change, -2 - run)[matched]
+            first = matched[_runs(segment)[0]]
+            hits -= int(np.count_nonzero(own[first]
+                                         | carried_pending[run[first]]))
+        conflicts = int(np.count_nonzero(is_access)) - len(matched)
+        # Registers after each run's last command.
+        last_change = latest_change[ends]
+        changed = last_change >= heads
+        final_row = np.where(changed, opened[last_change], carried_row)
+        boundary = np.where(changed, last_change, heads - 1)
+        last_match = np.maximum.accumulate(
+            np.where(matching, position, -1))[ends]
+        final_pending = (np.where(changed, is_act[last_change],
+                                  carried_pending)
+                         & (last_match <= boundary))
+        at = latest[:, ends]
+        value = time[at]
+        value[4] += self._burst
+        finals = np.where(at >= heads, value, carried_times).tolist()
+        registers = (final_row.tolist(), final_pending.tolist(), *finals,
+                     order[heads].tolist())
+        return run_banks, registers, hits, conflicts
+
+    # ------------------------------------------------------------------
+    # Pre-aggregated batches and sharded replay.  Both are lenient-only:
+    # a count delta carries no per-command timing, and strict legality
+    # (the activate window) is global across banks, so neither
+    # aggregated batches nor (channel, rank) shards could reproduce
+    # strict replay.
     # ------------------------------------------------------------------
     def absorb_batch(self, counts: Mapping[Command, int],
                      row_hits: int, commands: int, last_time: float,
@@ -535,18 +849,41 @@ class TraceAccumulator:
         return self.snapshot()
 
 
+def _runs(keys):
+    """Start positions of the runs of equal values in sorted ``keys``
+    (non-empty), and the run number of every position."""
+    head = _np.empty(len(keys), bool)
+    head[0] = True
+    _np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return _np.flatnonzero(head), _np.cumsum(head) - 1
+
+
+def _shifted(latest):
+    """``latest`` moved one position later along its last axis: the
+    latest masked position strictly before each position (-1 when
+    none)."""
+    shifted = _np.empty_like(latest)
+    shifted[..., 0] = -1
+    shifted[..., 1:] = latest[..., :-1]
+    return shifted
+
+
 def evaluate_trace(model: DramPowerModel,
                    commands: Iterable[TraceCommand],
                    strict: bool = True) -> TraceResult:
     """Replay a trace against the model and integrate its energy.
 
     Streams ``commands`` in a single pass (generators welcome; the
-    trace is never materialized).  With ``strict`` (default) every
-    protocol and timing violation raises :class:`TraceError`; with
-    ``strict=False`` the trace is priced as given (useful for
-    approximate traces from external simulators).
+    trace is never materialized beyond one batch).  With ``strict``
+    (default) every protocol and timing violation raises
+    :class:`TraceError`; with ``strict=False`` the trace is priced as
+    given (useful for approximate traces from external simulators).
+    Runs :meth:`TraceAccumulator.feed_columnar`: array operations with
+    numpy, the scalar fold without; the result and any error are the
+    scalar fold's either way.
     """
-    return TraceAccumulator(model, strict=strict).feed(commands).result()
+    return TraceAccumulator(model, strict=strict).feed_columnar(
+        commands).result()
 
 
 def trace_power(model: DramPowerModel,

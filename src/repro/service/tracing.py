@@ -160,7 +160,7 @@ def _parse(request: TraceRequest, fields: Dict[str, Any],
     if not 0 < request.clock < math.inf:
         raise ServiceError("'clock' must be positive, finite Hz")
     try:
-        resolve_trace_backend(request.backend, request.strict)
+        resolve_trace_backend(request.backend)
     except TraceError as exc:
         raise ServiceError(str(exc)) from None
     request.snapshot_every = max(MIN_SNAPSHOT_EVERY,
@@ -252,7 +252,7 @@ def _trace_fold(session: EvaluationSession, request: TraceRequest,
     replayer = ColumnarReplayer(
         accumulator, request.fmt, decoder, request.clock,
         source="<upload>",
-        backend=resolve_trace_backend(request.backend, request.strict))
+        backend=resolve_trace_backend(request.backend))
     # One line yields at least one command, so batching
     # ``snapshot_every`` lines guarantees each full batch crosses the
     # snapshot cadence; the cap keeps batches array-sized.

@@ -33,15 +33,18 @@ processes the same pipeline in *batches of lines*:
 numpy is optional (the ``repro[vector]`` extra), mirroring
 :mod:`repro.engine.vector`: with numpy missing the replayer folds
 every batch scalar and :func:`resolve_trace_backend` fires the
-one-time ``trace_downgrades`` marker, results unchanged.  The columnar
-fold is lenient-only (``strict=False``) — expanded external traces
-always replay leniently, and strict legality needs per-command timing
-the batch reduction discards.
+one-time ``trace_downgrades`` marker, results unchanged.  The count
+reduction above is lenient-only, since strict legality needs the
+per-command timing it discards.  A strict batch instead expands its
+records scalar and folds the commands on
+:meth:`~repro.core.trace.TraceAccumulator.feed_columnar`, which checks
+legality as array operations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 try:
@@ -117,8 +120,9 @@ def reset_downgrades() -> None:
 
 
 class _ColumnarOverflow(Exception):
-    """A batch carries integers no int64 array can hold; the caller
-    replays that batch through the scalar pipeline instead."""
+    """A batch carries integers no int64 array can hold, or a time no
+    float can; the caller replays that batch through the scalar
+    pipeline instead, which raises the exact error if there is one."""
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +244,8 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
     hit except the one its activate paid for.  ``open_rows`` is the
     carried open-row register, updated in place.  With ``shards`` the
     batch is first masked to the (channel, rank) shard indices in
-    that contiguous range.
+    that contiguous range.  A batch whose last time is not finite
+    raises :class:`_ColumnarOverflow` before anything is folded.
     """
     n = len(columns)
     if n == 0:
@@ -260,6 +265,12 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
         n = int(addresses.shape[0])
         if n == 0:
             return
+    # int * float in Python mirrors the scalar per-record time product
+    # bit for bit (multiplication by a positive period is monotone, so
+    # the max cycle carries the max time).
+    last_time = int(cycles.max()) * period
+    if not math.isfinite(last_time):
+        raise _ColumnarOverflow()
     bank_shift, bank_bits = layout["bank"]
     row_shift, row_bits = layout["row"]
     rank_shift = layout["rank"][0]
@@ -312,10 +323,6 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
     counts = {Command.ACT: n_act, Command.PRE: n_pre,
               Command.RD: reads, Command.WR: n_access - reads,
               Command.REF: refreshes}
-    # int * float in Python mirrors the scalar per-record time product
-    # bit for bit (multiplication by a positive period is monotone, so
-    # the max cycle carries the max time).
-    last_time = int(cycles.max()) * period
     accumulator.absorb_batch(counts, row_hits=n_access - n_act,
                              commands=n + n_act + n_pre,
                              last_time=last_time, bank_rows=bank_rows)
@@ -329,14 +336,18 @@ class ColumnarReplayer:
     behind file, record-stream and upload replay.
 
     Feed line batches with :meth:`feed_lines` or parsed record batches
-    with :meth:`feed_records`.  A batch folds columnar on the
-    ``vector`` backend with numpy present, a lenient accumulator and
-    a decoder whose fields fit int64 masks (``address_bits < 64``);
-    every other batch — and any batch carrying integers beyond int64
-    — folds through the scalar pipeline.  The replayer tracks global
-    line numbers (for exact error parity), carries the open-row
-    register across batches of either kind, and optionally masks to a
-    contiguous ``range`` of (channel, rank) shards.
+    with :meth:`feed_records`.  ``columnar`` holds on the ``vector``
+    backend with numpy present and a decoder whose fields fit int64
+    masks (``address_bits < 64``).  There a lenient batch folds
+    through :func:`fold_columns`, and a strict batch expands its
+    records scalar and folds the commands on
+    :meth:`~repro.core.trace.TraceAccumulator.feed_columnar`.  Every
+    other batch, and a lenient one carrying integers beyond int64 or a
+    time beyond any float, folds through the scalar pipeline.  The
+    replayer tracks global line numbers (for exact error parity),
+    carries the open-row register across batches of either kind, and
+    optionally masks to a contiguous ``range`` of (channel, rank)
+    shards.
     """
 
     def __init__(self, accumulator: TraceAccumulator,
@@ -352,7 +363,6 @@ class ColumnarReplayer:
         self.source = source
         self.shards = shards
         self.columnar = (backend == "vector" and _np is not None
-                         and not accumulator.strict
                          and decoder.address_bits < 64)
         self.open_rows: Dict[int, int] = {}
         self._next_line = 1
@@ -372,29 +382,36 @@ class ColumnarReplayer:
             self._feed_scalar(iter(batch))
 
     def _fold_columnar(self, parse, *args, **kwargs) -> bool:
-        """Fold the batch ``parse(*args, **kwargs)`` columnar; False
-        (nothing folded) when it must go scalar instead."""
-        if not self.columnar:
+        """Fold the lenient batch ``parse(*args, **kwargs)`` through
+        the count reduction; False (nothing folded) when it must go
+        through :meth:`_feed_scalar` instead."""
+        if not self.columnar or self.accumulator.strict:
             return False
         try:
-            columns = parse(*args, **kwargs)
+            fold_columns(self.accumulator, parse(*args, **kwargs),
+                         self.decoder, self.period, self.open_rows,
+                         shards=self.shards)
         except _ColumnarOverflow:
             return False
-        fold_columns(self.accumulator, columns, self.decoder,
-                     self.period, self.open_rows, shards=self.shards)
         return True
 
     def _feed_scalar(self, records: Iterable[TraceRecord]) -> None:
-        """Fold records through the scalar pipeline, sharing the
-        open-row register so the streams splice exactly."""
+        """Expand records through the scalar pipeline, sharing the
+        open-row register so the streams splice exactly.  A strict
+        columnar replayer folds the commands on the columnar command
+        fold; every other replayer feeds them to the scalar fold."""
         if self.shards is not None:
             wanted = self.shards
             records = (record for record in records
                        if self.decoder.shard_of(record.address)
                        in wanted)
-        self.accumulator.feed(commands_from_records(
-            records, self.decoder, self.clock,
-            open_rows=self.open_rows))
+        commands = commands_from_records(records, self.decoder,
+                                         self.clock,
+                                         open_rows=self.open_rows)
+        if self.columnar and self.accumulator.strict:
+            self.accumulator.feed_columnar(commands)
+        else:
+            self.accumulator.feed(commands)
 
 
 def batches(items: Iterable, size: int) -> Iterator[list]:
@@ -428,15 +445,13 @@ def replay_lines_columnar(accumulator: TraceAccumulator,
 TRACE_BACKENDS = ("serial", "vector")
 
 
-def resolve_trace_backend(backend: Optional[str], strict: bool) -> str:
+def resolve_trace_backend(backend: Optional[str]) -> str:
     """The concrete backend (``serial``/``vector``) that runs a
-    ``backend`` request.
+    ``backend`` request, strict or lenient.
 
-    Strict replay needs per-command timing state the batched path
-    discards: ``vector`` refuses ``strict=True`` and ``auto`` stays
-    serial.  Lenient ``auto`` picks ``vector`` when numpy is present
-    and serial otherwise.  A lenient request for the columnar path
-    (``vector`` or ``auto``) without numpy fires the one-time
+    ``auto`` picks ``vector`` when numpy is present and serial
+    otherwise.  A request for the columnar path (``vector`` or
+    ``auto``) without numpy fires the one-time
     :func:`trace_downgrades` marker.
     """
     if backend is None:
@@ -445,13 +460,6 @@ def resolve_trace_backend(backend: Optional[str], strict: bool) -> str:
         raise TraceError(
             f"unknown trace backend {backend!r}; choose from "
             + "/".join(TRACE_BACKENDS + ("auto",)), 0.0, None)
-    if strict:
-        if backend == "vector":
-            raise TraceError(
-                "the vector backend replays batched and cannot "
-                "honour strict=True; use backend='serial' for strict "
-                "legality checking", 0.0, None)
-        return "serial"
     if backend == "serial":
         return backend
     if columnar_available():

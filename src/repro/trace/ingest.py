@@ -9,7 +9,8 @@ Open-page expansion keeps one open-row register per bank: a transaction
 to a closed row emits ``PRE`` (when another row is open) + ``ACT``
 before the column access, all stamped with the transaction's own time —
 external traces carry no command-level timing, so expanded traces are
-evaluated with ``strict=False``.
+evaluated with ``strict=False`` (strict replay of an access stops at
+its tRCD check).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from ..core.model import DramPowerModel
 from ..core.trace import TraceAccumulator, TraceCommand, TraceResult
 from ..description import Command
 from .decoder import AddressDecoder
-from .formats import (TraceRecord, detect_format, iter_records,
-                      open_trace_lines)
+from .formats import (TraceFormatError, TraceRecord, detect_format,
+                      iter_records, open_trace_lines)
 
 
 #: Default cycle clock (Hz) when a trace does not state one: 1 GHz, so
@@ -49,7 +50,8 @@ def commands_from_records(records: Iterable[TraceRecord],
     per-bank open-row register, so a caller alternating between this
     scalar expansion and the columnar batch kernel hands the carried
     state back and forth and the combined stream stays bit-identical
-    to a single-path run.
+    to a single-path run.  A record whose time ``cycle / clock`` is
+    not a finite float raises :class:`TraceFormatError` at its line.
     """
     period = clock_period(clock)
     if open_rows is None:
@@ -57,7 +59,14 @@ def commands_from_records(records: Iterable[TraceRecord],
     for record in records:
         decoded = decoder.decode(record.address)
         bank = decoder.flat_bank(decoded)
-        time = record.cycle * period
+        try:
+            time = record.cycle * period
+        except OverflowError:  # a cycle beyond any float
+            time = math.inf
+        if time == math.inf:
+            raise TraceFormatError(
+                f"cycle stamp gives no finite time at a {clock:g} Hz "
+                "clock", record.line)
         if record.kind == "refresh":
             if open_rows.pop(bank, None) is not None:
                 yield TraceCommand(time, Command.PRE, bank)
@@ -115,23 +124,22 @@ def replay_trace_file(model: DramPowerModel, path,
 
     Returns ``(accumulator, backend_used)``.  The backend is resolved
     by :func:`~repro.trace.columnar.resolve_trace_backend` (serial vs
-    the columnar kernel); both produce bit-for-bit identical
-    aggregates, so the choice is purely a throughput decision.
-    ``serial`` runs the scalar oracle: records → commands →
-    :meth:`TraceAccumulator.feed`.
+    the columnar kernels), in either mode; both produce bit-for-bit
+    identical aggregates and errors, so the choice is purely a
+    throughput decision.  ``serial`` runs the scalar oracle: records →
+    commands → :meth:`TraceAccumulator.feed`.
     """
     from .columnar import replay_lines_columnar, resolve_trace_backend
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     resolved_fmt = resolve_trace_format(path, fmt)
-    backend = resolve_trace_backend(backend, strict)
+    backend = resolve_trace_backend(backend)
+    accumulator = TraceAccumulator(model, strict=strict)
     if backend == "vector":
-        accumulator = TraceAccumulator(model, strict=False)
         with open_trace_lines(path) as lines:
             replay_lines_columnar(accumulator, lines, resolved_fmt,
                                   decoder, clock, source=str(path))
         return accumulator, "vector"
-    accumulator = TraceAccumulator(model, strict=strict)
     accumulator.feed(commands_from_records(
         read_trace(path, resolved_fmt), decoder, clock))
     return accumulator, "serial"
@@ -183,8 +191,8 @@ def accumulate_records(model: DramPowerModel,
                        backend: str = "auto") -> TraceAccumulator:
     """Fold a record stream into a fresh :class:`TraceAccumulator`.
 
-    ``serial`` runs the scalar oracle; ``vector`` (what lenient
-    ``auto`` resolves to with numpy) feeds the batch replayer
+    ``serial`` runs the scalar oracle; ``vector`` (what ``auto``
+    resolves to with numpy) feeds the batch replayer
     :data:`~repro.trace.columnar.RECORDS_PER_BATCH` records at a
     time.
     """
@@ -192,11 +200,10 @@ def accumulate_records(model: DramPowerModel,
                            resolve_trace_backend)
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
-    if resolve_trace_backend(backend, strict) == "serial":
-        accumulator = TraceAccumulator(model, strict=strict)
+    accumulator = TraceAccumulator(model, strict=strict)
+    if resolve_trace_backend(backend) == "serial":
         accumulator.feed(commands_from_records(records, decoder, clock))
         return accumulator
-    accumulator = TraceAccumulator(model, strict=False)
     replayer = ColumnarReplayer(accumulator, None, decoder, clock)
     for batch in batches(records, RECORDS_PER_BATCH):
         replayer.feed_records(batch)

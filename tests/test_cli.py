@@ -133,6 +133,19 @@ class TestTraceCommand:
                 in capsys.readouterr().err)
 
 
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_non_finite_record_time_is_an_error(self, capsys, tmp_path,
+                                                backend):
+        path = tmp_path / "t.trc"
+        path.write_text("0x0 P_MEM_RD 1\n0x40 P_MEM_RD 1"
+                        + "0" * 400 + "\n")
+        assert main(["trace", str(path), "--backend", backend]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "2: cycle stamp gives no finite time" in err
+        assert "Traceback" not in err
+
+
 class TestCheckCommand:
     def test_feasible_device_exits_zero(self, capsys):
         out = run(capsys, "check", "--node", "55")

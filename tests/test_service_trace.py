@@ -178,6 +178,19 @@ class TestJsonMode:
         assert body["row_hits"] == local.row_hits
         assert body["counts"]["ref"] == 1
 
+    @pytest.mark.parametrize("line, clock", [
+        ("0x40 P_MEM_RD 1" + "0" * 400, 1e9),
+        ("0x40 P_MEM_RD 10000000000", 1e-300)],
+        ids=["cycle-overflow", "tiny-clock"])
+    def test_non_finite_time_is_400(self, client, line, clock):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("POST", "/trace", {
+                "device": {"node": 55}, "clock": clock,
+                "text": "0x0 P_MEM_RD 1\n" + line + "\n"})
+        assert excinfo.value.status == 400
+        assert "2: cycle stamp gives no finite time" in str(
+            excinfo.value)
+
     def test_missing_text_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.request("POST", "/trace",
@@ -271,6 +284,13 @@ class TestRawMode:
         with pytest.raises(ServiceError) as excinfo:
             client.trace(b"0x0 READ 0\n", device={"wat": 1})
         assert excinfo.value.status == 400
+
+    def test_non_finite_time_is_an_in_band_error(self, client):
+        records = list(client.trace_stream(
+            b"0x0 P_MEM_RD 1\n0x40 P_MEM_RD 1" + b"0" * 400 + b"\n",
+            device={"node": 55}))
+        assert records[-1]["status"] == 400
+        assert "<trace>:2: cycle stamp" in records[-1]["error"]
 
     def test_malformed_line_raises_from_trace(self, client):
         with pytest.raises(ServiceError, match="BOGUS"):
@@ -415,10 +435,27 @@ class TestBackendSelection:
         with pytest.raises(ServiceError, match="quantum"):
             parse_trace_query({"backend": ["quantum"]})
 
-    def test_query_rejects_vector_with_strict(self):
-        with pytest.raises(ServiceError, match="strict"):
-            parse_trace_query({"backend": ["vector"],
-                               "strict": ["true"]})
+    def test_strict_vector_matches_serial(self):
+        """Strict replay runs on the vector backend too, with the
+        serial fold's result and errors."""
+        request = parse_trace_query({"backend": ["vector"],
+                                     "strict": ["true"]})
+        assert (request.backend, request.strict) == ("vector", True)
+        session = EvaluationSession()
+        legal = "0x0 REF 1000\n0x0 REF 2000\n"
+        replies = [trace_payload(session, {
+            "device": {"node": 55}, "text": legal, "strict": True,
+            "backend": backend}) for backend in ("serial", "vector")]
+        assert replies[0] == replies[1]
+        errors = []
+        for backend in ("serial", "vector"):
+            with pytest.raises(ServiceError) as excinfo:
+                trace_payload(session, {
+                    "device": {"node": 55}, "text": k6_text(50),
+                    "strict": True, "backend": backend})
+            errors.append((str(excinfo.value), excinfo.value.status))
+        assert "tRCD violation" in errors[0][0]
+        assert errors[0] == errors[1]
 
     def test_payload_backend_parsing(self):
         request, _ = parse_trace_payload({

@@ -351,9 +351,29 @@ class TestValidationConsistency:
         with pytest.raises(TraceError, match="time"):
             TraceCommand(-1e-9, Command.ACT)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_time_is_trace_error(self, time):
+        # NaN compares false with everything, so it would switch off
+        # the order check and every later timing check on its bank.
+        with pytest.raises(TraceError, match="finite") as excinfo:
+            TraceCommand(time, Command.ACT)
+        assert excinfo.value.index is None
+
     def test_negative_bank_is_trace_error(self):
         with pytest.raises(TraceError, match="bank"):
             TraceCommand(0.0, Command.ACT, bank=-1)
+
+    def test_negative_row_is_trace_error(self):
+        with pytest.raises(TraceError, match="row") as excinfo:
+            TraceCommand(0.0, Command.ACT, row=-1)
+        assert excinfo.value.index is None
+
+    @pytest.mark.parametrize("field", ["bank", "row"])
+    @pytest.mark.parametrize("value", [1.5, None])
+    def test_non_integer_bank_or_row_is_trace_error(self, field, value):
+        with pytest.raises(TraceError, match="integers"):
+            TraceCommand(0.0, Command.ACT, **{field: value})
 
     def test_validation_errors_stay_model_errors(self):
         """Back-compat: callers catching ModelError keep working."""

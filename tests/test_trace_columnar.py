@@ -210,21 +210,45 @@ class TestErrorParity:
 
 
 class TestStrictRejection:
-    def test_vector_backend_rejects_strict(self, ddr3_model,
-                                           tmp_path):
-        path = tmp_path / "s.trc"
-        path.write_text("0x100 READ 1\n")
-        with pytest.raises(TraceError, match="strict"):
-            evaluate_trace_file(ddr3_model, path, backend="vector",
-                                strict=True)
+    """Strict replay runs on either backend and rejects an illegal
+    trace with the serial fold's exact error."""
 
-    def test_auto_stays_serial_for_strict(self, ddr3_model, tmp_path):
-        # Expanded ACT+RD share a timestamp, so only a refresh-only
-        # trace is strict-legal; spacing them past tRFC keeps it so.
+    @pytest.mark.parametrize("backend", ["auto", "vector"])
+    def test_strict_error_matches_serial(self, ddr3_model, tmp_path,
+                                         backend):
+        # An expanded ACT and its access share one timestamp, so
+        # strict replay stops at the access's tRCD check.
+        path = tmp_path / "s.trc"
+        path.write_text("0x0 REF 1000\n0x100 READ 3000\n")
+        errors = []
+        for name in ("serial", backend):
+            with pytest.raises(TraceError) as excinfo:
+                evaluate_trace_file(ddr3_model, path, backend=name,
+                                    strict=True)
+            errors.append((str(excinfo.value), excinfo.value.index,
+                           excinfo.value.time))
+        assert "tRCD violation" in errors[0][0]
+        assert errors[1] == errors[0]
+
+    def test_auto_replays_strict_like_lenient(self, ddr3_model,
+                                              tmp_path, monkeypatch):
+        # A refresh-only trace spaced past tRFC is strict-legal.
         path = tmp_path / "s.trc"
         path.write_text("0x0 REF 1000\n0x0 REF 2000\n")
-        _, backend = replay_trace_file(ddr3_model, path, strict=True)
-        assert backend == "serial"
+        serial, _ = replay_trace_file(ddr3_model, path, strict=True,
+                                      backend="serial")
+        lenient, lenient_backend = replay_trace_file(ddr3_model, path)
+        if columnar_available():
+            # Strict vector replay folds on the columnar command fold.
+            def refuse(self, entry):
+                raise AssertionError("the scalar fold ran")
+
+            monkeypatch.setattr(TraceAccumulator, "_step", refuse)
+        strict, backend = replay_trace_file(ddr3_model, path,
+                                            strict=True)
+        assert backend == lenient_backend
+        assert repr(strict.result()) == repr(serial.result())
+        assert strict.result() == lenient.result()
 
     def test_unknown_backend_rejected(self, ddr3_model, tmp_path):
         path = tmp_path / "s.trc"
@@ -234,12 +258,23 @@ class TestStrictRejection:
 
 
 class TestBackendChoice:
-    def test_strict_is_always_serial(self):
-        assert resolve_trace_backend("auto", True) == "serial"
+    def test_strict_records_match_serial(self, ddr3_model):
+        """The resolver takes no mode: a strict record stream folds
+        on the resolved backend with the serial result."""
+        decoder = AddressDecoder.from_device(ddr3_model.device)
+        records = list(iter_records(
+            iter(["0x0 REF 1000", "0x0 REF 2000", "0x40 REF 4000"]),
+            "k6"))
+        results = [accumulate_records(ddr3_model, iter(records),
+                                      decoder=decoder, strict=True,
+                                      backend=backend).result()
+                   for backend in ("serial", "auto")]
+        assert repr(results[0]) == repr(results[1])
+        assert resolve_trace_backend("serial") == "serial"
 
     @needs_numpy
     def test_numpy_means_vector(self):
-        assert resolve_trace_backend("auto", False) == "vector"
+        assert resolve_trace_backend("auto") == "vector"
 
 
 def _import_columnar_without_numpy(monkeypatch):

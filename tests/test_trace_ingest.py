@@ -295,6 +295,48 @@ class TestEvaluateTraceFile:
         assert streamed.duration == one_shot.duration
 
 
+class TestNonFiniteTimes:
+    """A record whose ``cycle / clock`` is no finite float is a format
+    error at its line on every backend, never an OverflowError or an
+    infinite duration."""
+
+    # A refresh first: strict replay of an access stops at tRCD.
+    CASES = [
+        ("0x0 REF 1\n0x40 P_MEM_RD 1" + "0" * 400 + "\n", 1e9),
+        ("0x0 REF 1\n0x40 P_MEM_RD 10000000000\n", 1e-300),
+    ]
+
+    @pytest.mark.parametrize("text, clock", CASES,
+                             ids=["cycle-overflow", "tiny-clock"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_backend_raises_at_the_line(self, ddr3_model,
+                                              tmp_path, text, clock,
+                                              strict):
+        path = tmp_path / "t.trc"
+        path.write_text(text)
+        errors = set()
+        for backend in ("serial", "vector"):
+            with pytest.raises(TraceFormatError) as excinfo:
+                evaluate_trace_file(ddr3_model, path, clock=clock,
+                                    backend=backend, strict=strict)
+            assert excinfo.value.line == 2
+            errors.add(str(excinfo.value))
+        assert len(errors) == 1
+        assert "no finite time" in errors.pop()
+
+    @pytest.mark.parametrize("text, clock", CASES,
+                             ids=["cycle-overflow", "tiny-clock"])
+    def test_record_streams_raise_at_the_line(self, ddr3_model, text,
+                                              clock):
+        from repro.trace import accumulate_records
+        records = list(iter_records(iter(text.splitlines()), "k6"))
+        for backend in ("serial", "vector"):
+            with pytest.raises(TraceFormatError) as excinfo:
+                accumulate_records(ddr3_model, iter(records),
+                                   clock=clock, backend=backend)
+            assert excinfo.value.line == 2
+
+
 class TestDecoderEdgeGeometries:
     """Decoder corner cases: zero-width channel/rank fields, maximal
     row widths, and shard/field-layout consistency — each geometry
