@@ -30,10 +30,10 @@ def record_metrics(filename: str, entries: dict) -> Path:
     """Merge ``entries`` into ``benchmarks/<filename>``.
 
     The shared recording path of every measurement artifact
-    (``engine_cache_metrics.json``, ``BENCH_vectorized.json``,
-    ``resilience_metrics.json``): existing keys are preserved unless
-    overwritten, output is sorted and stable, and an unreadable file
-    is replaced rather than crashing the benchmark.
+    (``BENCH_vectorized.json``, ``resilience_metrics.json``): existing
+    keys are preserved unless overwritten, output is sorted and
+    stable, and an unreadable file is replaced rather than crashing
+    the benchmark.
     """
     path = METRICS_DIR / filename
     existing = {}

@@ -213,8 +213,7 @@ def _trace_file(args: argparse.Namespace, device, model) -> int:
     try:
         accumulator, backend = replay_trace_file(
             model, args.trace_file, fmt=fmt, decoder=decoder,
-            clock=parse_quantity(args.clock), strict=args.strict,
-            backend=args.backend)
+            clock=parse_quantity(args.clock), backend=args.backend)
     except (TraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -596,9 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="low address bits below the column field "
                             "(default: one access width)")
-    trace.add_argument("--strict", action="store_true",
-                       help="raise on protocol/timing violations "
-                            "instead of pricing the trace as given")
     trace.add_argument("--backend", default="auto",
                        choices=("auto",) + TRACE_BACKENDS,
                        help="replay backend: serial fold, columnar "

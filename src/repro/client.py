@@ -663,7 +663,6 @@ class ServiceClient:
                      device: Optional[Dict[str, Any]] = None,
                      fmt: Optional[str] = None,
                      clock: Optional[float] = None,
-                     strict: Optional[bool] = None,
                      snapshot_every: Optional[int] = None,
                      decoder: Optional[Dict[str, Any]] = None,
                      gzipped: Optional[bool] = None,
@@ -688,8 +687,6 @@ class ServiceClient:
             query["format"] = fmt
         if clock is not None:
             query["clock"] = f"{clock:g}"
-        if strict is not None:
-            query["strict"] = "1" if strict else "0"
         if snapshot_every is not None:
             query["snapshot_every"] = snapshot_every
         if backend is not None:

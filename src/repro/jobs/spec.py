@@ -59,8 +59,9 @@ from ..errors import JobError, ServiceError
 from ..service.jsonapi import (EVALUATE, Operation, device_from_payload,
                                execution_options, sweep_operation)
 from ..service.tracing import decoder_params, trace_result_row
-from ..trace import (DEFAULT_CLOCK, FORMATS, AddressDecoder,
-                     fold_file_shards, resolve_trace_format)
+from ..trace import (DEFAULT_CLOCK, FORMATS, STRICT_REFUSAL,
+                     AddressDecoder, fold_file_shards,
+                     resolve_trace_format)
 
 #: Default units per journaled chunk.
 DEFAULT_CHUNK_SIZE = 8
@@ -354,9 +355,7 @@ class TracePlan(JobPlan):
                 or not 0 < clock < math.inf):
             raise ServiceError("'clock' must be positive, finite Hz")
         if params.get("strict"):
-            raise ServiceError(
-                "sharded trace jobs replay leniently; strict "
-                "legality checking needs the serial CLI path")
+            raise ServiceError(STRICT_REFUSAL)
         device_from_payload(params.get("device", {}))
         decoder = decoder_params(params.get("decoder", {}))
         shard_bits = (decoder.get("channel_bits", 0)

@@ -4,7 +4,7 @@ Two request shapes share one streaming evaluator:
 
 JSON mode (``Content-Type: application/json``)
     ``{"device": {...}, "text": "<trace lines>", "format": "k6",
-    "clock": 1e9, "strict": false, "stream": true}`` — the trace rides
+    "clock": 1e9, "stream": true}`` — the trace rides
     inside the JSON body (subject to the service's normal body cap);
     the response is either one buffered result or NDJSON snapshots
     with ``"stream": true``.
@@ -15,6 +15,9 @@ Raw mode (any other content type)
     (``Transfer-Encoding: chunked``).  Evaluation parameters travel in
     the query string (``/trace?format=k6&clock=1e9&node=55&...``); the
     response always streams NDJSON incremental aggregates.
+
+A true ``strict`` in either shape is a 400 with
+:data:`~repro.trace.STRICT_REFUSAL`; a false one does nothing.
 
 Records go through the one framer of :mod:`repro.service.streaming`:
 ``{"index": i, "snapshot": {...}}`` every ``snapshot_every`` commands,
@@ -38,8 +41,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
 from ..core.trace import TraceAccumulator, TraceError, TraceResult
 from ..engine import EvaluationSession
 from ..errors import ReproError, ServiceError
-from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, AddressDecoder,
-                     ColumnarReplayer, iter_decompressed,
+from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, STRICT_REFUSAL,
+                     AddressDecoder, ColumnarReplayer, iter_decompressed,
                      iter_line_batches, resolve_trace_backend)
 from ..trace.columnar import LINES_PER_BATCH
 from .admission import Deadline
@@ -73,7 +76,6 @@ class TraceRequest:
     device_payload: Dict[str, Any] = field(default_factory=dict)
     fmt: str = "k6"
     clock: float = DEFAULT_CLOCK
-    strict: bool = False
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
     policy: str = "row-bank-column"
     channel_bits: int = 0
@@ -146,8 +148,8 @@ def _parse(request: TraceRequest, fields: Dict[str, Any],
     request.backend = fields.get("backend", request.backend)
     if "clock" in fields:
         request.clock = _parse_number(fields["clock"], "clock", float)
-    if "strict" in fields:
-        request.strict = _parse_bool(fields["strict"], "strict")
+    if "strict" in fields and _parse_bool(fields["strict"], "strict"):
+        raise ServiceError(STRICT_REFUSAL)
     if "snapshot_every" in fields:
         request.snapshot_every = _parse_number(
             fields["snapshot_every"], "snapshot_every")
@@ -242,8 +244,7 @@ def _trace_fold(session: EvaluationSession, request: TraceRequest,
     stream emits the same records on each.
     """
     device = device_from_payload(request.device_payload)
-    accumulator = TraceAccumulator(session.model(device),
-                                   strict=request.strict)
+    accumulator = TraceAccumulator(session.model(device), strict=False)
     decoder = AddressDecoder.from_device(
         device, policy=request.policy,
         channel_bits=request.channel_bits,

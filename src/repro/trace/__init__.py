@@ -13,7 +13,7 @@ from .formats import (FORMATS, TraceFormatError, TraceRecord,
                       detect_format, iter_decompressed, iter_jsonl,
                       iter_k6, iter_line_batches, iter_lines, iter_mase,
                       iter_records, open_trace_bytes, open_trace_lines)
-from .ingest import (DEFAULT_CLOCK, accumulate_records,
+from .ingest import (DEFAULT_CLOCK, STRICT_REFUSAL, accumulate_records,
                      commands_from_records, evaluate_trace_file,
                      fold_file_shards, read_trace, replay_trace_file,
                      resolve_trace_format)
@@ -40,6 +40,7 @@ __all__ = [
     "open_trace_bytes",
     "open_trace_lines",
     "DEFAULT_CLOCK",
+    "STRICT_REFUSAL",
     "TRACE_BACKENDS",
     "accumulate_records",
     "commands_from_records",

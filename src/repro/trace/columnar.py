@@ -33,12 +33,9 @@ processes the same pipeline in *batches of lines*:
 numpy is optional (the ``repro[vector]`` extra), mirroring
 :mod:`repro.engine.vector`: with numpy missing the replayer folds
 every batch scalar and :func:`resolve_trace_backend` fires the
-one-time ``trace_downgrades`` marker, results unchanged.  The count
-reduction above is lenient-only, since strict legality needs the
-per-command timing it discards.  A strict batch instead expands its
-records scalar and folds the commands on
-:meth:`~repro.core.trace.TraceAccumulator.feed_columnar`, which checks
-legality as array operations.
+one-time ``trace_downgrades`` marker, results unchanged.  Record
+traces carry no command timing, so replay is lenient only: a strict
+accumulator is refused with :data:`~repro.trace.ingest.STRICT_REFUSAL`.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from ..core.trace import TraceAccumulator, TraceError
 from ..description import Command
 from .decoder import AddressDecoder
 from .formats import K6_OPS, MASE_OPS, TraceRecord, iter_records
-from .ingest import clock_period, commands_from_records
+from .ingest import STRICT_REFUSAL, clock_period, commands_from_records
 
 #: Lines per parse batch for file/stream replay — large enough to
 #: amortize the per-batch array staging, small enough that a batch of
@@ -332,22 +329,20 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
 # Streaming drivers.
 # ----------------------------------------------------------------------
 class ColumnarReplayer:
-    """Batched replay into a :class:`TraceAccumulator`: the one driver
-    behind file, record-stream and upload replay.
+    """Batched lenient replay into a :class:`TraceAccumulator`: the one
+    driver behind file, record-stream and upload replay.
 
     Feed line batches with :meth:`feed_lines` or parsed record batches
     with :meth:`feed_records`.  ``columnar`` holds on the ``vector``
     backend with numpy present and a decoder whose fields fit int64
-    masks (``address_bits < 64``).  There a lenient batch folds
-    through :func:`fold_columns`, and a strict batch expands its
-    records scalar and folds the commands on
-    :meth:`~repro.core.trace.TraceAccumulator.feed_columnar`.  Every
-    other batch, and a lenient one carrying integers beyond int64 or a
-    time beyond any float, folds through the scalar pipeline.  The
-    replayer tracks global line numbers (for exact error parity),
-    carries the open-row register across batches of either kind, and
-    optionally masks to a contiguous ``range`` of (channel, rank)
-    shards.
+    masks (``address_bits < 64``).  There a batch folds through
+    :func:`fold_columns`; every other batch, and one carrying integers
+    beyond int64 or a time beyond any float, folds through the scalar
+    pipeline.  The replayer tracks global line numbers (for exact
+    error parity), carries the open-row register across batches of
+    either kind, and optionally masks to a contiguous ``range`` of
+    (channel, rank) shards.  A strict accumulator is refused with
+    :data:`~repro.trace.ingest.STRICT_REFUSAL`.
     """
 
     def __init__(self, accumulator: TraceAccumulator,
@@ -355,6 +350,8 @@ class ColumnarReplayer:
                  clock: float, source: str = "<trace>",
                  shards: Optional[range] = None,
                  backend: str = "vector"):
+        if accumulator.strict:
+            raise TraceError(STRICT_REFUSAL, 0.0, None)
         self.period = clock_period(clock)
         self.accumulator = accumulator
         self.fmt = fmt
@@ -382,10 +379,10 @@ class ColumnarReplayer:
             self._feed_scalar(iter(batch))
 
     def _fold_columnar(self, parse, *args, **kwargs) -> bool:
-        """Fold the lenient batch ``parse(*args, **kwargs)`` through
-        the count reduction; False (nothing folded) when it must go
-        through :meth:`_feed_scalar` instead."""
-        if not self.columnar or self.accumulator.strict:
+        """Fold the batch ``parse(*args, **kwargs)`` through the count
+        reduction; False (nothing folded) when it must go through
+        :meth:`_feed_scalar` instead."""
+        if not self.columnar:
             return False
         try:
             fold_columns(self.accumulator, parse(*args, **kwargs),
@@ -396,22 +393,16 @@ class ColumnarReplayer:
         return True
 
     def _feed_scalar(self, records: Iterable[TraceRecord]) -> None:
-        """Expand records through the scalar pipeline, sharing the
-        open-row register so the streams splice exactly.  A strict
-        columnar replayer folds the commands on the columnar command
-        fold; every other replayer feeds them to the scalar fold."""
+        """Expand and fold records through the scalar pipeline, sharing
+        the open-row register so the streams splice exactly."""
         if self.shards is not None:
             wanted = self.shards
             records = (record for record in records
                        if self.decoder.shard_of(record.address)
                        in wanted)
-        commands = commands_from_records(records, self.decoder,
-                                         self.clock,
-                                         open_rows=self.open_rows)
-        if self.columnar and self.accumulator.strict:
-            self.accumulator.feed_columnar(commands)
-        else:
-            self.accumulator.feed(commands)
+        self.accumulator.feed(commands_from_records(
+            records, self.decoder, self.clock, open_rows=self.open_rows,
+            source=self.source))
 
 
 def batches(items: Iterable, size: int) -> Iterator[list]:
@@ -447,7 +438,7 @@ TRACE_BACKENDS = ("serial", "vector")
 
 def resolve_trace_backend(backend: Optional[str]) -> str:
     """The concrete backend (``serial``/``vector``) that runs a
-    ``backend`` request, strict or lenient.
+    ``backend`` request.
 
     ``auto`` picks ``vector`` when numpy is present and serial
     otherwise.  A request for the columnar path (``vector`` or

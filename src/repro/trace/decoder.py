@@ -157,9 +157,9 @@ class AddressDecoder:
         """Flatten (channel, rank, bank) into one bank index.
 
         With nonzero channel/rank bits each (channel, rank, bank)
-        triple becomes a distinct bank for the replay engine — evaluate
-        such traces with ``strict=False`` (the flat index can exceed
-        the device's own bank count).
+        triple becomes a distinct bank for the replay engine, so the
+        flat index can exceed the device's own bank count — one reason
+        record traces replay leniently only.
         """
         return (((decoded.channel << self.rank_bits) | decoded.rank)
                 << self.bank_bits) | decoded.bank

@@ -7,10 +7,10 @@ in bounded memory.
 
 Open-page expansion keeps one open-row register per bank: a transaction
 to a closed row emits ``PRE`` (when another row is open) + ``ACT``
-before the column access, all stamped with the transaction's own time —
-external traces carry no command-level timing, so expanded traces are
-evaluated with ``strict=False`` (strict replay of an access stops at
-its tRCD check).
+before the column access, all stamped with the transaction's own time.
+Record traces carry no command-level timing (a strict replay would stop
+at its first access's tRCD check), so every path replays them leniently
+and refuses strict replay with :data:`STRICT_REFUSAL`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from .formats import (TraceFormatError, TraceRecord, detect_format,
 #: cycle stamps read directly as nanoseconds.
 DEFAULT_CLOCK = 1e9
 
+#: Why every record-trace surface refuses strict replay.
+STRICT_REFUSAL = ("record traces (k6, mase, NDJSON) carry no command "
+                  "timing, so they replay leniently; strict legality "
+                  "checking applies only to timed command traces")
+
 
 def clock_period(clock: float) -> float:
     """Seconds per cycle of a ``clock`` in Hz, which must be positive
@@ -42,7 +47,8 @@ def clock_period(clock: float) -> float:
 def commands_from_records(records: Iterable[TraceRecord],
                           decoder: AddressDecoder,
                           clock: float = DEFAULT_CLOCK,
-                          open_rows: Optional[Dict[int, int]] = None
+                          open_rows: Optional[Dict[int, int]] = None,
+                          source: str = "<trace>"
                           ) -> Iterator[TraceCommand]:
     """Expand transaction records into an open-page command stream.
 
@@ -66,7 +72,7 @@ def commands_from_records(records: Iterable[TraceRecord],
         if time == math.inf:
             raise TraceFormatError(
                 f"cycle stamp gives no finite time at a {clock:g} Hz "
-                "clock", record.line)
+                "clock", record.line, source)
         if record.kind == "refresh":
             if open_rows.pop(bank, None) is not None:
                 yield TraceCommand(time, Command.PRE, bank)
@@ -117,31 +123,31 @@ def replay_trace_file(model: DramPowerModel, path,
                       fmt: Optional[str] = None,
                       decoder: Optional[AddressDecoder] = None,
                       clock: float = DEFAULT_CLOCK,
-                      strict: bool = False,
                       backend: str = "auto"
                       ) -> Tuple[TraceAccumulator, str]:
-    """Replay an external trace file on the chosen backend.
+    """Replay an external trace file leniently on the chosen backend.
 
     Returns ``(accumulator, backend_used)``.  The backend is resolved
     by :func:`~repro.trace.columnar.resolve_trace_backend` (serial vs
-    the columnar kernels), in either mode; both produce bit-for-bit
-    identical aggregates and errors, so the choice is purely a
-    throughput decision.  ``serial`` runs the scalar oracle: records →
-    commands → :meth:`TraceAccumulator.feed`.
+    the columnar kernels); both produce bit-for-bit identical
+    aggregates and errors, so the choice is purely a throughput
+    decision.  ``serial`` runs the scalar oracle: records → commands →
+    :meth:`TraceAccumulator.feed`.
     """
     from .columnar import replay_lines_columnar, resolve_trace_backend
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     resolved_fmt = resolve_trace_format(path, fmt)
     backend = resolve_trace_backend(backend)
-    accumulator = TraceAccumulator(model, strict=strict)
+    accumulator = TraceAccumulator(model, strict=False)
     if backend == "vector":
         with open_trace_lines(path) as lines:
             replay_lines_columnar(accumulator, lines, resolved_fmt,
                                   decoder, clock, source=str(path))
         return accumulator, "vector"
     accumulator.feed(commands_from_records(
-        read_trace(path, resolved_fmt), decoder, clock))
+        read_trace(path, resolved_fmt), decoder, clock,
+        source=str(path)))
     return accumulator, "serial"
 
 
@@ -149,12 +155,11 @@ def evaluate_trace_file(model: DramPowerModel, path,
                         fmt: Optional[str] = None,
                         decoder: Optional[AddressDecoder] = None,
                         clock: float = DEFAULT_CLOCK,
-                        strict: bool = False,
                         backend: str = "auto") -> TraceResult:
     """One-call evaluation of an external trace file."""
     accumulator, _ = replay_trace_file(model, path, fmt=fmt,
                                        decoder=decoder, clock=clock,
-                                       strict=strict, backend=backend)
+                                       backend=backend)
     return accumulator.result()
 
 
@@ -187,9 +192,8 @@ def accumulate_records(model: DramPowerModel,
                        records: Iterable[TraceRecord],
                        decoder: Optional[AddressDecoder] = None,
                        clock: float = DEFAULT_CLOCK,
-                       strict: bool = False,
                        backend: str = "auto") -> TraceAccumulator:
-    """Fold a record stream into a fresh :class:`TraceAccumulator`.
+    """Fold a record stream leniently into a fresh accumulator.
 
     ``serial`` runs the scalar oracle; ``vector`` (what ``auto``
     resolves to with numpy) feeds the batch replayer
@@ -200,7 +204,7 @@ def accumulate_records(model: DramPowerModel,
                            resolve_trace_backend)
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
-    accumulator = TraceAccumulator(model, strict=strict)
+    accumulator = TraceAccumulator(model, strict=False)
     if resolve_trace_backend(backend) == "serial":
         accumulator.feed(commands_from_records(records, decoder, clock))
         return accumulator

@@ -25,7 +25,9 @@ class TestParser:
         ["serve", "--cache-dir", "cache"],
         ["trends", "--cache-dir", "cache"],
         ["check", "--backend", "serial"],
-    ], ids=["serve-cache-dir", "trends-cache-dir", "check-backend"])
+        ["trace", "two.trc", "--strict"],
+    ], ids=["serve-cache-dir", "trends-cache-dir", "check-backend",
+            "trace-strict"])
     def test_removed_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
             build_parser().parse_args(argv)
@@ -136,13 +138,13 @@ class TestTraceCommand:
     @pytest.mark.parametrize("backend", ["serial", "vector"])
     def test_non_finite_record_time_is_an_error(self, capsys, tmp_path,
                                                 backend):
-        path = tmp_path / "t.trc"
+        path = tmp_path / "big.trc"
         path.write_text("0x0 P_MEM_RD 1\n0x40 P_MEM_RD 1"
                         + "0" * 400 + "\n")
         assert main(["trace", str(path), "--backend", backend]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "2: cycle stamp gives no finite time" in err
+        assert "big.trc:2: cycle stamp gives no finite time" in err
         assert "Traceback" not in err
 
 

@@ -208,6 +208,20 @@ class TestEvaluationSession:
         sensitivity(ddr3_device, session=session)
         assert session.stats.hit_rate > 0.0
 
+    def test_second_pass_over_variants_is_all_hits(self, ddr3_device):
+        devices = [ddr3_device.scale_path("technology.c_bitline",
+                                          1.0 + 0.002 * step)
+                   for step in range(100)]
+        session = EvaluationSession()
+        cold = session.map(devices,
+                           lambda model: idd7_mixed(model).power)
+        warm = session.map(devices,
+                           lambda model: idd7_mixed(model).power)
+        assert warm == cold
+        stats = session.stats
+        assert stats.misses == stats.hits == 100
+        assert stats.hit_rate == 0.5
+
     def test_evaluate_many_one_shot(self, ddr3_device):
         powers = evaluate_many([ddr3_device],
                                lambda model: idd7_mixed(model).power)

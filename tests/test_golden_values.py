@@ -6,12 +6,17 @@ are caught immediately.  If a deliberate recalibration moves a value,
 update the band *and* EXPERIMENTS.md together.
 """
 
+import random
+
 import pytest
 
 from repro import Command, DramPowerModel
 from repro.circuits import column, wordline
 from repro.core.idd import idd0, idd2n, idd4r, idd7_mixed
+from repro.core.trace import evaluate_trace
 from repro.devices import ddr3_2g_55nm
+from repro.trace import AddressDecoder, replay_trace_file
+from repro.workloads import random_trace
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +89,67 @@ class TestGeometryGolden:
         # array block; our derived 55 nm block lands in the same range.
         height = model.geometry.array_block.height
         assert 2.5e-3 < height < 4.5e-3
+
+
+def _k6_text(device, lines=3000, seed=2010):
+    """A seeded k6 trace: addresses over the whole decoder width, a
+    60 % chance of walking on to the next cache line, a third of the
+    accesses writes, and a REF every 400 lines."""
+    rng = random.Random(seed)
+    width = AddressDecoder.from_device(device).address_bits
+    address = 0
+    out = []
+    for i in range(lines):
+        if i % 400 == 399:
+            op = "REF"
+        else:
+            op = "P_MEM_WR" if rng.random() < 0.33 else "P_MEM_RD"
+        if rng.random() < 0.6:
+            address = (address + 64) % (1 << width)
+        else:
+            address = rng.getrandbits(width) & ~63
+        out.append(f"0x{address:x} {op} {i * 5}")
+    return "\n".join(out) + "\n"
+
+
+def _counts(result):
+    return ({command.value: count
+             for command, count in result.counts.items() if count},
+            result.row_hits, result.row_misses, result.row_conflicts)
+
+
+class TestTraceAnswers:
+    """Pinned trace prices.  The parity suites hold every fast path to
+    the scalar oracle, so a pricing change would move them together
+    and pass; these literals would not.  Recorded on the model as
+    calibrated; a deliberate recalibration updates them."""
+
+    @pytest.mark.parametrize("backend", ["serial", "auto"])
+    def test_k6_replay(self, model, tmp_path, backend):
+        path = tmp_path / "golden.trc"
+        path.write_text(_k6_text(model.device))
+        accumulator, _ = replay_trace_file(model, path, backend=backend)
+        result = accumulator.result()
+        assert accumulator.commands_seen == 5500
+        assert _counts(result) == (
+            {"act": 1254, "pre": 1246, "rd": 2023, "wr": 970, "ref": 7},
+            1739, 1254, 0)
+        assert result.energy == pytest.approx(6.5278204979188034e-06,
+                                              rel=1e-12)
+        assert result.duration == pytest.approx(1.5045e-05, rel=1e-12)
+        assert sum(result.breakdown.as_dict().values()) \
+            == pytest.approx(result.energy, rel=1e-12)
+
+    def test_strict_command_trace(self, model):
+        result = evaluate_trace(
+            model, random_trace(model.device, 2000, with_refresh=True,
+                                seed=3), strict=True)
+        assert _counts(result) == (
+            {"act": 1042, "pre": 1042, "rd": 1341, "wr": 659},
+            998, 1042, 0)
+        assert result.energy == pytest.approx(6.543032059391516e-06,
+                                              rel=1e-12)
+        assert result.duration == pytest.approx(3.954749999999911e-05,
+                                                rel=1e-12)
+        assert sum(result.breakdown.as_dict().values()) \
+            == pytest.approx(result.energy, rel=1e-12)

@@ -24,6 +24,7 @@ from repro.jobs import (DEFAULT_CHUNK_SIZE, JobJournal, JobManager,
                         plan_job)
 from repro.jobs.journal import write_json_atomic
 from repro.service.faults import FaultInjector, FaultRule
+from repro.trace import STRICT_REFUSAL
 
 MC_PAYLOAD = {"kind": "montecarlo",
               "params": {"samples": 10, "seed": 7},
@@ -224,6 +225,31 @@ class TestTracePlan:
             mutate(payload)
             with pytest.raises(ServiceError):
                 parse_job_spec(payload)
+
+    def test_strict_is_refused_with_the_shared_reason(self, tmp_path):
+        payload = self._payload(_trace_file(tmp_path, 10))
+        payload["params"]["strict"] = True
+        with pytest.raises(ServiceError) as excinfo:
+            parse_job_spec(payload)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == STRICT_REFUSAL
+
+    def test_journaled_spec_with_strict_false_runs(self, tmp_path):
+        """A spec journaled by an older build may carry
+        ``"strict": false``: it loads and completes with the result of
+        a spec without the key."""
+        path = _trace_file(tmp_path, 400)
+        store = JobStore(tmp_path / "jobs")
+        old, _ = store.submit(self._payload(path, 2))
+        spec_path = store.job_dir(old["job"]) / "spec.json"
+        spec = json.loads(spec_path.read_text())
+        spec["params"]["strict"] = False
+        spec_path.write_text(json.dumps(spec))
+        clean, _ = store.submit(dict(self._payload(path, 2),
+                                     idempotency_key="clean"))
+        _run_all(tmp_path / "jobs")
+        assert store.status(old["job"])["state"] == "done"
+        assert store.result(old["job"]) == store.result(clean["job"])
 
     def test_plan_units_are_shards(self, tmp_path):
         session = EvaluationSession()

@@ -20,7 +20,7 @@ from repro.service.tracing import (MIN_SNAPSHOT_EVERY,
                                    trace_result_row,
                                    trace_stream_payload,
                                    trace_stream_records)
-from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
+from repro.trace import (DEFAULT_CLOCK, STRICT_REFUSAL, AddressDecoder,
                          ColumnarReplayer, commands_from_records,
                          iter_records)
 from repro.trace.columnar import LINES_PER_BATCH
@@ -68,13 +68,13 @@ class TestQueryParsing:
     def test_defaults(self):
         request = parse_trace_query({})
         assert request.fmt == "k6"
-        assert request.strict is False
+        assert not hasattr(request, "strict")
         assert request.clock == DEFAULT_CLOCK
 
     def test_full_query(self):
         request = parse_trace_query({
             "node": ["55"], "io_width": ["8"], "format": ["mase"],
-            "clock": ["8e8"], "strict": ["true"],
+            "clock": ["8e8"], "strict": ["false"],
             "snapshot_every": ["5"], "policy": ["bank-row-column"],
             "channel_bits": ["1"], "rank_bits": ["2"],
             "offset_bits": ["3"],
@@ -82,7 +82,6 @@ class TestQueryParsing:
         assert request.device_payload == {"node": 55, "io_width": 8}
         assert request.fmt == "mase"
         assert request.clock == 8e8
-        assert request.strict is True
         assert request.snapshot_every == MIN_SNAPSHOT_EVERY  # floor
         assert request.policy == "bank-row-column"
         assert (request.channel_bits, request.rank_bits,
@@ -290,7 +289,7 @@ class TestRawMode:
             b"0x0 P_MEM_RD 1\n0x40 P_MEM_RD 1" + b"0" * 400 + b"\n",
             device={"node": 55}))
         assert records[-1]["status"] == 400
-        assert "<trace>:2: cycle stamp" in records[-1]["error"]
+        assert "<upload>:2: cycle stamp" in records[-1]["error"]
 
     def test_malformed_line_raises_from_trace(self, client):
         with pytest.raises(ServiceError, match="BOGUS"):
@@ -416,6 +415,68 @@ class TestConcurrentSnapshot:
         assert final["energy_j"] == local_result(text).energy
 
 
+def _post(service, target, content_type, body):
+    """One POST on a raw socket: ``(status code, body bytes)``."""
+    with socket.create_connection(
+            ("127.0.0.1", service.server_port), timeout=30) as sock:
+        sock.sendall(b"POST %s HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     b"Content-Type: %s\r\nContent-Length: %d\r\n"
+                     b"Connection: close\r\n\r\n"
+                     % (target, content_type, len(body)) + body)
+        reply = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            reply += data
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), payload
+
+
+class TestStrictRefused:
+    """Record traces replay leniently: a true ``strict`` is a 400 with
+    the shared reason before any byte is folded, in every request
+    shape, never a 200 stream that ends in an in-band error; a false
+    one is accepted and does nothing."""
+
+    TWO_LINES = b"0x40 P_MEM_RD 100\n0x1040 P_MEM_WR 200000\n"
+
+    def test_raw_upload_is_400(self, service):
+        status, body = _post(service, b"/trace?node=55&strict=1",
+                             b"text/plain", self.TWO_LINES)
+        assert status == 400
+        assert json.loads(body)["error"] == STRICT_REFUSAL
+
+    @pytest.mark.parametrize("stream", [False, True],
+                             ids=["buffered", "stream"])
+    def test_json_is_400(self, service, stream):
+        payload = {"device": {"node": 55}, "strict": True,
+                   "text": self.TWO_LINES.decode(), "stream": stream}
+        status, body = _post(service, b"/trace", b"application/json",
+                             json.dumps(payload).encode())
+        assert status == 400
+        assert json.loads(body)["error"] == STRICT_REFUSAL
+
+    def test_false_is_accepted(self, client):
+        text = k6_text(300)
+        expected = local_result(text).energy
+        body = client.request("POST", "/trace", {
+            "device": {"node": 55}, "text": text, "strict": False})
+        assert body["energy_j"] == expected
+        # An older client's ``strict=0`` rides in the query string.
+        final = client.trace(text.encode(),
+                             device={"node": 55, "strict": 0})
+        assert final["energy_j"] == expected
+
+    def test_query_values(self):
+        for value in ("1", "true", "on"):
+            with pytest.raises(ServiceError) as excinfo:
+                parse_trace_query({"strict": [value]})
+            assert str(excinfo.value) == STRICT_REFUSAL
+        for value in ("0", "false", "off", ""):
+            parse_trace_query({"strict": [value]})
+
+
 class TestBackendSelection:
     """The ``backend`` knob: query/payload parsing and parity."""
 
@@ -436,26 +497,15 @@ class TestBackendSelection:
             parse_trace_query({"backend": ["quantum"]})
 
     def test_strict_vector_matches_serial(self):
-        """Strict replay runs on the vector backend too, with the
-        serial fold's result and errors."""
-        request = parse_trace_query({"backend": ["vector"],
-                                     "strict": ["true"]})
-        assert (request.backend, request.strict) == ("vector", True)
+        """A strict request is refused the same on every backend."""
         session = EvaluationSession()
-        legal = "0x0 REF 1000\n0x0 REF 2000\n"
-        replies = [trace_payload(session, {
-            "device": {"node": 55}, "text": legal, "strict": True,
-            "backend": backend}) for backend in ("serial", "vector")]
-        assert replies[0] == replies[1]
-        errors = []
         for backend in ("serial", "vector"):
             with pytest.raises(ServiceError) as excinfo:
                 trace_payload(session, {
                     "device": {"node": 55}, "text": k6_text(50),
                     "strict": True, "backend": backend})
-            errors.append((str(excinfo.value), excinfo.value.status))
-        assert "tRCD violation" in errors[0][0]
-        assert errors[0] == errors[1]
+            assert (str(excinfo.value), excinfo.value.status) \
+                == (STRICT_REFUSAL, 400)
 
     def test_payload_backend_parsing(self):
         request, _ = parse_trace_payload({

@@ -7,20 +7,22 @@ formats, decode policies, shard geometries and batch boundaries.
 """
 
 import importlib.util
+import inspect
 import json
 import sys
 
 import pytest
 
 from repro import DramPowerModel
+from repro.client import ServiceClient
 from repro.core.trace import TraceAccumulator, TraceError
 from repro.devices import build_device
-from repro.trace import (DEFAULT_CLOCK, AddressDecoder,
-                         TraceFormatError, accumulate_records,
-                         columnar_available, evaluate_trace_file,
-                         iter_records, parse_columns,
-                         replay_lines_columnar, replay_trace_file,
-                         resolve_trace_backend)
+from repro.trace import (DEFAULT_CLOCK, STRICT_REFUSAL, AddressDecoder,
+                         ColumnarReplayer, TraceFormatError,
+                         accumulate_records, columnar_available,
+                         evaluate_trace_file, iter_records,
+                         parse_columns, replay_lines_columnar,
+                         replay_trace_file, resolve_trace_backend)
 from repro.trace.columnar import reset_downgrades, trace_downgrades
 
 needs_numpy = pytest.mark.skipif(not columnar_available(),
@@ -210,45 +212,31 @@ class TestErrorParity:
 
 
 class TestStrictRejection:
-    """Strict replay runs on either backend and rejects an illegal
-    trace with the serial fold's exact error."""
+    """Record traces carry no command timing: every record-replay
+    entry point is lenient, and the batch replayer refuses a strict
+    accumulator with the one shared reason."""
 
     @pytest.mark.parametrize("backend", ["auto", "vector"])
-    def test_strict_error_matches_serial(self, ddr3_model, tmp_path,
-                                         backend):
-        # An expanded ACT and its access share one timestamp, so
-        # strict replay stops at the access's tRCD check.
-        path = tmp_path / "s.trc"
-        path.write_text("0x0 REF 1000\n0x100 READ 3000\n")
+    def test_strict_error_matches_serial(self, ddr3_model, backend):
+        """The replayer refuses a strict accumulator with the shared
+        reason, the same on every backend."""
+        decoder = AddressDecoder.from_device(ddr3_model.device)
         errors = []
         for name in ("serial", backend):
             with pytest.raises(TraceError) as excinfo:
-                evaluate_trace_file(ddr3_model, path, backend=name,
-                                    strict=True)
-            errors.append((str(excinfo.value), excinfo.value.index,
-                           excinfo.value.time))
-        assert "tRCD violation" in errors[0][0]
-        assert errors[1] == errors[0]
+                ColumnarReplayer(
+                    TraceAccumulator(ddr3_model, strict=True), "k6",
+                    decoder, DEFAULT_CLOCK,
+                    backend=resolve_trace_backend(name))
+            errors.append(str(excinfo.value))
+        assert errors == [STRICT_REFUSAL, STRICT_REFUSAL]
 
-    def test_auto_replays_strict_like_lenient(self, ddr3_model,
-                                              tmp_path, monkeypatch):
-        # A refresh-only trace spaced past tRFC is strict-legal.
-        path = tmp_path / "s.trc"
-        path.write_text("0x0 REF 1000\n0x0 REF 2000\n")
-        serial, _ = replay_trace_file(ddr3_model, path, strict=True,
-                                      backend="serial")
-        lenient, lenient_backend = replay_trace_file(ddr3_model, path)
-        if columnar_available():
-            # Strict vector replay folds on the columnar command fold.
-            def refuse(self, entry):
-                raise AssertionError("the scalar fold ran")
-
-            monkeypatch.setattr(TraceAccumulator, "_step", refuse)
-        strict, backend = replay_trace_file(ddr3_model, path,
-                                            strict=True)
-        assert backend == lenient_backend
-        assert repr(strict.result()) == repr(serial.result())
-        assert strict.result() == lenient.result()
+    def test_entry_points_take_no_strict(self):
+        for function in (replay_trace_file, evaluate_trace_file,
+                         accumulate_records,
+                         ServiceClient.trace_stream):
+            assert "strict" not in inspect.signature(
+                function).parameters, function.__name__
 
     def test_unknown_backend_rejected(self, ddr3_model, tmp_path):
         path = tmp_path / "s.trc"
@@ -258,18 +246,7 @@ class TestStrictRejection:
 
 
 class TestBackendChoice:
-    def test_strict_records_match_serial(self, ddr3_model):
-        """The resolver takes no mode: a strict record stream folds
-        on the resolved backend with the serial result."""
-        decoder = AddressDecoder.from_device(ddr3_model.device)
-        records = list(iter_records(
-            iter(["0x0 REF 1000", "0x0 REF 2000", "0x40 REF 4000"]),
-            "k6"))
-        results = [accumulate_records(ddr3_model, iter(records),
-                                      decoder=decoder, strict=True,
-                                      backend=backend).result()
-                   for backend in ("serial", "auto")]
-        assert repr(results[0]) == repr(results[1])
+    def test_serial_means_serial(self):
         assert resolve_trace_backend("serial") == "serial"
 
     @needs_numpy
