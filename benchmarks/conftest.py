@@ -1,11 +1,17 @@
 """Shared fixtures and reporting helpers for the experiment benchmarks.
 
-Every module in this directory regenerates one table or figure of the
-paper (see the experiment index in DESIGN.md), asserts its shape targets,
-and times the computation with pytest-benchmark.  Run with ``-s`` to see
-the regenerated tables:
+Each paper-target module in this directory (``test_fig*``,
+``test_tab*``, ``test_sec*``, ``test_ablation*``) regenerates one table
+or figure of the paper (see the experiment index in DESIGN.md),
+asserts its shape targets, and times the computation with
+pytest-benchmark.  Run with ``-s`` to see the regenerated tables:
 
     pytest benchmarks/ --benchmark-only -s
+
+Speed is measured end to end by ``benchmarks/e2e`` (trace replay and
+upload rates by its ``trace_replay`` and ``trace_upload`` workloads);
+the remaining smokes and their JSON files are older checks that are
+moving into the tier-1 tests and those workloads.
 """
 
 import json

@@ -169,7 +169,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
-    results = compare_schemes(device, backend=args.backend)
+    results = compare_schemes(device)
     print(scheme_report(results,
                         title=f"Section V - schemes on {device.name}"))
     return 0
@@ -568,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     schemes = subparsers.add_parser("schemes",
                                     help="Section V scheme comparison")
     _add_device_arguments(schemes)
-    _add_sweep_arguments(schemes)
     schemes.set_defaults(handler=_cmd_schemes)
 
     trace = subparsers.add_parser("trace",
@@ -690,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit = jobs_sub.add_parser(
         "submit", help="POST /jobs: submit a durable job")
     submit.add_argument("kind",
-                        choices=["montecarlo", "evaluate", "sweep"],
-                        help="job kind")
+                        help="job kind (the service names its kinds "
+                             "when refusing one)")
     submit.add_argument("--params", default="{}",
                         help="job parameters as a JSON object "
                              "(default {})")

@@ -44,7 +44,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 try:
     import numpy as _np
@@ -688,11 +688,8 @@ class TraceAccumulator:
         return run_banks, registers, hits, conflicts
 
     # ------------------------------------------------------------------
-    # Pre-aggregated batches and sharded replay.  Both are lenient-only:
-    # a count delta carries no per-command timing, and strict legality
-    # (the activate window) is global across banks, so neither
-    # aggregated batches nor (channel, rank) shards could reproduce
-    # strict replay.
+    # Pre-aggregated batches are lenient-only: a count delta carries no
+    # per-command timing, so it could not reproduce strict replay.
     # ------------------------------------------------------------------
     def absorb_batch(self, counts: Mapping[Command, int],
                      row_hits: int, commands: int, last_time: float,
@@ -728,84 +725,6 @@ class TraceAccumulator:
                 state = self._banks.setdefault(bank, _BankState())
                 state.active_row = row
                 state.pending_access = False
-
-    def export_state(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the lenient replay state.
-
-        Carries everything :meth:`merge_state` needs to combine shard
-        replays exactly: the counts, hit/conflict tallies, time
-        watermarks (``-inf`` encodes as ``None``) and per-bank open
-        rows.  Floats round-trip JSON losslessly, so a state that
-        travelled through a job journal merges bit-for-bit
-        identically to the in-memory object.
-        """
-        if self.strict:
-            raise TraceError(
-                "state export requires strict=False replay", 0.0, None)
-        previous = (None if self._previous == float("-inf")
-                    else self._previous)
-        return {
-            "device": self._device.name,
-            "counts": {command.value: count
-                       for command, count in self.counts.items()},
-            "row_hits": self._row_hits,
-            "row_conflicts": self._row_conflicts,
-            "commands": self._index,
-            "last_time": self._last_time,
-            "previous": previous,
-            "banks": {str(bank): [state.active_row,
-                                  state.pending_access]
-                      for bank, state in self._banks.items()},
-        }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Merge one exported shard state into this accumulator.
-
-        Exact by construction when shards partition the trace by
-        ``(channel, rank)``: the flat bank sets are disjoint (the
-        shard index occupies the top bits of every flat bank), counts
-        and tallies are integer sums, the time watermarks are maxima,
-        and :meth:`snapshot` derives energy from the merged counts
-        through the same code path as serial replay — so the merged
-        result is byte-identical to a serial one-shot fold.
-        """
-        if self.strict:
-            raise TraceError(
-                "merging requires strict=False replay", 0.0, None)
-        if state.get("device") != self._device.name:
-            raise TraceError(
-                f"cannot merge state of device {state.get('device')!r}"
-                f" into {self._device.name!r}", 0.0, None)
-        banks = {int(bank): value
-                 for bank, value in state.get("banks", {}).items()}
-        overlap = self._banks.keys() & banks.keys()
-        if overlap:
-            raise TraceError(
-                "cannot merge overlapping bank states (banks "
-                f"{sorted(overlap)[:4]}...); shards must partition "
-                "the trace by (channel, rank)", 0.0, None)
-        for name, count in state["counts"].items():
-            self.counts[Command(name)] += count
-        self._row_hits += state["row_hits"]
-        self._row_conflicts += state["row_conflicts"]
-        self._index += state["commands"]
-        if state["last_time"] > self._last_time:
-            self._last_time = state["last_time"]
-        previous = state.get("previous")
-        if previous is not None and previous > self._previous:
-            self._previous = previous
-        for bank, (row, pending) in banks.items():
-            self._banks[bank] = _BankState(active_row=row,
-                                           pending_access=pending)
-
-    def merge(self, other: "TraceAccumulator") -> "TraceAccumulator":
-        """Fold another accumulator's shard into this one.
-
-        See :meth:`merge_state` for the exactness argument; returns
-        self for chaining.
-        """
-        self.merge_state(other.export_state())
-        return self
 
     # ------------------------------------------------------------------
     def snapshot(self) -> TraceResult:

@@ -27,11 +27,10 @@ Four kinds cover the ROADMAP's fleet-scale campaigns:
 * ``sweep`` — the named sweep families; one unit = one decomposed
   sweep slice (parameter / node / scheme; ``corners`` is one unit),
   rows in the same order the streaming endpoint emits them.
-* ``trace`` — rank-sharded replay of an on-disk trace file; one unit
-  = one (channel, rank) shard, chunk results are exported
-  :class:`~repro.core.trace.TraceAccumulator` states and assembly
-  merges them exactly, so the job result is bit-identical to serial
-  one-shot replay (and resumable mid-file at shard granularity).
+* ``trace`` — replay of an on-disk trace file; the whole file is one
+  unit, replayed once by :func:`~repro.trace.replay_trace_file`, whose
+  result row is journaled, so the job result is bit-identical to
+  serial one-shot replay.
 
 ``evaluate`` and ``sweep`` run the service's operation table
 (:data:`~repro.service.jsonapi.EVALUATE` and
@@ -48,31 +47,25 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..analysis.montecarlo import (DEFAULT_SIGMAS, Distribution,
                                    _measure_milliamps, _sample_variant)
 from ..core.idd import IddMeasure
-from ..core.trace import TraceAccumulator
 from ..engine import EvaluationSession
 from ..errors import JobError, ServiceError
 from ..service.jsonapi import (EVALUATE, Operation, device_from_payload,
                                execution_options, sweep_operation)
-from ..service.tracing import decoder_params, trace_result_row
-from ..trace import (DEFAULT_CLOCK, FORMATS, STRICT_REFUSAL,
-                     AddressDecoder, fold_file_shards,
-                     resolve_trace_format)
+from ..service.tracing import (check_strict, decoder_params,
+                               trace_result_row)
+from ..trace import (DEFAULT_CLOCK, FORMATS, AddressDecoder,
+                     replay_trace_file, resolve_trace_format)
 
 #: Default units per journaled chunk.
 DEFAULT_CHUNK_SIZE = 8
 
 #: Hard ceiling on Monte-Carlo samples per job (memory guard).
 MAX_SAMPLES = 1_000_000
-
-#: Hard ceiling on the (channel, rank) shards of a ``trace`` job: one
-#: unit per shard, and every chunk re-reads the whole trace file, so
-#: the shard count bounds how often a job reads its input.
-MAX_TRACE_SHARDS = 1024
 
 
 @dataclass(frozen=True)
@@ -136,8 +129,11 @@ class JobPlan:
         return low, min(self.units, low + self.spec.chunk_size)
 
     def units_done(self, chunks: Mapping[int, Any]) -> int:
+        # A chunk index past the plan (journaled under another plan)
+        # covers no unit.
         return sum(high - low
-                   for low, high in map(self.chunk_range, chunks))
+                   for low, high in map(self.chunk_range, chunks)
+                   if low < high)
 
     def _merged(self, chunks: Mapping[int, Any]) -> List[Any]:
         """Unit results in index order; raises if a chunk is absent."""
@@ -313,16 +309,14 @@ class SweepPlan(OperationPlan):
 
 
 class TracePlan(JobPlan):
-    """``trace``: one unit per (channel, rank) shard of a trace file.
+    """``trace``: one unit that replays a trace file once.
 
-    The file stays on disk (journal entries carry exported
-    accumulator states, never trace lines), so multi-gigabyte traces
-    replay as durable, crash-resumable jobs.  Each chunk folds a
-    contiguous shard range through
-    :func:`~repro.trace.fold_file_shards` — columnar when numpy is
-    present — and assembly merges the states in shard order, which
-    reproduces serial one-shot replay bit for bit.  At most
-    :data:`MAX_TRACE_SHARDS` shards are accepted.
+    The file stays on disk (the journal carries the result row, never
+    trace lines), so multi-gigabyte traces replay as durable jobs.
+    The unit runs :func:`~repro.trace.replay_trace_file` — columnar
+    when numpy is present — and journals the final result row, command
+    count included, which reproduces serial one-shot replay bit for
+    bit.  A crash before that checkpoint repeats the one replay.
     """
 
     def __init__(self, spec: JobSpec, session: EvaluationSession):
@@ -335,7 +329,7 @@ class TracePlan(JobPlan):
             self.device, **decoder_params(params.get("decoder", {})))
         self.fmt = resolve_trace_format(self.path,
                                         params.get("format"))
-        self.units = self.decoder.num_shards
+        self.units = 1
 
     @classmethod
     def validate(cls, params: Mapping[str, Any]) -> None:
@@ -354,52 +348,32 @@ class TracePlan(JobPlan):
         if (not isinstance(clock, (int, float))
                 or not 0 < clock < math.inf):
             raise ServiceError("'clock' must be positive, finite Hz")
-        if params.get("strict"):
-            raise ServiceError(STRICT_REFUSAL)
+        check_strict(params)
         device_from_payload(params.get("device", {}))
-        decoder = decoder_params(params.get("decoder", {}))
-        shard_bits = (decoder.get("channel_bits", 0)
-                      + decoder.get("rank_bits", 0))
-        if shard_bits >= MAX_TRACE_SHARDS.bit_length():
-            raise ServiceError(
-                "a trace job plans one unit per (channel, rank) "
-                "shard and re-reads the file per chunk; "
-                f"2**{shard_bits} shards exceed the cap of "
-                f"{MAX_TRACE_SHARDS}")
+        decoder_params(params.get("decoder", {}))
 
     def run_chunk(self, index: int) -> List[Any]:
-        low, high = self.chunk_range(index)
         try:
-            accumulator = fold_file_shards(
+            accumulator, _ = replay_trace_file(
                 self.session.model(self.device), self.path, self.fmt,
-                self.decoder, self.clock, range(low, high))
+                self.decoder, self.clock)
         except OSError as exc:
             raise JobError(str(exc)) from exc
-        return [accumulator.export_state()]
-
-    def _merge(self, states: Iterable[Any]) -> TraceAccumulator:
-        merged = TraceAccumulator(self.session.model(self.device),
-                                  strict=False)
-        for state in states:
-            merged.merge_state(state)
-        return merged
+        return [trace_result_row(accumulator.result(),
+                                 accumulator.commands_seen)]
 
     def assemble(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        merged = self._merge(self._merged(chunks))
+        row, = self._merged(chunks)
+        if "energy_j" not in row:
+            # An older release journaled one exported accumulator
+            # state per range of (channel, rank) shards.
+            raise JobError(
+                "the journal holds shard states of an older trace "
+                "job, which this release cannot assemble; resubmit "
+                "the job")
         return {"kind": "trace", "path": self.path,
                 "format": self.fmt, "device": self.device.name,
-                "shards": self.units,
-                "commands": merged.commands_seen,
-                "result": trace_result_row(merged.result(),
-                                           merged.commands_seen)}
-
-    def partial(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        progress = super().partial(chunks)
-        if chunks:
-            progress["commands"] = self._merge(
-                state for index in sorted(chunks)
-                for state in chunks[index]).commands_seen
-        return progress
+                "commands": row["commands"], "result": row}
 
 
 #: Registered job kinds, keyed by spec ``kind``.

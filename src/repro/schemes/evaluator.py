@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..description import DramDescription
-from ..engine import EvaluationSession, ensure_session, resolve_backend
+from ..engine import EvaluationSession, ensure_session
 from .base import Scheme, SchemeResult
 from .library import ALL_SCHEMES
 from ..analysis.reporting import format_table
@@ -13,19 +13,16 @@ from ..analysis.reporting import format_table
 
 def compare_schemes(device: DramDescription,
                     schemes: Sequence[Scheme] = ALL_SCHEMES,
-                    session: Optional[EvaluationSession] = None,
-                    backend: Optional[str] = None
+                    session: Optional[EvaluationSession] = None
                     ) -> List[SchemeResult]:
     """Evaluate every scheme on one device, sorted by power saving.
 
     One shared ``session`` means the unmodified baseline model is
     built once for the whole comparison instead of once per scheme.
-    ``backend`` is validated like every sweep's, but each scheme
-    builds its own transformed models, so the comparison always runs
-    serially.
+    Each scheme builds its own transformed models, so the comparison
+    runs serially.
     """
     session = ensure_session(session)
-    resolve_backend(backend)
     results = [scheme.evaluate(device, session=session)
                for scheme in schemes]
     results.sort(key=lambda result: -result.power_saving)

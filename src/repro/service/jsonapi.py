@@ -417,7 +417,7 @@ def _trend_rows(session, request, node_list):
 
 def _scheme_rows(session, request, schemes):
     results = compare_schemes(request.device, schemes=tuple(schemes),
-                              **request.options(session))
+                              session=session)
     return [{"scheme": result.scheme,
              "power_saving": result.power_saving,
              "area_overhead": result.area_overhead,

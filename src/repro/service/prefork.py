@@ -258,7 +258,7 @@ class PreforkSupervisor:
         try:
             from ..jobs.store import JobStore
             registry = WorkerRegistry(self.run_dir)
-            live = registry.entries(refresh=True)
+            live = registry.entries()
             if not live:
                 return
             moved = JobStore(self.jobs_dir).reassign_orphans(live)

@@ -4,8 +4,8 @@ The pre-fork tier (:mod:`repro.service.prefork`) runs N worker
 processes accepting on one shared port.  Each worker also listens on
 a private *direct* port and publishes a small JSON *registry entry*
 (pid, shared port, direct port) into the supervisor's run directory;
-:class:`WorkerRegistry` reads the live set back with a short TTL cache
-and a pid-liveness check.  Two consumers use it:
+:class:`WorkerRegistry` reads the live set back from the directory
+with a pid-liveness check.  Two consumers use it:
 
 * ``GET /stats?scope=cluster`` fetches every sibling's local
   ``/stats`` over its direct port and merges them with the helpers at
@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -76,16 +75,11 @@ class WorkerRegistry:
 
     One ``worker-<id>.json`` per worker, written atomically by the
     worker itself at boot (and rewritten on respawn).  Readers get a
-    dict of live entries; results are cached for ``ttl`` seconds so
-    repeated reads do not hammer the filesystem.
+    dict of live entries, read from the directory on every call.
     """
 
-    def __init__(self, directory: str, ttl: float = 0.25):
+    def __init__(self, directory: str):
         self.directory = Path(directory)
-        self.ttl = ttl
-        self._lock = threading.Lock()
-        self._cached: Dict[int, Dict[str, Any]] = {}
-        self._read_at = -1.0
 
     #: Age (seconds) past which an unattributable staging file is
     #: assumed crash-leaked and collected.
@@ -109,13 +103,8 @@ class WorkerRegistry:
         except OSError:
             pass
 
-    def entries(self, refresh: bool = False
-                ) -> Dict[int, Dict[str, Any]]:
+    def entries(self) -> Dict[int, Dict[str, Any]]:
         """Live entries by worker id (dead pids filtered out)."""
-        now = time.monotonic()
-        with self._lock:
-            if not refresh and now - self._read_at < self.ttl:
-                return dict(self._cached)
         fresh: Dict[int, Dict[str, Any]] = {}
         self._gc_stale_staging()
         try:
@@ -131,10 +120,7 @@ class WorkerRegistry:
                 continue  # torn write or foreign file: skip
             if pid_alive(pid):
                 fresh[worker_id] = entry
-        with self._lock:
-            self._cached = fresh
-            self._read_at = now
-        return dict(fresh)
+        return fresh
 
     def _gc_stale_staging(self) -> None:
         """Collect crash-leaked ``worker-*.tmp<pid>`` staging files.

@@ -541,8 +541,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         server.counters.count_request(urlsplit(self.path).path, status)
         blob = json.dumps(payload).encode("utf-8")
         encoding = None
-        if (len(blob) >= server.gzip_min_bytes
-                and self._accepts_gzip()):
+        if len(blob) >= GZIP_MIN_BYTES and self._accepts_gzip():
             # mtime=0 keeps the compressed bytes deterministic, so
             # equal answers from different workers stay bit-identical.
             blob = gzip_module.compress(blob, mtime=0)
@@ -645,7 +644,6 @@ class EvaluationService(ThreadingHTTPServer):
                  registry: Optional[WorkerRegistry] = None,
                  listen_socket: Optional[socket.socket] = None,
                  shared_with: Optional["EvaluationService"] = None,
-                 gzip_min_bytes: int = GZIP_MIN_BYTES,
                  jobs_dir: Optional[str] = None,
                  job_ttl: float = 3600.0):
         if listen_socket is None:
@@ -664,7 +662,6 @@ class EvaluationService(ThreadingHTTPServer):
         self.auth = auth
         self.worker_id = worker_id
         self.registry = registry
-        self.gzip_min_bytes = gzip_min_bytes
         self.draining = False
         self._handlers_lock = threading.Lock()
         self._handlers: set = set()
@@ -800,7 +797,7 @@ class EvaluationService(ThreadingHTTPServer):
         unreachable: List[int] = []
         key = self.auth.any_key() if self.auth is not None else None
         for wid, entry in sorted(
-                self.registry.entries(refresh=True).items()):
+                self.registry.entries().items()):
             if wid == self.worker_id:
                 continue
             host = entry.get("direct_host", "127.0.0.1")

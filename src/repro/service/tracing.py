@@ -18,6 +18,7 @@ Raw mode (any other content type)
 
 A true ``strict`` in either shape is a 400 with
 :data:`~repro.trace.STRICT_REFUSAL`; a false one does nothing.
+:func:`check_strict` reads it here and for the ``trace`` job kind.
 
 Records go through the one framer of :mod:`repro.service.streaming`:
 ``{"index": i, "snapshot": {...}}`` every ``snapshot_every`` commands,
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Tuple)
+                    Mapping, Optional, Tuple)
 
 from ..core.trace import TraceAccumulator, TraceError, TraceResult
 from ..engine import EvaluationSession
@@ -105,6 +106,19 @@ def _parse_bool(value: Any, name: str) -> bool:
     raise ServiceError(f"'{name}' must be a boolean")
 
 
+def check_strict(fields: Mapping[str, Any]) -> None:
+    """Refuse a true ``strict`` in ``fields`` with
+    :data:`~repro.trace.STRICT_REFUSAL`; a false one does nothing.
+
+    The one reader of the key for ``/trace`` (query string and JSON)
+    and ``trace`` job submits: a boolean, or text read as one
+    (``1/true/yes/on``, ``0/false/no/off`` or empty); any other value,
+    JSON ``0`` and ``null`` included, is a 400 naming the key.
+    """
+    if "strict" in fields and _parse_bool(fields["strict"], "strict"):
+        raise ServiceError(STRICT_REFUSAL)
+
+
 def decoder_params(fields: Any) -> Dict[str, Any]:
     """Validated :class:`~repro.trace.AddressDecoder` keywords.
 
@@ -148,8 +162,7 @@ def _parse(request: TraceRequest, fields: Dict[str, Any],
     request.backend = fields.get("backend", request.backend)
     if "clock" in fields:
         request.clock = _parse_number(fields["clock"], "clock", float)
-    if "strict" in fields and _parse_bool(fields["strict"], "strict"):
-        raise ServiceError(STRICT_REFUSAL)
+    check_strict(fields)
     if "snapshot_every" in fields:
         request.snapshot_every = _parse_number(
             fields["snapshot_every"], "snapshot_every")

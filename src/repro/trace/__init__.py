@@ -2,10 +2,10 @@
 
 Public surface: line parsers and the one byte → line reader
 (:mod:`formats`), the configurable physical-address bit-slice decoder
-(:mod:`decoder`), the lazy record → command → energy pipeline with
-the shard-range fold of durable ``trace`` jobs (:mod:`ingest`), and
-the one backend resolver and batch replayer with its columnar kernel
-(:mod:`columnar`, numpy-optional).
+(:mod:`decoder`), the lazy record → command → energy pipeline and
+the file replay behind ``repro trace`` and ``trace`` jobs
+(:mod:`ingest`), and the one backend resolver and batch replayer
+with its columnar kernel (:mod:`columnar`, numpy-optional).
 """
 
 from .decoder import POLICIES, AddressDecoder, DecodedAddress
@@ -15,7 +15,7 @@ from .formats import (FORMATS, TraceFormatError, TraceRecord,
                       iter_records, open_trace_bytes, open_trace_lines)
 from .ingest import (DEFAULT_CLOCK, STRICT_REFUSAL, accumulate_records,
                      commands_from_records, evaluate_trace_file,
-                     fold_file_shards, read_trace, replay_trace_file,
+                     read_trace, replay_trace_file,
                      resolve_trace_format)
 from .columnar import (TRACE_BACKENDS, ColumnarReplayer,
                        columnar_available, parse_columns,
@@ -45,7 +45,6 @@ __all__ = [
     "accumulate_records",
     "commands_from_records",
     "evaluate_trace_file",
-    "fold_file_shards",
     "read_trace",
     "replay_trace_file",
     "resolve_trace_format",

@@ -230,8 +230,7 @@ def _parse_tokenized(lines: Sequence[str], n: int,
 # ----------------------------------------------------------------------
 def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
                  decoder: AddressDecoder, period: float,
-                 open_rows: Dict[int, int],
-                 shards: Optional[range] = None) -> None:
+                 open_rows: Dict[int, int]) -> None:
     """Expand and fold one parsed batch into ``accumulator``.
 
     Mirrors the scalar ``commands_from_records`` + ``feed`` pipeline
@@ -239,10 +238,9 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
     one costs PRE (when a row was open) + ACT, refresh costs PRE (when
     open) + REF, and every access to the already-open row is a row
     hit except the one its activate paid for.  ``open_rows`` is the
-    carried open-row register, updated in place.  With ``shards`` the
-    batch is first masked to the (channel, rank) shard indices in
-    that contiguous range.  A batch whose last time is not finite
-    raises :class:`_ColumnarOverflow` before anything is folded.
+    carried open-row register, updated in place.  A batch whose last
+    time is not finite raises :class:`_ColumnarOverflow` before
+    anything is folded.
     """
     n = len(columns)
     if n == 0:
@@ -251,17 +249,6 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
     addresses = columns.addresses
     kinds = columns.kinds
     cycles = columns.cycles
-    if shards is not None:
-        rank_shift = layout["rank"][0]
-        shard_index = ((addresses >> rank_shift)
-                       & (decoder.num_shards - 1))
-        mask = (shard_index >= shards.start) & (shard_index < shards.stop)
-        addresses = addresses[mask]
-        kinds = kinds[mask]
-        cycles = cycles[mask]
-        n = int(addresses.shape[0])
-        if n == 0:
-            return
     # int * float in Python mirrors the scalar per-record time product
     # bit for bit (multiplication by a positive period is monotone, so
     # the max cycle carries the max time).
@@ -273,8 +260,8 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
     rank_shift = layout["rank"][0]
     bank = (addresses >> bank_shift) & ((1 << bank_bits) - 1)
     row = (addresses >> row_shift) & ((1 << row_bits) - 1)
-    shard_index = (addresses >> rank_shift) & (decoder.num_shards - 1)
-    flat = (shard_index << bank_bits) | bank
+    channel_rank = (addresses >> rank_shift) & (decoder.num_shards - 1)
+    flat = (channel_rank << bank_bits) | bank
 
     order = _np.argsort(flat, kind="stable")
     flat_sorted = flat[order]
@@ -339,16 +326,14 @@ class ColumnarReplayer:
     :func:`fold_columns`; every other batch, and one carrying integers
     beyond int64 or a time beyond any float, folds through the scalar
     pipeline.  The replayer tracks global line numbers (for exact
-    error parity), carries the open-row register across batches of
-    either kind, and optionally masks to a contiguous ``range`` of
-    (channel, rank) shards.  A strict accumulator is refused with
+    error parity) and carries the open-row register across batches of
+    either kind.  A strict accumulator is refused with
     :data:`~repro.trace.ingest.STRICT_REFUSAL`.
     """
 
     def __init__(self, accumulator: TraceAccumulator,
                  fmt: Optional[str], decoder: AddressDecoder,
                  clock: float, source: str = "<trace>",
-                 shards: Optional[range] = None,
                  backend: str = "vector"):
         if accumulator.strict:
             raise TraceError(STRICT_REFUSAL, 0.0, None)
@@ -358,7 +343,6 @@ class ColumnarReplayer:
         self.decoder = decoder
         self.clock = clock
         self.source = source
-        self.shards = shards
         self.columnar = (backend == "vector" and _np is not None
                          and decoder.address_bits < 64)
         self.open_rows: Dict[int, int] = {}
@@ -386,8 +370,7 @@ class ColumnarReplayer:
             return False
         try:
             fold_columns(self.accumulator, parse(*args, **kwargs),
-                         self.decoder, self.period, self.open_rows,
-                         shards=self.shards)
+                         self.decoder, self.period, self.open_rows)
         except _ColumnarOverflow:
             return False
         return True
@@ -395,11 +378,6 @@ class ColumnarReplayer:
     def _feed_scalar(self, records: Iterable[TraceRecord]) -> None:
         """Expand and fold records through the scalar pipeline, sharing
         the open-row register so the streams splice exactly."""
-        if self.shards is not None:
-            wanted = self.shards
-            records = (record for record in records
-                       if self.decoder.shard_of(record.address)
-                       in wanted)
         self.accumulator.feed(commands_from_records(
             records, self.decoder, self.clock, open_rows=self.open_rows,
             source=self.source))
@@ -416,13 +394,12 @@ def replay_lines_columnar(accumulator: TraceAccumulator,
                           lines: Iterable[str], fmt: str,
                           decoder: AddressDecoder, clock: float,
                           source: str = "<trace>",
-                          shards: Optional[range] = None,
                           batch_lines: int = LINES_PER_BATCH
                           ) -> TraceAccumulator:
     """Drive a whole line iterable through the replayer in batches of
     ``batch_lines``."""
     replayer = ColumnarReplayer(accumulator, fmt, decoder, clock,
-                                source=source, shards=shards)
+                                source=source)
     for batch in batches(lines, batch_lines):
         replayer.feed_lines(batch)
     return accumulator

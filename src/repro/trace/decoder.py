@@ -104,28 +104,19 @@ class AddressDecoder:
     # ------------------------------------------------------------------
     @property
     def shard_bits(self) -> int:
-        """Address bits identifying the (channel, rank) shard."""
+        """Address bits identifying the (channel, rank) pair."""
         return self.channel_bits + self.rank_bits
 
     @property
     def num_shards(self) -> int:
-        """Independent (channel, rank) replay shards this decoder
-        produces.  Bank state and tFAW tracking never cross a rank
-        boundary, so shards replay in parallel and merge exactly."""
-        return 1 << self.shard_bits
+        """Distinct (channel, rank) pairs this decoder produces.
 
-    def shard_of(self, address: int) -> int:
-        """The (channel, rank) shard index of one address.
-
-        Equals ``flat_bank(decode(address)) >> bank_bits`` — rank and
-        channel are always the top two fields regardless of policy —
-        but computed with one shift and mask.
+        Rank and channel are the top two fields under every policy,
+        so ``(address >> rank_shift) & (num_shards - 1)`` is the pair
+        index that :meth:`flat_bank` puts above the bank bits; the
+        columnar kernel builds its flat bank indices that way.
         """
-        if address < 0:
-            raise TraceError("address must not be negative", 0.0, None)
-        shift = (self.offset_bits + self.col_bits + self.row_bits
-                 + self.bank_bits)
-        return (address >> shift) & (self.num_shards - 1)
+        return 1 << self.shard_bits
 
     def decode(self, address: int) -> DecodedAddress:
         """Split a physical byte address into coordinates."""

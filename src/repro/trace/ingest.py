@@ -106,8 +106,8 @@ def resolve_trace_format(path, fmt: Optional[str] = None) -> str:
     """The concrete format of a trace file: sniffed when ``fmt`` is
     ``None`` or ``"auto"``, passed through otherwise.
 
-    A sharded ``trace`` job sniffs once at planning so every chunk
-    parses with the same format.
+    A ``trace`` job sniffs once at planning, so its result names the
+    format it replayed.
     """
     if fmt is not None and fmt != "auto":
         return fmt
@@ -161,31 +161,6 @@ def evaluate_trace_file(model: DramPowerModel, path,
                                        decoder=decoder, clock=clock,
                                        backend=backend)
     return accumulator.result()
-
-
-def fold_file_shards(model: DramPowerModel, path, fmt: str,
-                     decoder: AddressDecoder, clock: float,
-                     shards: range) -> TraceAccumulator:
-    """Lenient replay of only the (channel, rank) shards in ``shards``.
-
-    The shard index occupies the top bits of every flat bank, so bank
-    state never crosses a shard boundary: folding contiguous shard
-    ranges separately and merging their
-    :meth:`~TraceAccumulator.export_state` dictionaries in range order
-    reproduces a one-shot replay bit for bit.  The durable ``trace``
-    job kind journals one such state per chunk.  The range is masked
-    as bounds (never expanded into a set), so a huge shard count costs
-    nothing extra.
-    """
-    from .columnar import replay_lines_columnar
-    accumulator = TraceAccumulator(model, strict=False)
-    if not shards:
-        return accumulator
-    everything = shards.start <= 0 and shards.stop >= decoder.num_shards
-    with open_trace_lines(path) as lines:
-        return replay_lines_columnar(
-            accumulator, lines, fmt, decoder, clock, source=str(path),
-            shards=None if everything else shards)
 
 
 def accumulate_records(model: DramPowerModel,

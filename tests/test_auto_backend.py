@@ -9,7 +9,6 @@ from repro.devices import build_device
 from repro.engine import (AUTO, MIN_BATCH, VECTOR, EvaluationSession,
                           resolve_backend)
 from repro.errors import ModelError
-from repro.schemes import compare_schemes
 
 
 def _power(model):
@@ -86,7 +85,7 @@ class TestSessionAutoBackend:
 
 class TestAutoInFrontEnds:
     @pytest.mark.parametrize("command", ["sensitivity", "corners",
-                                         "trends", "schemes"])
+                                         "trends"])
     def test_cli_sweeps_default_to_auto(self, command):
         args = build_parser().parse_args([command])
         assert args.backend == "auto"
@@ -102,11 +101,3 @@ class TestAutoInFrontEnds:
                 build_parser().parse_args(
                     [command, "--backend", "process"])
             assert "invalid choice: 'process'" in capsys.readouterr().err
-
-    def test_compare_schemes_accepts_auto(self, ddr3_device):
-        explicit = compare_schemes(ddr3_device, backend="serial")
-        auto = compare_schemes(ddr3_device, backend=AUTO)
-        assert [result.scheme for result in auto] == \
-            [result.scheme for result in explicit]
-        assert [result.power_saving for result in auto] == \
-            [result.power_saving for result in explicit]

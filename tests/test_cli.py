@@ -26,8 +26,9 @@ class TestParser:
         ["trends", "--cache-dir", "cache"],
         ["check", "--backend", "serial"],
         ["trace", "two.trc", "--strict"],
+        ["schemes", "--backend", "serial"],
     ], ids=["serve-cache-dir", "trends-cache-dir", "check-backend",
-            "trace-strict"])
+            "trace-strict", "schemes-backend"])
     def test_removed_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
             build_parser().parse_args(argv)

@@ -181,7 +181,7 @@ class TestSpec:
 
 
 # ----------------------------------------------------------------------
-# The trace job kind: durable rank-sharded file replay.
+# The trace job kind: one durable replay of a trace file.
 # ----------------------------------------------------------------------
 def _trace_file(tmp_path, transactions=3000):
     lines = []
@@ -195,12 +195,61 @@ def _trace_file(tmp_path, transactions=3000):
     return str(path)
 
 
+def _trace_lines(fmt, count, address_bits, seed=11):
+    """Deterministic trace text over the whole decoder width, so every
+    (channel, rank) pair sees traffic."""
+    lines = []
+    state = seed
+    mask = (1 << address_bits) - 1
+    for i in range(count):
+        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+        address = (state * 2654435761) & mask
+        if i % 89 == 88:
+            op = "REF"
+        elif state % 3 == 0:
+            op = "WRITE"
+        else:
+            op = "READ"
+        if fmt == "jsonl":
+            lines.append(json.dumps({"addr": address, "op": op,
+                                     "cycle": i * 4}))
+        else:
+            lines.append(f"0x{address:x} {op} {i * 4}")
+    return lines
+
+
+def _serial_row(plan, path, **decoder):
+    """The job's result row as serial one-shot replay computes it."""
+    from repro.service.tracing import trace_result_row
+    from repro.trace import AddressDecoder, replay_trace_file
+
+    accumulator, backend = replay_trace_file(
+        plan.session.model(plan.device), path, plan.fmt,
+        AddressDecoder.from_device(plan.device, **decoder),
+        backend="serial")
+    assert backend == "serial"
+    return trace_result_row(accumulator.result(),
+                            accumulator.commands_seen)
+
+
+def _run_plan(plan):
+    return plan.assemble({index: plan.run_chunk(index)
+                          for index in range(plan.chunk_count)})
+
+
+#: Decoders of 0, 2, 4 and 70 (channel, rank) bits.
+SHARD_DECODERS = ({}, {"channel_bits": 1, "rank_bits": 1},
+                  {"channel_bits": 2, "rank_bits": 2},
+                  {"rank_bits": 70})
+
+
 class TestTracePlan:
-    def _payload(self, path, chunk_size=1):
+    def _payload(self, path, chunk_size=1, decoder=None):
         return {"kind": "trace",
                 "params": {"device": {"node": 55}, "path": path,
-                           "decoder": {"channel_bits": 1,
-                                       "rank_bits": 1}},
+                           "decoder": ({"channel_bits": 1,
+                                        "rank_bits": 1}
+                                       if decoder is None else decoder)},
                 "chunk_size": chunk_size}
 
     def test_validation_rejects_bad_params(self, tmp_path):
@@ -218,8 +267,6 @@ class TestTracePlan:
                     decoder={"policy": "diagonal"}),
                 lambda p: p["params"].update(
                     decoder={"channel_bits": -1}),
-                lambda p: p["params"].update(
-                    decoder={"rank_bits": 70}),
         ):
             payload = self._payload(path)
             mutate(payload)
@@ -251,34 +298,67 @@ class TestTracePlan:
         assert store.status(old["job"])["state"] == "done"
         assert store.result(old["job"]) == store.result(clean["job"])
 
-    def test_plan_units_are_shards(self, tmp_path):
+    def test_plan_is_one_unit(self, tmp_path):
+        """The whole file is one unit, whatever the (channel, rank)
+        bits and the chunk size, and it replays to serial's row."""
         session = EvaluationSession()
-        spec = parse_job_spec(self._payload(_trace_file(tmp_path,
-                                                        50)))
-        plan = plan_job(spec, session)
-        assert plan.units == 4  # 1 channel bit + 1 rank bit
-        assert plan.chunk_count == 4
+        path = _trace_file(tmp_path, 300)
+        for decoder in SHARD_DECODERS:
+            for chunk_size in (1, 8, 1000):
+                plan = plan_job(parse_job_spec(self._payload(
+                    path, chunk_size, decoder)), session)
+                assert (plan.units, plan.chunk_count) == (1, 1)
+                assert plan.chunk_range(0) == (0, 1)
+            assert _run_plan(plan)["result"] \
+                == _serial_row(plan, path, **decoder)
 
-    def test_assembled_result_matches_library(self, tmp_path):
-        from repro.trace import AddressDecoder, evaluate_trace_file
+    @pytest.mark.parametrize("fmt", ["k6", "mase", "jsonl"])
+    @pytest.mark.parametrize("policy", ["row-bank-column",
+                                        "bank-row-column"])
+    def test_job_matches_serial_replay(self, fmt, policy, tmp_path):
+        """A 4-pair decoder, every format and policy: the job's row
+        equals serial one-shot replay in energy, duration, counts,
+        row hits, misses and conflicts, and commands."""
+        from repro.devices import build_device
+        from repro.trace import AddressDecoder
 
-        session = EvaluationSession()
-        path = _trace_file(tmp_path)
-        spec = parse_job_spec(self._payload(path, chunk_size=2))
-        plan = plan_job(spec, session)
-        chunks = {i: plan.run_chunk(i)
-                  for i in range(plan.chunk_count)}
-        result = plan.assemble(chunks)
-        decoder = AddressDecoder.from_device(plan.device,
-                                             channel_bits=1,
-                                             rank_bits=1)
-        reference = evaluate_trace_file(
-            session.model(plan.device), path, decoder=decoder,
-            backend="serial")
-        assert result["result"]["energy_j"] == reference.energy
-        assert result["result"]["duration_s"] == reference.duration
-        assert result["result"]["row_hits"] == reference.row_hits
-        assert result["shards"] == 4
+        decoder = {"policy": policy, "channel_bits": 1, "rank_bits": 1}
+        bits = AddressDecoder.from_device(build_device(55),
+                                          **decoder).address_bits
+        path = tmp_path / f"s.{fmt}.trc"
+        path.write_text("\n".join(_trace_lines(fmt, 1200, bits)) + "\n")
+        plan = plan_job(parse_job_spec({
+            "kind": "trace", "chunk_size": 1,
+            "params": {"device": {"node": 55}, "path": str(path),
+                       "format": fmt, "decoder": decoder}}),
+            EvaluationSession())
+        result = _run_plan(plan)
+        expected = _serial_row(plan, str(path), **decoder)
+        assert result["result"] == expected
+        assert result["commands"] == expected["commands"]
+
+    def test_folds_the_file_once(self, tmp_path, monkeypatch):
+        """A 16-pair decoder at ``chunk_size`` 1 reads and folds its
+        file in one columnar replay."""
+        from repro.trace import columnar, columnar_available
+
+        if not columnar_available():
+            pytest.skip("numpy not installed")
+        calls = []
+        replay = columnar.replay_lines_columnar
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(columnar, "replay_lines_columnar", counted)
+        decoder = {"channel_bits": 2, "rank_bits": 2}
+        path = _trace_file(tmp_path, 2000)
+        plan = plan_job(parse_job_spec(self._payload(path, 1, decoder)),
+                        EvaluationSession())
+        result = _run_plan(plan)
+        assert len(calls) == 1
+        assert result["result"] == _serial_row(plan, path, **decoder)
 
     def test_chunked_equals_single_chunk(self, tmp_path):
         session = EvaluationSession()
@@ -307,15 +387,32 @@ class TestTracePlan:
                  for i, chunk in chunks.items()}
         assert plan.assemble(wired) == plan.assemble(chunks)
 
-    def test_partial_reports_shard_progress(self, tmp_path):
+    def test_partial_reports_unit_progress(self, tmp_path):
         session = EvaluationSession()
         plan = plan_job(
             parse_job_spec(self._payload(_trace_file(tmp_path, 200),
                                          2)), session)
-        progress = plan.partial({0: plan.run_chunk(0)})
-        assert progress["units_done"] == 2
-        assert progress["units_total"] == 4
-        assert progress["commands"] > 0
+        assert plan.partial({}) == {"units_done": 0, "units_total": 1}
+        assert plan.partial({0: plan.run_chunk(0)}) \
+            == {"units_done": 1, "units_total": 1}
+
+    def test_assembled_result_matches_library(self, tmp_path):
+        from repro.trace import AddressDecoder, evaluate_trace_file
+
+        session = EvaluationSession()
+        path = _trace_file(tmp_path)
+        plan = plan_job(parse_job_spec(self._payload(path, 2)), session)
+        result = _run_plan(plan)
+        decoder = AddressDecoder.from_device(plan.device,
+                                             channel_bits=1,
+                                             rank_bits=1)
+        reference = evaluate_trace_file(
+            session.model(plan.device), path, decoder=decoder,
+            backend="serial")
+        assert result["result"]["energy_j"] == reference.energy
+        assert result["result"]["duration_s"] == reference.duration
+        assert result["result"]["row_hits"] == reference.row_hits
+        assert "shards" not in result
 
     def test_durable_run_produces_result(self, tmp_path):
         path = _trace_file(tmp_path, 400)
@@ -328,6 +425,32 @@ class TestTracePlan:
         result = json.loads(_result_bytes(tmp_path / "jobs", job_id))
         assert result["result"]["kind"] == "trace"
         assert result["result"]["commands"] > 0
+
+    def test_journal_of_shard_states_fails_and_asks_to_resubmit(
+            self, tmp_path):
+        """An older release journaled one exported accumulator state
+        per shard chunk; resuming such a job must fail, naming the
+        fix, and never assemble a result from the states."""
+        store = JobStore(tmp_path)
+        status, _ = store.submit(
+            self._payload(_trace_file(tmp_path, 50), 1))
+        job_id = status["job"]
+        journal = store.journal(job_id)
+        for shard in range(4):  # what 4 chunks of 1 shard journaled
+            journal.append_chunk(shard, [{
+                "device": "2G-DDR3-1600-x16-55nm",
+                "counts": {"act": 3, "pre": 2, "rd": 8, "wr": 4,
+                           "ref": 0, "nop": 0},
+                "row_hits": 9, "row_conflicts": 0, "commands": 17,
+                "last_time": 1.96e-07, "previous": 1.96e-07,
+                "banks": {str(8 * shard): [5, False]}}])
+        store.write_status(job_id, state="running", pid=99999999)
+        _run_all(tmp_path)
+        after = store.status(job_id)
+        assert after["state"] == "failed"
+        assert "resubmit" in after["error"]
+        assert after["partial"] == {"units_done": 1, "units_total": 1}
+        assert store.result(job_id) is None
 
 
 # ----------------------------------------------------------------------
@@ -578,13 +701,13 @@ print("survived")  # reaching here means the fault never fired
 """
 
 
-def _crash_run(tmp_path, fault_kind, fault_point):
+def _crash_run(tmp_path, fault_kind, fault_point, payload=MC_KEYED):
     """Run a job in a subprocess armed to SIGKILL itself."""
     root = str(tmp_path / "crashed")
     script = _CRASH_DRIVER.format(
         src=str(Path(__file__).resolve().parent.parent / "src"),
         fault_kind=fault_kind, fault_point=fault_point,
-        root=root, payload=MC_KEYED)
+        root=root, payload=payload)
     process = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True,
                              timeout=120)
@@ -594,10 +717,10 @@ def _crash_run(tmp_path, fault_kind, fault_point):
     return root
 
 
-def _clean_run(tmp_path):
+def _clean_run(tmp_path, payload=MC_KEYED):
     root = str(tmp_path / "clean")
     store = JobStore(root)
-    status, _ = store.submit(MC_KEYED)
+    status, _ = store.submit(payload)
     _run_all(root)
     return root, status["job"]
 
@@ -632,6 +755,34 @@ def test_sigkill_resume_is_bit_for_bit(tmp_path, fault_kind,
     assert manager.jobs_resumed == 1
 
     clean_root, clean_id = _clean_run(tmp_path)
+    assert _result_bytes(root, job_id) \
+        == _result_bytes(clean_root, clean_id)
+
+
+@pytest.mark.parametrize("fault_point,survivors",
+                         [("mid-chunk", 0), ("after-checkpoint", 1)])
+def test_sigkill_resume_of_a_trace_job_is_bit_for_bit(
+        tmp_path, fault_point, survivors):
+    """A trace job killed while replaying (nothing journaled) or right
+    after journaling its one unit resumes to the same bytes."""
+    payload = {"kind": "trace", "chunk_size": 1,
+               "idempotency_key": "trace-parity",
+               "params": {"device": {"node": 55},
+                          "path": _trace_file(tmp_path, 2000),
+                          "decoder": {"channel_bits": 2,
+                                      "rank_bits": 2}}}
+    root = _crash_run(tmp_path, "job-crash", fault_point, payload)
+    store = JobStore(root)
+    job_id = store.list_jobs()[0]["job"]
+    assert len(store.journal(job_id).replay()) == survivors
+    assert store.status(job_id)["state"] == "running"
+
+    _run_all(root)
+    after = store.status(job_id)
+    assert after["state"] == "done"
+    assert (after["replayed_chunks"], after["computed_chunks"]) \
+        == (survivors, 1 - survivors)
+    clean_root, clean_id = _clean_run(tmp_path, payload)
     assert _result_bytes(root, job_id) \
         == _result_bytes(clean_root, clean_id)
 

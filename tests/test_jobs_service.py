@@ -226,6 +226,50 @@ class TestJobEndpoints:
         client.close()
 
 
+class TestJobsCommand:
+    """``repro jobs submit`` against an in-process service: the CLI
+    keeps no list of job kinds, the server names them."""
+
+    def _main(self, svc, *argv):
+        from repro.cli import main
+
+        return main(["jobs", "--url",
+                     f"http://127.0.0.1:{svc.server_port}", *argv])
+
+    def test_submit_trace_wait_prints_the_library_result(
+            self, jobs_service, tmp_path, capsys):
+        from repro import DramPowerModel
+        from repro.devices import build_device
+        from repro.service.tracing import trace_result_row
+        from repro.trace import AddressDecoder, replay_trace_file
+
+        path = tmp_path / "cli.trc"
+        path.write_text("".join(
+            f"0x{(i * 4160) % (1 << 30):x} "
+            f"{'P_MEM_WR' if i % 3 else 'P_MEM_RD'} {i * 4}\n"
+            for i in range(500)))
+        params = {"device": {"node": 55}, "path": str(path),
+                  "decoder": {"rank_bits": 1}}
+        assert self._main(jobs_service, "submit", "trace", "--params",
+                          json.dumps(params), "--wait") == 0
+        printed = json.loads(capsys.readouterr().out)
+        device = build_device(55)
+        accumulator, _ = replay_trace_file(
+            DramPowerModel(device), path,
+            decoder=AddressDecoder.from_device(device, rank_bits=1),
+            backend="serial")
+        assert printed["kind"] == "trace"
+        assert printed["result"] == trace_result_row(
+            accumulator.result(), accumulator.commands_seen)
+
+    def test_unknown_kind_prints_the_server_message(self, jobs_service,
+                                                     capsys):
+        assert self._main(jobs_service, "submit", "frobnicate") == 1
+        err = capsys.readouterr().err
+        assert ("unknown job kind 'frobnicate'; choose from "
+                "evaluate/montecarlo/sweep/trace") in err
+
+
 class TestJobsDisabled:
     def test_disabled_service_says_503_with_retry_after(self):
         svc = create_service(host="127.0.0.1", port=0)

@@ -60,17 +60,17 @@ class TestPreferredWorker:
 # ----------------------------------------------------------------------
 class TestWorkerRegistry:
     def test_write_read_remove(self, tmp_path):
-        registry = WorkerRegistry(str(tmp_path), ttl=0.0)
+        registry = WorkerRegistry(str(tmp_path))
         entry = {"worker": 0, "pid": os.getpid(),
                  "direct_host": "127.0.0.1", "direct_port": 12345}
         registry.write(0, entry)
         assert registry.entries() == {0: entry}
         registry.remove(0)
         registry.remove(0)  # idempotent
-        assert registry.entries(refresh=True) == {}
+        assert registry.entries() == {}
 
     def test_corrupt_and_foreign_files_skipped(self, tmp_path):
-        registry = WorkerRegistry(str(tmp_path), ttl=0.0)
+        registry = WorkerRegistry(str(tmp_path))
         registry.write(0, {"worker": 0, "pid": os.getpid()})
         (tmp_path / "worker-1.json").write_text("{torn write")
         (tmp_path / "worker-2.json").write_text(
@@ -81,18 +81,10 @@ class TestWorkerRegistry:
         probe = subprocess.Popen(["true"])
         probe.wait()
         assert not pid_alive(probe.pid)
-        registry = WorkerRegistry(str(tmp_path), ttl=0.0)
+        registry = WorkerRegistry(str(tmp_path))
         registry.write(0, {"worker": 0, "pid": os.getpid()})
         registry.write(1, {"worker": 1, "pid": probe.pid})
         assert sorted(registry.entries()) == [0]
-
-    def test_ttl_caches_reads(self, tmp_path):
-        registry = WorkerRegistry(str(tmp_path), ttl=60.0)
-        registry.write(0, {"worker": 0, "pid": os.getpid()})
-        assert sorted(registry.entries()) == [0]
-        registry.write(1, {"worker": 1, "pid": os.getpid()})
-        assert sorted(registry.entries()) == [0]  # cached view
-        assert sorted(registry.entries(refresh=True)) == [0, 1]
 
     def test_crash_leaked_staging_files_collected(self, tmp_path):
         """A worker SIGKILLed between staging write and rename leaks
@@ -100,7 +92,7 @@ class TestWorkerRegistry:
         probe = subprocess.Popen(["true"])
         probe.wait()
         assert not pid_alive(probe.pid)
-        registry = WorkerRegistry(str(tmp_path), ttl=0.0)
+        registry = WorkerRegistry(str(tmp_path))
         registry.write(0, {"worker": 0, "pid": os.getpid()})
         dead_leak = tmp_path / f"worker-3.json.tmp{probe.pid}"
         dead_leak.write_text("{half a reg")
@@ -112,7 +104,7 @@ class TestWorkerRegistry:
         os.utime(odd_old, (ancient, ancient))
         odd_new = tmp_path / "worker-6.json.tmpABC"
         odd_new.write_text("{}")
-        assert sorted(registry.entries(refresh=True)) == [0]
+        assert sorted(registry.entries()) == [0]
         assert not dead_leak.exists()  # writer pid dead: collected
         assert live_leak.exists()      # writer alive: in-flight
         assert not odd_old.exists()    # unattributable + old: gone

@@ -12,6 +12,7 @@ from repro.client import ServiceClient
 from repro.errors import ServiceError
 from repro.service import create_service
 from repro.service.auth import (API_KEYS_ENV, ApiKeyAuth, parse_keys)
+from repro.service.server import GZIP_MIN_BYTES
 
 
 def _serve(svc):
@@ -126,7 +127,7 @@ class TestGzip:
             headers={"Content-Type": "application/json"})
         assert plain.status == 200
         assert plain.getheader("Content-Encoding") is None
-        assert len(plain.body) >= service.gzip_min_bytes
+        assert len(plain.body) >= GZIP_MIN_BYTES
         packed = _http(
             service, "POST", "/evaluate", body=payload,
             headers={"Content-Type": "application/json",

@@ -12,6 +12,7 @@ from repro.core.trace import evaluate_trace
 from repro.devices import build_device
 from repro.engine import EvaluationSession
 from repro.errors import ServiceError
+from repro.jobs import parse_job_spec
 from repro.service import create_service
 from repro.core.trace import TraceAccumulator
 from repro.service.tracing import (MIN_SNAPSHOT_EVERY,
@@ -475,6 +476,46 @@ class TestStrictRefused:
             assert str(excinfo.value) == STRICT_REFUSAL
         for value in ("0", "false", "off", ""):
             parse_trace_query({"strict": [value]})
+
+    #: ``strict`` value -> the one verdict of every surface: accepted
+    #: (``None``) or the 400's message.
+    VERDICTS = [(True, STRICT_REFUSAL), (False, None),
+                ("true", STRICT_REFUSAL), ("false", None), ("0", None),
+                ("maybe", "'strict' must be a boolean"),
+                (0, "'strict' must be a boolean"),
+                (1, "'strict' must be a boolean"),
+                (None, "'strict' must be a boolean")]
+
+    @pytest.mark.parametrize("value,verdict", VERDICTS,
+                             ids=[repr(value) for value, _ in VERDICTS])
+    def test_one_verdict_on_every_surface(self, service, tmp_path,
+                                          value, verdict):
+        """The query string (text only), JSON ``/trace`` and a
+        ``trace`` job submit read ``strict`` alike."""
+        def seen(status, body):
+            return None if status == 200 else (status,
+                                               json.loads(body)["error"])
+
+        payload = {"device": {"node": 55}, "strict": value,
+                   "text": self.TWO_LINES.decode()}
+        surfaces = {"json": seen(*_post(service, b"/trace",
+                                        b"application/json",
+                                        json.dumps(payload).encode()))}
+        if isinstance(value, str):
+            surfaces["query"] = seen(*_post(
+                service, b"/trace?node=55&strict=" + value.encode(),
+                b"text/plain", self.TWO_LINES))
+        path = tmp_path / "two.trc"
+        path.write_bytes(self.TWO_LINES)
+        try:
+            parse_job_spec({"kind": "trace",
+                            "params": {"path": str(path),
+                                       "strict": value}})
+            surfaces["job"] = None
+        except ServiceError as exc:
+            surfaces["job"] = (exc.status, str(exc))
+        expected = None if verdict is None else (400, verdict)
+        assert surfaces == dict.fromkeys(surfaces, expected)
 
 
 class TestBackendSelection:

@@ -446,78 +446,3 @@ class TestActWindowCost:
         if 4 * gap < timing.tfaw:
             with pytest.raises(TraceError, match="tFAW"):
                 evaluate_trace(ddr3_model, trace, strict=True)
-
-
-class TestStateExportAndMerge:
-    """Shard merge: export_state/merge_state reproduce serial replay
-    bit for bit when bank sets are disjoint."""
-
-    def _bank_trace(self, timing, bank, rows=40):
-        trace = []
-        for i in range(rows):
-            start = i * timing.trc
-            trace.append(TraceCommand(start, Command.ACT, bank=bank,
-                                      row=i % 9))
-            trace.append(TraceCommand(start + timing.trcd, Command.RD,
-                                      bank=bank, row=i % 9))
-        return trace
-
-    def test_merge_matches_serial(self, ddr3_model):
-        timing = ddr3_model.device.timing
-        left = self._bank_trace(timing, bank=0)
-        right = self._bank_trace(timing, bank=1)
-        serial = TraceAccumulator(ddr3_model, strict=False)
-        serial.feed(sorted(left + right, key=lambda c: c.time))
-        one = TraceAccumulator(ddr3_model, strict=False).feed(left)
-        two = TraceAccumulator(ddr3_model, strict=False).feed(right)
-        merged = one.merge(two)
-        assert merged is one
-        expect = serial.result()
-        got = merged.result()
-        assert got.energy == expect.energy
-        assert got.duration == expect.duration
-        assert got.counts == expect.counts
-        assert got.row_hits == expect.row_hits
-        assert merged.commands_seen == serial.commands_seen
-
-    def test_state_survives_json_round_trip(self, ddr3_model):
-        import json
-
-        timing = ddr3_model.device.timing
-        one = TraceAccumulator(ddr3_model, strict=False)
-        one.feed(self._bank_trace(timing, bank=0))
-        two = TraceAccumulator(ddr3_model, strict=False)
-        two.feed(self._bank_trace(timing, bank=1))
-        direct = TraceAccumulator(ddr3_model, strict=False)
-        direct.merge(one)
-        direct.merge(two)
-        wired = TraceAccumulator(ddr3_model, strict=False)
-        for shard in (one, two):
-            wired.merge_state(json.loads(
-                json.dumps(shard.export_state())))
-        assert wired.result().energy == direct.result().energy
-        assert wired.export_state() == direct.export_state()
-
-    def test_strict_accumulators_refuse_merge(self, ddr3_model):
-        strict = TraceAccumulator(ddr3_model, strict=True)
-        lenient = TraceAccumulator(ddr3_model, strict=False)
-        with pytest.raises(TraceError, match="strict"):
-            strict.merge(lenient)
-        with pytest.raises(TraceError, match="strict"):
-            strict.export_state()
-
-    def test_overlapping_banks_refuse_merge(self, ddr3_model):
-        timing = ddr3_model.device.timing
-        one = TraceAccumulator(ddr3_model, strict=False)
-        one.feed(self._bank_trace(timing, bank=0))
-        two = TraceAccumulator(ddr3_model, strict=False)
-        two.feed(self._bank_trace(timing, bank=0))
-        with pytest.raises(TraceError, match="overlap"):
-            one.merge(two)
-
-    def test_device_mismatch_refuses_merge(self, ddr3_model,
-                                           ddr5_model):
-        one = TraceAccumulator(ddr3_model, strict=False)
-        two = TraceAccumulator(ddr5_model, strict=False)
-        with pytest.raises(TraceError, match="cannot merge"):
-            one.merge(two)

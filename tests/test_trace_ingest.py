@@ -1,7 +1,9 @@
 """Tests for trace-file parsers, address decoding and ingestion."""
 
 import gzip
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -9,10 +11,11 @@ from repro.core.trace import TraceAccumulator, evaluate_trace
 from repro.description import Command
 from repro.trace import (AddressDecoder, ColumnarReplayer,
                          DecodedAddress, TraceFormatError, TraceRecord,
-                         commands_from_records, detect_format,
-                         evaluate_trace_file, iter_decompressed,
-                         iter_jsonl, iter_k6, iter_lines, iter_mase,
-                         iter_records, read_trace)
+                         columnar_available, commands_from_records,
+                         detect_format, evaluate_trace_file,
+                         iter_decompressed, iter_jsonl, iter_k6,
+                         iter_lines, iter_mase, iter_records,
+                         read_trace, replay_trace_file)
 
 
 class TestK6Parser:
@@ -295,6 +298,65 @@ class TestEvaluateTraceFile:
         assert streamed.duration == one_shot.duration
 
 
+class TestFileReplayMemory:
+    """``replay_trace_file`` streams a file in bounded memory: its
+    peak stays under a budget that holding the expanded commands
+    would exceed.  ``vector`` replays 400,000 transactions (1.2 M
+    commands) under 64 MB; the slower ``serial`` fold replays 10,000
+    (30,000 commands) under 2 MB."""
+
+    @staticmethod
+    def _write(path, transactions, address_bits):
+        state = 0x2C011
+        mask = (1 << address_bits) - 1
+        lines = []
+        for i in range(transactions):
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            op = "P_MEM_WR" if state % 3 == 0 else "P_MEM_RD"
+            address = (state * 2654435761) & mask
+            lines.append(f"0x{address:X} {op} {i * 16}\n")
+            if i % 50_000 == 49_999:
+                lines.append(f"0x0 REF {i * 16 + 8}\n")
+        path.write_bytes(gzip.compress("".join(lines).encode(),
+                                       compresslevel=1))
+
+    @pytest.mark.parametrize("backend,transactions,budget", [
+        pytest.param("vector", 400_000, 64 * 2 ** 20,
+                     marks=pytest.mark.skipif(
+                         not columnar_available(),
+                         reason="numpy not installed")),
+        ("serial", 10_000, 2 * 2 ** 20),
+    ], ids=["vector", "serial"])
+    def test_peak_stays_under_budget(self, tmp_path, ddr3_model,
+                                     backend, transactions, budget):
+        decoder = AddressDecoder.from_device(ddr3_model.device,
+                                             channel_bits=1,
+                                             rank_bits=1)
+        path = tmp_path / "big.trc.gz"
+        self._write(path, transactions, decoder.address_bits)
+        tracemalloc.start()
+        try:
+            accumulator, used = replay_trace_file(
+                ddr3_model, path, decoder=decoder, backend=backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert used == backend
+        commands = accumulator.commands_seen
+        assert commands > 2.9 * transactions  # every access misses
+        assert peak < budget, f"peak {peak} bytes"
+        # What the expanded commands would take if held in a list,
+        # priced from a short prefix.
+        tracemalloc.start()
+        try:
+            held = list(itertools.islice(commands_from_records(
+                read_trace(path), decoder), 2000))
+            per_command = tracemalloc.get_traced_memory()[0] / len(held)
+        finally:
+            tracemalloc.stop()
+        assert per_command * commands > 1.5 * budget
+
+
 class TestNonFiniteTimes:
     """A record whose ``cycle / clock`` is no finite float is a format
     error at its line on every backend, never an OverflowError or an
@@ -337,8 +399,8 @@ class TestNonFiniteTimes:
 
 class TestDecoderEdgeGeometries:
     """Decoder corner cases: zero-width channel/rank fields, maximal
-    row widths, and shard/field-layout consistency — each geometry
-    must decode identically through the scalar and columnar paths."""
+    row widths, and field-layout consistency — each geometry must
+    decode identically through the scalar and columnar paths."""
 
     def _parity(self, decoder, lines, ddr3_model):
         from repro.trace import accumulate_records, columnar_available
@@ -369,7 +431,6 @@ class TestDecoderEdgeGeometries:
         decoder = AddressDecoder.from_device(ddr3_model.device)
         assert decoder.channel_bits == 0 and decoder.rank_bits == 0
         assert decoder.num_shards == 1
-        assert decoder.shard_of((1 << decoder.address_bits) - 1) == 0
         lines = self._lines(decoder)
         self._parity(decoder, lines, ddr3_model)
 
@@ -381,7 +442,7 @@ class TestDecoderEdgeGeometries:
                                             bank=1, column=1))
         decoded = decoder.decode(top)
         assert decoded.row == (1 << 30) - 1
-        assert decoder.shard_of(top) == 1
+        assert decoder.flat_bank(decoded) >> decoder.bank_bits == 1
         lines = self._lines(decoder)
         self._parity(decoder, lines, ddr3_model)
 
@@ -404,22 +465,25 @@ class TestDecoderEdgeGeometries:
 
     @pytest.mark.parametrize("policy", ["row-bank-column",
                                         "bank-row-column"])
-    def test_shard_of_matches_flat_bank(self, policy, ddr3_model):
+    def test_pair_index_matches_flat_bank(self, policy, ddr3_model):
+        """The columnar kernel's (channel, rank) index — one shift and
+        mask over the raw address — is what ``flat_bank`` puts above
+        the bank bits, under every policy."""
         decoder = AddressDecoder.from_device(ddr3_model.device,
                                              policy=policy,
                                              channel_bits=2,
                                              rank_bits=1)
+        rank_shift = decoder.field_layout()["rank"][0]
         state = 97
         mask = (1 << decoder.address_bits) - 1
         seen = set()
         for _ in range(500):
             state = (state * 1103515245 + 12345) & 0x7FFFFFFF
             address = (state * 2654435761) & mask
-            decoded = decoder.decode(address)
-            flat = decoder.flat_bank(decoded)
-            assert decoder.shard_of(address) \
-                == flat >> decoder.bank_bits
-            seen.add(decoder.shard_of(address))
+            pair = (address >> rank_shift) & (decoder.num_shards - 1)
+            flat = decoder.flat_bank(decoder.decode(address))
+            assert pair == flat >> decoder.bank_bits
+            seen.add(pair)
         assert seen == set(range(decoder.num_shards))
 
     @pytest.mark.parametrize("policy", ["row-bank-column",
