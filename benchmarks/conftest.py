@@ -35,8 +35,8 @@ def emit(text: str) -> None:
 def record_metrics(filename: str, entries: dict) -> Path:
     """Merge ``entries`` into ``benchmarks/<filename>``.
 
-    The shared recording path of every measurement artifact
-    (``BENCH_vectorized.json``, ``resilience_metrics.json``): existing
+    The recording path of the last measurement artifact,
+    ``BENCH_vectorized.json`` (``test_vectorized_sweep.py``): existing
     keys are preserved unless overwritten, output is sorted and
     stable, and an unreadable file is replaced rather than crashing
     the benchmark.

@@ -7,8 +7,7 @@ bound must hold, load must actually be shed with ``Retry-After``, and
 every client must still succeed through backoff-and-retry.  SIGTERM
 must drain and exit 0.
 
-Shed counts and client-side latency percentiles are recorded into
-``benchmarks/resilience_metrics.json``.
+Shed counts and client-side latency percentiles are printed.
 
 Usage: ``PYTHONPATH=src python benchmarks/smoke_resilience.py``
 Exits non-zero on any failed expectation.
@@ -25,11 +24,8 @@ import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from conftest import record_metrics  # noqa: E402
-
-from repro.client import RetryPolicy, ServiceClient  # noqa: E402
-from repro.errors import ServiceError  # noqa: E402
+from repro.client import RetryPolicy, ServiceClient
+from repro.errors import ServiceError
 
 CLIENTS = 8
 
@@ -40,7 +36,7 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
-def check_saturated_service() -> dict:
+def check_saturated_service() -> None:
     """A tiny saturated server, retrying clients, SIGTERM."""
     port = _free_port()
     root = Path(__file__).parent.parent
@@ -115,19 +111,13 @@ def check_saturated_service() -> dict:
           f"against 1 slot + 1 queue; shed 429={admission['shed_busy']}"
           f" 503={admission['shed_timeout']}, max in-flight "
           f"{admission['max_in_flight']}, client latency p50 "
-          f"{p50:.0f} ms p95 {p95:.0f} ms, clean SIGTERM exit")
-    return {"saturation_clients": CLIENTS,
-            "saturation_shed_busy": admission["shed_busy"],
-            "saturation_shed_timeout": admission["shed_timeout"],
-            "saturation_admitted": admission["admitted"],
-            "saturation_latency_p50_ms": round(p50, 3),
-            "saturation_latency_p95_ms": round(p95, 3)}
+          f"{p50:.0f} ms p95 {p95:.0f} ms, admitted "
+          f"{admission['admitted']}, clean SIGTERM exit")
 
 
 def main() -> int:
-    path = record_metrics("resilience_metrics.json",
-                          check_saturated_service())
-    print(f"OK: resilience metrics recorded to {path}")
+    check_saturated_service()
+    print("OK: resilience smoke passed")
     return 0
 
 

@@ -343,9 +343,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
                                        timeout=args.timeout_watch):
                 line = (f"{status.get('state')} "
                         f"{status.get('chunks_done', 0)}/"
-                        f"{status.get('chunks_total', '?')} chunks "
-                        f"({status.get('units_done', 0)}/"
-                        f"{status.get('units_total', '?')} units)")
+                        f"{status.get('chunks_total') or '?'} chunks")
                 if line != last:
                     print(line, flush=True)
                     last = line

@@ -834,7 +834,7 @@ class JobHandle:
 
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """``GET /jobs/<id>``: current state, progress and partials."""
+        """``GET /jobs/<id>``: current state and chunk progress."""
         try:
             return self.client.request("GET", f"/jobs/{self.id}")
         except ServiceError as error:

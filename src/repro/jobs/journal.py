@@ -1,25 +1,23 @@
-"""Write-ahead chunk journal with atomic snapshot compaction.
+"""Write-ahead chunk journal of one job directory.
 
-Durability contract of one job directory:
+Durability contract:
 
 * ``journal.ndjson`` — append-only NDJSON, one record per completed
   chunk: ``{"chunk": <index>, "result": <json>}``.  Every append is
   flushed and ``fsync``'d before the runner moves on, so a chunk that
   reached the journal survives any crash (the acceptance bar: *no
   journaled chunk is ever re-computed or lost*).
-* ``snapshot.json`` — periodic compaction of all chunks completed so
-  far, written atomically (``.tmp`` + ``fsync`` + ``rename``) and
-  followed by a journal truncate.  Keeps replay cost bounded for
-  wide jobs without ever widening the loss window: the rename is the
-  commit point, and a crash *between* rename and truncate merely
-  leaves duplicate records that replay dedupes by chunk index.
+* ``snapshot.json`` — only read, never written: older releases
+  periodically folded the journal into this version-1 snapshot and
+  truncated the journal, so a job they left mid-run replays the
+  snapshot's chunks plus the journal tail.
 
 Replay (:meth:`JobJournal.replay`) is torn-tail tolerant: a crash (or
 an injected ``job-torn-write`` fault) can leave a partial final line,
 which is ignored — it never made the durability bar.  A torn line
 *followed* by valid records cannot occur because appends are
-sequential within the owning runner and the file is truncated, never
-edited in place.
+sequential within the owning runner and the file is never edited in
+place.
 """
 
 from __future__ import annotations
@@ -85,18 +83,10 @@ def read_json(path: Path) -> Optional[Any]:
 class JobJournal:
     """The write-ahead journal of one job directory."""
 
-    def __init__(self, directory: "str | Path", fsync: bool = True):
+    def __init__(self, directory: "str | Path"):
         self.directory = Path(directory)
         self.journal_path = self.directory / JOURNAL_NAME
         self.snapshot_path = self.directory / SNAPSHOT_NAME
-        self.fsync = fsync
-        self._journal_records = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def journal_records(self) -> int:
-        """Appends since the last compaction (this handle's view)."""
-        return self._journal_records
 
     def append_chunk(self, index: int, result: Any,
                      faults: Any = None) -> None:
@@ -117,21 +107,19 @@ class JobJournal:
         with open(self.journal_path, "ab") as handle:
             handle.write(data)
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         if torn:
             from ..service.faults import kill_self
             kill_self()
-        self._journal_records += 1
 
     def replay(self) -> Dict[int, Any]:
         """All durably checkpointed chunks, keyed by chunk index.
 
-        Snapshot first, then journal records on top (identical values
-        when both hold a chunk — the duplicate window is crash between
-        snapshot rename and journal truncate).  A torn trailing line
-        is skipped; a malformed interior line is likewise skipped
-        rather than poisoning the job.
+        An older release's snapshot first, then journal records on top
+        (identical values when both hold a chunk — that release's
+        crash window between snapshot rename and journal truncate).  A
+        torn trailing line is skipped; a malformed interior line is
+        likewise skipped rather than poisoning the job.
         """
         chunks: Dict[int, Any] = {}
         snapshot = read_json(self.snapshot_path)
@@ -143,7 +131,6 @@ class JobJournal:
                     chunks[int(key)] = value
                 except (TypeError, ValueError):
                     continue
-        journal_lines = 0
         try:
             with open(self.journal_path, "rb") as handle:
                 raw = handle.read()
@@ -158,22 +145,4 @@ class JobJournal:
             except (ValueError, KeyError, TypeError):
                 continue  # torn or foreign line: not durable, skip
             chunks[index] = record["result"]
-            journal_lines += 1
-        self._journal_records = journal_lines
         return chunks
-
-    def compact(self, chunks: Dict[int, Any]) -> None:
-        """Fold ``chunks`` into an atomic snapshot, truncate journal.
-
-        The snapshot rename is the commit point.  A crash before it
-        leaves the old snapshot + full journal; a crash after it but
-        before the truncate leaves duplicates that replay dedupes.
-        """
-        payload = {"version": SNAPSHOT_VERSION,
-                   "chunks": {str(k): v for k, v in chunks.items()}}
-        write_json_atomic(self.snapshot_path, payload)
-        with open(self.journal_path, "wb") as handle:
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        self._journal_records = 0

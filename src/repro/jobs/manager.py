@@ -3,12 +3,13 @@
 :class:`JobRunner` executes one claimed job to a terminal state:
 
 1. **Replay** the write-ahead journal — every durably checkpointed
-   chunk is adopted verbatim, never re-computed (``replayed_chunks``
-   counts them for the resume-parity assertions).
+   chunk of the plan is adopted verbatim, never re-computed
+   (``replayed_chunks`` counts them for the resume-parity
+   assertions).
 2. **Run** the missing chunks in index order through the shared
    :class:`~repro.engine.EvaluationSession`, appending each result to
-   the journal (fsync'd) before acknowledging progress, compacting
-   into an atomic snapshot every ``compact_every`` appends.
+   the journal (fsync'd) before acknowledging progress in
+   ``chunks_done``.
 3. **Assemble** the final result from the complete chunk map and
    write it atomically; because planning is deterministic and floats
    round-trip JSON losslessly, a resumed run's result is bit-for-bit
@@ -22,9 +23,10 @@ for a successor), and the injected job fault points
 ``job-torn-write`` — the journal line itself is cut short).
 
 :class:`JobManager` is the per-worker daemon: a poll loop that claims
-runnable jobs (pending submits and dead-owner orphans — the flock
-arbitrates racing adopters), runs up to ``max_running`` concurrently
-on daemon threads, and TTL-reaps finished jobs.
+runnable jobs (pending submits and dead-owner orphans, which any live
+manager adopts at its next poll — the flock arbitrates racing
+adopters), runs up to :data:`JOB_SLOTS` concurrently on daemon
+threads, and TTL-reaps finished jobs.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .store import DEFAULT_TTL, JobClaim, JobStore
 
 _LOG = logging.getLogger("repro.jobs")
 
-#: Journal appends between snapshot compactions.
-DEFAULT_COMPACT_EVERY = 16
+#: Jobs one manager runs at once.
+JOB_SLOTS = 2
 
 
 class JobRunner:
@@ -52,7 +54,6 @@ class JobRunner:
                  session: EvaluationSession,
                  worker_id: Optional[int] = None,
                  faults: Any = None,
-                 compact_every: int = DEFAULT_COMPACT_EVERY,
                  stop_event: Optional[threading.Event] = None):
         self.store = store
         self.claim = claim
@@ -60,7 +61,6 @@ class JobRunner:
         self.session = session
         self.worker_id = worker_id
         self.faults = faults
-        self.compact_every = max(1, compact_every)
         self.stop_event = stop_event or threading.Event()
         self.replayed_chunks = 0
         self.computed_chunks = 0
@@ -93,12 +93,16 @@ class JobRunner:
         spec = store.load_spec(job_id)
         plan = plan_job(spec, self.session)
         journal = store.journal(job_id)
-        chunks = journal.replay()
+        # A chunk journaled under a plan with more chunks is none of
+        # this plan's.
+        chunks = {index: result
+                  for index, result in journal.replay().items()
+                  if 0 <= index < plan.chunk_count}
         self.replayed_chunks = len(chunks)
         store.write_status(
             job_id, state="running", worker=self.worker_id,
             pid=os.getpid(), chunks_total=plan.chunk_count,
-            chunks_done=len(chunks), partial=plan.partial(chunks))
+            chunks_done=len(chunks))
         for index in range(plan.chunk_count):
             if index in chunks:
                 continue  # durably checkpointed: never re-computed
@@ -116,15 +120,11 @@ class JobRunner:
             self._maybe_crash("after-checkpoint")
             chunks[index] = result
             self.computed_chunks += 1
-            store.write_status(job_id, chunks_done=len(chunks),
-                               partial=plan.partial(chunks))
-            if journal.journal_records >= self.compact_every:
-                journal.compact(chunks)
+            store.write_status(job_id, chunks_done=len(chunks))
         result = plan.assemble(chunks)
         store.write_result(job_id, result)
         store.write_status(job_id, state="done",
                            chunks_done=len(chunks),
-                           partial=plan.partial(chunks),
                            replayed_chunks=self.replayed_chunks,
                            computed_chunks=self.computed_chunks)
         return "done"
@@ -137,18 +137,14 @@ class JobManager:
                  session: Optional[EvaluationSession] = None,
                  worker_id: Optional[int] = None,
                  faults: Any = None,
-                 max_running: int = 2,
                  poll_interval: float = 0.25,
-                 ttl: float = DEFAULT_TTL,
-                 compact_every: int = DEFAULT_COMPACT_EVERY):
+                 ttl: float = DEFAULT_TTL):
         self.store = JobStore(root)
         self.session = ensure_session(session)
         self.worker_id = worker_id
         self.faults = faults
-        self.max_running = max(1, max_running)
         self.poll_interval = poll_interval
         self.ttl = ttl
-        self.compact_every = compact_every
         self._stop = threading.Event()
         self._kick = threading.Event()
         self._lock = threading.Lock()
@@ -224,11 +220,11 @@ class JobManager:
             self._gc_at = now
             self.store.gc(self.ttl)
         with self._lock:
-            slots = self.max_running - len(self._running)
+            slots = JOB_SLOTS - len(self._running)
             running = set(self._running)
         if slots <= 0:
             return
-        for job_id in self.store.runnable_jobs(self.worker_id):
+        for job_id in self.store.runnable_jobs():
             if slots <= 0:
                 break
             if job_id in running:
@@ -257,10 +253,8 @@ class JobManager:
         runner = JobRunner(self.store, claim, self.session,
                            worker_id=self.worker_id,
                            faults=self.faults,
-                           compact_every=self.compact_every,
                            stop_event=self._stop)
-        if status.get("state") == "running" \
-                or status.get("orphaned"):
+        if status.get("state") == "running":
             self.jobs_resumed += 1
         self.jobs_started += 1
         thread = threading.Thread(
@@ -278,14 +272,13 @@ class JobManager:
         loop, no threads.  Returns the number of jobs executed.
         """
         executed = 0
-        for job_id in self.store.runnable_jobs(self.worker_id):
+        for job_id in self.store.runnable_jobs():
             claim = self.store.claim(job_id)
             if claim is None:
                 continue
             runner = JobRunner(self.store, claim, self.session,
                                worker_id=self.worker_id,
-                               faults=self.faults,
-                               compact_every=self.compact_every)
+                               faults=self.faults)
             if self.store.status(job_id).get("state") == "running":
                 self.jobs_resumed += 1
             self.jobs_started += 1

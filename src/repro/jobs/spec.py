@@ -8,9 +8,9 @@ contiguous chunks of ``chunk_size`` units each.  Two properties make
 crash-resume bit-for-bit exact:
 
 * planning is **deterministic** — the unit list depends only on the
-  spec (Monte-Carlo device draws are regenerated from the seed, so a
-  resumed runner sees the same devices at the same indices as the
-  crashed one);
+  spec (Monte-Carlo draws are regenerated from the seed, so a resumed
+  runner sees the same devices at the same indices as the crashed
+  one);
 * chunks are **independent and ordered** — each chunk's JSON result
   depends only on its own units, and :meth:`JobPlan.assemble` merges
   the chunk map in index order, so mixing journal-replayed chunks
@@ -128,13 +128,6 @@ class JobPlan:
         low = index * self.spec.chunk_size
         return low, min(self.units, low + self.spec.chunk_size)
 
-    def units_done(self, chunks: Mapping[int, Any]) -> int:
-        # A chunk index past the plan (journaled under another plan)
-        # covers no unit.
-        return sum(high - low
-                   for low, high in map(self.chunk_range, chunks)
-                   if low < high)
-
     def _merged(self, chunks: Mapping[int, Any]) -> List[Any]:
         """Unit results in index order; raises if a chunk is absent."""
         merged: List[Any] = []
@@ -158,11 +151,6 @@ class JobPlan:
         """The final job result from the complete chunk map."""
         raise NotImplementedError
 
-    def partial(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        """Cheap progress aggregate for ``GET /jobs/<id>``."""
-        return {"units_done": self.units_done(chunks),
-                "units_total": self.units}
-
 
 class MonteCarloPlan(JobPlan):
     """``montecarlo``: one unit per sampled device variant."""
@@ -182,11 +170,11 @@ class MonteCarloPlan(JobPlan):
         self.backend = execution_options(params)
         # The deterministic core: the whole draw sequence depends
         # only on the seed, so a resumed plan regenerates the exact
-        # device list and evaluates only the missing chunks.
+        # draws.  A chunk applies only its own, so a resume pays for
+        # the chunks it computes, not for those it replays.
         rng = random.Random(self.seed)
-        self.devices = [
-            _sample_variant(rng, self.sigmas).apply(self.device)
-            for _ in range(self.samples)]
+        self.variants = [_sample_variant(rng, self.sigmas)
+                         for _ in range(self.samples)]
         self.units = self.samples
 
     @classmethod
@@ -214,20 +202,18 @@ class MonteCarloPlan(JobPlan):
     def run_chunk(self, index: int) -> List[Any]:
         low, high = self.chunk_range(index)
         return self.session.map(
-            self.devices[low:high],
+            [variant.apply(self.device)
+             for variant in self.variants[low:high]],
             partial(_measure_milliamps, measures=self.measures),
             backend=self.backend)
 
-    def _distributions(self, series: List[List[float]]
-                       ) -> List[Distribution]:
-        return [Distribution(measure=which,
-                             samples=tuple(row[column]
-                                           for row in series))
-                for column, which in enumerate(self.measures)]
-
     def assemble(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
+        series = self._merged(chunks)
         rows = []
-        for dist in self._distributions(self._merged(chunks)):
+        for column, which in enumerate(self.measures):
+            dist = Distribution(measure=which,
+                                samples=tuple(row[column]
+                                              for row in series))
             rows.append({"measure": dist.measure.value,
                          "mean_ma": dist.mean,
                          "stdev_ma": dist.stdev,
@@ -239,16 +225,6 @@ class MonteCarloPlan(JobPlan):
                 "samples": self.samples, "seed": self.seed,
                 "measures": [m.value for m in self.measures],
                 "rows": rows}
-
-    def partial(self, chunks: Mapping[int, Any]) -> Dict[str, Any]:
-        progress = super().partial(chunks)
-        series = [row for index in sorted(chunks)
-                  for row in chunks[index]]
-        if series:
-            progress["rows"] = [
-                {"measure": dist.measure.value, "mean_ma": dist.mean}
-                for dist in self._distributions(series)]
-        return progress
 
 
 class OperationPlan(JobPlan):

@@ -6,7 +6,7 @@ One directory per job under the store root::
         spec.json      the immutable JobSpec (written once at submit)
         status.json    current state, progress, ownership (atomic)
         journal.ndjson write-ahead chunk journal (JobJournal)
-        snapshot.json  compacted chunk snapshot (JobJournal)
+        snapshot.json  chunk snapshot an older release compacted (read)
         result.json    final assembled result (terminal, atomic)
         error.json     terminal failure details
         cancel         cooperative-cancel marker (empty file)
@@ -148,7 +148,7 @@ class JobStore:
                   "kind": spec.kind, "created_unix": now,
                   "updated_unix": now, "chunks_total": None,
                   "chunks_done": 0, "worker": None, "pid": None,
-                  "assigned": None, "idempotency_key": key}
+                  "idempotency_key": key}
         write_json_atomic(directory / "status.json", status)
         return status, True
 
@@ -296,19 +296,16 @@ class JobStore:
             return JobClaim(self, job_id, object())
         return None
 
-    def runnable_jobs(self, worker_id: Optional[int] = None
-                      ) -> List[str]:
-        """Job ids a manager should try to claim, preferred first.
+    def runnable_jobs(self) -> List[str]:
+        """Job ids a manager should try to claim, oldest first.
 
         Pending jobs plus *orphans*: jobs whose status says running
-        but whose recorded owner pid is dead.  Jobs assigned (by the
-        supervisor's orphan reassignment) to ``worker_id`` sort
-        first, then unassigned work, then everything else — any
-        worker may adopt any runnable job, assignment is only a
-        preference that spreads resumes across the fleet.
+        but whose recorded owner pid is dead.  Every manager sees the
+        same list; the flock of :meth:`claim` lets exactly one adopt
+        each job.
         """
         from ..service.routing import pid_alive
-        ranked: List[Tuple[int, float, str]] = []
+        runnable: List[Tuple[float, str]] = []
         for status in self.list_jobs():
             state = status.get("state")
             job_id = status.get("job")
@@ -320,44 +317,9 @@ class JobStore:
                     continue  # healthy owner
             elif state != "pending":
                 continue
-            assigned = status.get("assigned")
-            if worker_id is not None and assigned == worker_id:
-                rank = 0
-            elif assigned is None:
-                rank = 1
-            else:
-                rank = 2
-            ranked.append((rank,
-                           float(status.get("created_unix") or 0.0),
-                           job_id))
-        return [job_id for _, _, job_id in sorted(ranked)]
-
-    def reassign_orphans(self, live_workers: Dict[int, Any]) -> int:
-        """Point dead-owner jobs at live workers (supervisor duty).
-
-        For every running job whose owner pid is dead, pick the
-        rendezvous-preferred live worker and record it in
-        ``assigned`` so that worker's manager adopts it first.
-        Returns the number of jobs reassigned.
-        """
-        from ..service.routing import pid_alive, preferred_worker
-        if not live_workers:
-            return 0
-        moved = 0
-        for status in self.list_jobs():
-            if status.get("state") != "running":
-                continue
-            pid = status.get("pid")
-            if isinstance(pid, int) and pid_alive(pid):
-                continue
-            job_id = status["job"]
-            target = preferred_worker(job_id, live_workers.keys())
-            if target is None or status.get("assigned") == target:
-                continue
-            self.write_status(job_id, assigned=target,
-                              orphaned=True)
-            moved += 1
-        return moved
+            runnable.append((float(status.get("created_unix") or 0.0),
+                             job_id))
+        return [job_id for _, job_id in sorted(runnable)]
 
     # -- garbage collection --------------------------------------------
     def gc(self, ttl: float = DEFAULT_TTL) -> int:

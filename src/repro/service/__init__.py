@@ -44,8 +44,9 @@ through the worker registry (:mod:`repro.service.routing`).
 Durability: with ``--jobs-dir`` the service also fronts the
 crash-recoverable job layer (:mod:`repro.jobs`) — ``POST /jobs``
 submits journaled, chunk-checkpointed campaigns, ``GET /jobs/<id>``
-reports progress, ``DELETE /jobs/<id>`` cancels cooperatively, and
-the prefork supervisor reassigns jobs orphaned by a killed worker.
+reports chunk progress, ``DELETE /jobs/<id>`` cancels cooperatively,
+and in a fleet any live worker adopts the running jobs of a killed
+one.
 """
 
 from .admission import (AdmissionController, AdmissionShed, Deadline,
@@ -55,7 +56,7 @@ from .faults import FaultInjector, FaultRule, InjectedFault
 from .jsonapi import (ResultCache, device_from_payload,
                       evaluate_payload, stats_payload, sweep_payload)
 from .prefork import PreforkSupervisor, serve_prefork
-from .routing import WORKER_HEADER, WorkerRegistry, preferred_worker
+from .routing import WORKER_HEADER, WorkerRegistry
 from .server import EvaluationService, ServiceCounters, create_service
 from .streaming import evaluate_stream, sweep_stream, wants_stream
 
@@ -81,7 +82,6 @@ __all__ = [
     "evaluate_payload",
     "evaluate_stream",
     "parse_keys",
-    "preferred_worker",
     "serve_prefork",
     "stats_payload",
     "sweep_payload",

@@ -28,7 +28,9 @@ request it accepts.
 The supervisor itself never serves a request: its only jobs are the
 port reservation, the fork/respawn loop and the shutdown fan-out
 (SIGTERM to every worker, a grace period for drains, SIGKILL for
-stragglers).
+stragglers).  It takes no part in durable jobs: every worker's
+:class:`~repro.jobs.JobManager` adopts a killed worker's running jobs
+at its next poll, and the job's flock lets exactly one of them win.
 """
 
 from __future__ import annotations
@@ -168,8 +170,6 @@ class PreforkSupervisor:
         self.jobs_dir = jobs_dir
         self.job_ttl = job_ttl
         self.respawns = 0
-        self.job_reassignments = 0
-        self._orphan_scan_at = 0.0
         self._own_run_dir = run_dir is None
         self._anchor: Optional[socket.socket] = None
         self._reuseport = reuseport_available()
@@ -239,37 +239,6 @@ class PreforkSupervisor:
                 return
             self._spawn(worker_id)
 
-    def _reassign_orphan_jobs(self) -> None:
-        """Point dead workers' journaled jobs at live ones.
-
-        Runs at most once a second: reads the registry (pid-liveness
-        filters the dead), and asks the shared
-        :class:`~repro.jobs.store.JobStore` to reassign any running
-        job whose recorded owner pid no longer exists.  The adopting
-        worker replays the job's journal and resumes from the last
-        durable chunk.
-        """
-        if self.jobs_dir is None:
-            return
-        now = time.monotonic()
-        if now - self._orphan_scan_at < 1.0:
-            return
-        self._orphan_scan_at = now
-        try:
-            from ..jobs.store import JobStore
-            registry = WorkerRegistry(self.run_dir)
-            live = registry.entries()
-            if not live:
-                return
-            moved = JobStore(self.jobs_dir).reassign_orphans(live)
-            if moved:
-                _LOG.warning(
-                    "reassigned %d orphaned job(s) to live workers",
-                    moved)
-                self.job_reassignments += moved
-        except Exception:  # pragma: no cover - defensive
-            _LOG.exception("orphan-job reassignment failed")
-
     def stop(self) -> None:
         """Ask the watch loop to drain the fleet and return."""
         self._stop.set()
@@ -295,7 +264,6 @@ class PreforkSupervisor:
         try:
             while not self._stop.wait(0.2):
                 self._respawn_dead()
-                self._reassign_orphan_jobs()
         finally:
             self._shutdown_workers()
             self._cleanup()

@@ -5,14 +5,9 @@ processes accepting on one shared port.  Each worker also listens on
 a private *direct* port and publishes a small JSON *registry entry*
 (pid, shared port, direct port) into the supervisor's run directory;
 :class:`WorkerRegistry` reads the live set back from the directory
-with a pid-liveness check.  Two consumers use it:
-
-* ``GET /stats?scope=cluster`` fetches every sibling's local
-  ``/stats`` over its direct port and merges them with the helpers at
-  the bottom of this module;
-* the supervisor hands a dead worker's journaled jobs to a live one,
-  picked by :func:`preferred_worker` (rendezvous hashing, so only the
-  dead worker's share moves).
+with a pid-liveness check.  ``GET /stats?scope=cluster`` fetches
+every sibling's local ``/stats`` over its direct port and merges them
+with the helpers at the bottom of this module.
 
 All reads tolerate torn or stale files: a corrupt entry is skipped and
 a dead worker drops out of the live set.
@@ -20,7 +15,6 @@ a dead worker drops out of the live set.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -32,27 +26,6 @@ from .auth import API_KEY_HEADER
 
 #: Response header naming the worker that produced the reply.
 WORKER_HEADER = "X-Repro-Worker"
-
-
-def preferred_worker(key: str,
-                     worker_ids: Iterable[int]) -> Optional[int]:
-    """The rendezvous-hash owner of ``key`` among ``worker_ids``.
-
-    Every (key, worker) pair gets an independent pseudo-random score;
-    the highest score wins.  Removing a worker reassigns only that
-    worker's keys — exactly the stability a respawning fleet needs —
-    and the choice is identical in every process, so any worker can
-    compute any key's owner locally.
-    """
-    best_id: Optional[int] = None
-    best_score = b""
-    for worker_id in worker_ids:
-        score = hashlib.sha256(
-            f"{key}|{worker_id}".encode("utf-8")).digest()
-        if best_id is None or score > best_score:
-            best_id = worker_id
-            best_score = score
-    return best_id
 
 
 def pid_alive(pid: int) -> bool:

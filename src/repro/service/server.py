@@ -730,8 +730,8 @@ class EvaluationService(ThreadingHTTPServer):
         return self._require_jobs().submit(payload)
 
     def job_payload(self, path: str) -> Dict[str, Any]:
-        """``GET /jobs`` (listing), ``/jobs/<id>`` (status + partial
-        aggregates), ``/jobs/<id>/result`` (the final result)."""
+        """``GET /jobs`` (listing), ``/jobs/<id>`` (status and chunk
+        progress), ``/jobs/<id>/result`` (the final result)."""
         jobs = self._require_jobs()
         parts = path.rstrip("/").split("/")
         if len(parts) == 2:

@@ -65,6 +65,11 @@ _DEVICE_QUERY_KEYS = ("node", "interface", "io_width", "datarate",
 #: Address-decoder keys: a JSON ``decoder`` object or the query.
 _DECODER_KEYS = ("policy", "channel_bits", "rank_bits", "offset_bits")
 
+#: Widest decoder bit field accepted from outside: decoding builds a
+#: ``(1 << bits) - 1`` mask per field per record, so the cost of every
+#: record grows with the count.
+MAX_DECODER_BITS = 128
+
 #: Query keys interpreted by the trace evaluator itself.
 _TRACE_QUERY_KEYS = (("format", "clock", "strict", "snapshot_every")
                      + _DECODER_KEYS + ("backend",))
@@ -124,8 +129,9 @@ def decoder_params(fields: Any) -> Dict[str, Any]:
 
     ``fields`` is a JSON ``decoder`` object or the flat query string,
     whose values arrive as text and are read as base-10 integers.
-    Every bit count must be a non-negative integer: ``2.5`` or ``-1``
-    is a 400, never truncated or left for the decoder to refuse.
+    Every bit count must be an integer from 0 to
+    :data:`MAX_DECODER_BITS`: ``2.5``, ``-1`` or ``129`` is a 400,
+    never truncated or left for the decoder to refuse.
     """
     if not isinstance(fields, dict):
         raise ServiceError("'decoder' must be a JSON object")
@@ -145,9 +151,9 @@ def decoder_params(fields: Any) -> Dict[str, Any]:
             except ValueError:
                 pass  # refused below
         if (isinstance(value, bool) or not isinstance(value, int)
-                or value < 0):
-            raise ServiceError(
-                f"'{key}' must be a non-negative integer")
+                or not 0 <= value <= MAX_DECODER_BITS):
+            raise ServiceError(f"'{key}' must be an integer from 0 "
+                               f"to {MAX_DECODER_BITS}")
         kwargs[key] = value
     return kwargs
 

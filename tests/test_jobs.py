@@ -39,11 +39,19 @@ def _result_bytes(root, job_id):
     return (Path(root) / job_id / "result.json").read_bytes()
 
 
-def _run_all(root, **kwargs):
-    manager = JobManager(str(root), session=EvaluationSession(),
-                         **kwargs)
+def _run_all(root):
+    manager = JobManager(str(root), session=EvaluationSession())
     manager.run_pending()
     return manager
+
+
+def _write_snapshot(directory, chunks):
+    """The version-1 ``snapshot.json`` an older release compacted."""
+    (Path(directory) / "snapshot.json").write_text(json.dumps(
+        {"version": 1,
+         "chunks": {str(index): result
+                    for index, result in chunks.items()}},
+        sort_keys=True))
 
 
 # ----------------------------------------------------------------------
@@ -76,25 +84,30 @@ class TestJournal:
         assert JobJournal(tmp_path).replay() == {0: ["a"], 2: ["c"]}
 
     def test_compaction_preserves_replay(self, tmp_path):
+        """An older release compacted chunks into a version-1
+        ``snapshot.json`` and truncated the journal: replay is the
+        union of the snapshot and the journal tail."""
+        _write_snapshot(tmp_path, {0: [1.25], 1: [2.75]})
         journal = JobJournal(tmp_path)
-        journal.append_chunk(0, [1.25])
-        journal.append_chunk(1, [2.75])
-        journal.compact(journal.replay())
-        assert journal.journal_records == 0
-        assert journal.journal_path.read_bytes() == b""
         journal.append_chunk(2, [9.5])
         replayed = JobJournal(tmp_path).replay()
         assert replayed == {0: [1.25], 1: [2.75], 2: [9.5]}
 
     def test_duplicate_records_dedupe_by_index(self, tmp_path):
-        # Crash window between snapshot rename and journal truncate:
-        # both files hold chunk 0.  Replay must not double-count.
+        # That release's crash window between snapshot rename and
+        # journal truncate: both files hold chunk 0.  Replay must not
+        # double-count.
+        _write_snapshot(tmp_path, {0: [1.0]})
         journal = JobJournal(tmp_path)
-        journal.append_chunk(0, [1.0])
-        journal.compact({0: [1.0]})
         journal.append_chunk(0, [1.0])  # duplicate, same value
         journal.append_chunk(1, [2.0])
         assert JobJournal(tmp_path).replay() == {0: [1.0], 1: [2.0]}
+
+    def test_unknown_snapshot_version_is_ignored(self, tmp_path):
+        (tmp_path / "snapshot.json").write_text(json.dumps(
+            {"version": 2, "chunks": {"0": [1.0]}}))
+        JobJournal(tmp_path).append_chunk(1, [2.0])
+        assert JobJournal(tmp_path).replay() == {1: [2.0]}
 
     def test_failed_atomic_write_leaves_no_staging_file(
             self, tmp_path, monkeypatch):
@@ -168,6 +181,32 @@ class TestSpec:
                         session)
         with pytest.raises(JobError):
             plan.assemble({0: plan.run_chunk(0)})
+
+    def test_montecarlo_job_matches_library(self):
+        """The job's assembled rows are the summaries of
+        :func:`repro.analysis.monte_carlo` for the same draws."""
+        from repro.analysis.montecarlo import monte_carlo
+        from repro.core.idd import IddMeasure
+        from repro.devices import build_device
+
+        params = {"device": {"node": 44}, "samples": 11, "seed": 5,
+                  "sigmas": {"capacitance": 0.08, "voltage": 0.02},
+                  "measures": ["idd0", "idd4w", "idd5b"],
+                  "backend": "serial"}
+        plan = plan_job(JobSpec("montecarlo", params, 4),
+                        EvaluationSession())
+        result = _run_plan(plan)
+        library = monte_carlo(
+            build_device(44),
+            measures=[IddMeasure(name) for name in params["measures"]],
+            samples=11, sigmas=params["sigmas"], seed=5,
+            session=EvaluationSession(), backend="serial")
+        assert result["measures"] == params["measures"]
+        assert result["rows"] == [
+            {"measure": dist.measure.value, "mean_ma": dist.mean,
+             "stdev_ma": dist.stdev, "min_ma": dist.minimum,
+             "max_ma": dist.maximum, "p95_ma": dist.percentile(0.95),
+             "guard_band": dist.guard_band} for dist in library]
 
     def test_evaluate_plan_matches_endpoint_shape(self):
         session = EvaluationSession()
@@ -387,15 +426,6 @@ class TestTracePlan:
                  for i, chunk in chunks.items()}
         assert plan.assemble(wired) == plan.assemble(chunks)
 
-    def test_partial_reports_unit_progress(self, tmp_path):
-        session = EvaluationSession()
-        plan = plan_job(
-            parse_job_spec(self._payload(_trace_file(tmp_path, 200),
-                                         2)), session)
-        assert plan.partial({}) == {"units_done": 0, "units_total": 1}
-        assert plan.partial({0: plan.run_chunk(0)}) \
-            == {"units_done": 1, "units_total": 1}
-
     def test_assembled_result_matches_library(self, tmp_path):
         from repro.trace import AddressDecoder, evaluate_trace_file
 
@@ -427,16 +457,26 @@ class TestTracePlan:
         assert result["result"]["commands"] > 0
 
     def test_journal_of_shard_states_fails_and_asks_to_resubmit(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """An older release journaled one exported accumulator state
         per shard chunk; resuming such a job must fail, naming the
-        fix, and never assemble a result from the states."""
+        fix, and never assemble a result from the states.  Only chunk
+        0 is one of this plan's, so no status counts more chunks done
+        than the plan has."""
+        statuses = []
+        write_status = JobStore.write_status
+
+        def recording(store, job_id, **fields):
+            statuses.append(write_status(store, job_id, **fields))
+            return statuses[-1]
+
+        monkeypatch.setattr(JobStore, "write_status", recording)
         store = JobStore(tmp_path)
         status, _ = store.submit(
             self._payload(_trace_file(tmp_path, 50), 1))
         job_id = status["job"]
         journal = store.journal(job_id)
-        for shard in range(4):  # what 4 chunks of 1 shard journaled
+        for shard in range(2):  # chunks 0 and 1 of the 4-shard plan
             journal.append_chunk(shard, [{
                 "device": "2G-DDR3-1600-x16-55nm",
                 "counts": {"act": 3, "pre": 2, "rd": 8, "wr": 4,
@@ -449,8 +489,12 @@ class TestTracePlan:
         after = store.status(job_id)
         assert after["state"] == "failed"
         assert "resubmit" in after["error"]
-        assert after["partial"] == {"units_done": 1, "units_total": 1}
+        assert after["chunks_done"] == after["chunks_total"] == 1
         assert store.result(job_id) is None
+        planned = [s for s in statuses if s.get("chunks_total")]
+        assert planned
+        assert all(s["chunks_done"] <= s["chunks_total"]
+                   for s in planned)
 
 
 # ----------------------------------------------------------------------
@@ -523,15 +567,21 @@ class TestStore:
         ids = {status["job"] for status in store.list_jobs()}
         assert ids == {live["job"]}
 
-    def test_runnable_prefers_assigned_then_unassigned(self, tmp_path):
-        store = JobStore(tmp_path)
-        mine, _ = store.submit(dict(MC_PAYLOAD, idempotency_key="m"))
-        free, _ = store.submit(dict(MC_PAYLOAD, idempotency_key="f"))
-        other, _ = store.submit(dict(MC_PAYLOAD, idempotency_key="o"))
-        store.write_status(mine["job"], assigned=3)
-        store.write_status(other["job"], assigned=9)
-        assert store.runnable_jobs(worker_id=3) == [
-            mine["job"], free["job"], other["job"]]
+    def test_runnable_in_creation_order(self, tmp_path):
+        """Pending jobs and dead owners' jobs, oldest first; a live
+        owner's job is not runnable."""
+        now = [1000.0]
+        store = JobStore(tmp_path, clock=lambda: now[0])
+        ids = []
+        for key in "zyxw":  # ids sort unlike creation order
+            now[0] += 1.0
+            status, _ = store.submit(dict(MC_PAYLOAD,
+                                          idempotency_key=key))
+            ids.append(status["job"])
+        assert sorted(ids) != ids
+        store.write_status(ids[1], state="running", pid=99999999)
+        store.write_status(ids[2], state="running", pid=os.getpid())
+        assert store.runnable_jobs() == [ids[0], ids[1], ids[3]]
 
     def test_running_with_live_owner_not_runnable(self, tmp_path):
         store = JobStore(tmp_path)
@@ -539,18 +589,6 @@ class TestStore:
         store.write_status(status["job"], state="running",
                            pid=os.getpid())
         assert store.runnable_jobs() == []
-
-    def test_orphan_reassignment(self, tmp_path):
-        store = JobStore(tmp_path)
-        status, _ = store.submit(MC_PAYLOAD)
-        store.write_status(status["job"], state="running",
-                           pid=99999999)  # dead owner
-        moved = store.reassign_orphans({0: {}, 1: {}})
-        assert moved == 1
-        after = store.status(status["job"])
-        assert after["assigned"] in (0, 1)
-        assert after["orphaned"] is True
-        assert store.runnable_jobs() == [status["job"]]
 
 
 # ----------------------------------------------------------------------
@@ -566,7 +604,6 @@ class TestRunner:
         assert after["chunks_done"] == after["chunks_total"] == 4
         assert after["replayed_chunks"] == 0
         assert after["computed_chunks"] == 4
-        assert after["partial"]["units_done"] == 10
         result = store.result(status["job"])
         assert result["kind"] == "montecarlo"
         assert len(result["rows"]) == 2
@@ -647,18 +684,48 @@ class TestRunner:
         assert _result_bytes(tmp_path, job_id) \
             == _result_bytes(tmp_path / "clean", clean_status["job"])
 
-    def test_compaction_during_run(self, tmp_path):
+    def test_job_keeps_only_what_resume_needs(self, tmp_path):
+        """A run writes no snapshot, even past the 16 appends after
+        which older releases compacted, and its status carries chunk
+        counters, not progress aggregates or assignments."""
         store = JobStore(tmp_path)
         status, _ = store.submit(
             {"kind": "montecarlo",
-             "params": {"samples": 8, "seed": 2}, "chunk_size": 1})
-        _run_all(tmp_path, compact_every=2)
-        job_dir = store.job_dir(status["job"])
-        assert (job_dir / "snapshot.json").is_file()
-        assert store.status(status["job"])["state"] == "done"
-        snapshot = json.loads(
-            (job_dir / "snapshot.json").read_text())
-        assert len(snapshot["chunks"]) >= 2
+             "params": {"samples": 20, "seed": 2}, "chunk_size": 1})
+        _run_all(tmp_path)
+        after = store.status(status["job"])
+        assert after["state"] == "done"
+        assert after["chunks_done"] == after["chunks_total"] == 20
+        assert not (store.job_dir(status["job"])
+                    / "snapshot.json").exists()
+        assert {"partial", "assigned", "orphaned"}.isdisjoint(after)
+        assert len(store.journal(status["job"]).replay()) == 20
+
+    def test_older_release_snapshot_resumes(self, tmp_path):
+        """A directory an older release left mid-run after compacting
+        (a version-1 snapshot plus a journal tail) replays every
+        journaled chunk, computes the rest, writes no snapshot and
+        ends with the uninterrupted run's bytes."""
+        session = EvaluationSession()
+        store = JobStore(tmp_path)
+        status, _ = store.submit(MC_KEYED)
+        job_id = status["job"]
+        plan = plan_job(store.load_spec(job_id), session)
+        job_dir = store.job_dir(job_id)
+        _write_snapshot(job_dir, {0: plan.run_chunk(0),
+                                  1: plan.run_chunk(1)})
+        store.journal(job_id).append_chunk(2, plan.run_chunk(2))
+        store.write_status(job_id, state="running", pid=99999999)
+        snapshot = (job_dir / "snapshot.json").read_bytes()
+        _run_all(tmp_path)
+        after = store.status(job_id)
+        assert after["state"] == "done"
+        assert (after["replayed_chunks"], after["computed_chunks"]) \
+            == (3, 1)
+        assert (job_dir / "snapshot.json").read_bytes() == snapshot
+        clean_root, clean_id = _clean_run(tmp_path)
+        assert _result_bytes(tmp_path, job_id) \
+            == _result_bytes(clean_root, clean_id)
 
     def test_manager_threaded_lifecycle(self, tmp_path):
         manager = JobManager(str(tmp_path),

@@ -200,19 +200,21 @@ class TestJobEndpoints:
         client.close()
 
     def test_watch_timeout_raises_job_error(self, jobs_service):
+        # Stop the manager first so it never runs the job: claiming
+        # the job after submit would race the manager's next poll.
+        jobs_service.jobs.stop()
         status, _ = jobs_service.jobs.store.submit(
             {"kind": "montecarlo", "params": MC,
              "idempotency_key": "stuck"})
-        # Park it as claimed so the manager never runs it.
-        claim = jobs_service.jobs.store.claim(status["job"])
         client = _client(jobs_service)
         try:
             with pytest.raises(JobError) as caught:
                 client.job(status["job"]).wait(interval=0.02,
                                                timeout=0.2)
             assert "timed out" in str(caught.value)
+            assert client.job(status["job"]).status()["state"] \
+                == "pending"
         finally:
-            claim.release()
             client.close()
 
     def test_ttl_gc_expires_job_to_404(self, jobs_service):
@@ -261,6 +263,17 @@ class TestJobsCommand:
         assert printed["kind"] == "trace"
         assert printed["result"] == trace_result_row(
             accumulator.result(), accumulator.commands_seen)
+
+    def test_watch_prints_chunk_counters(self, jobs_service, capsys):
+        client = _client(jobs_service)
+        handle = client.submit_job("montecarlo", params=MC,
+                                   chunk_size=2)
+        handle.result(interval=0.02, timeout=30.0)
+        client.close()
+        assert self._main(jobs_service, "watch", handle.id,
+                          "--interval", "0.02") == 0
+        assert capsys.readouterr().out.splitlines()[-1] \
+            == "done 3/3 chunks"
 
     def test_unknown_kind_prints_the_server_message(self, jobs_service,
                                                      capsys):
@@ -326,7 +339,6 @@ class TestFleetSharing:
         store.journal(job_id).append_chunk(0, plan.run_chunk(0))
         store.write_status(job_id, state="running", worker=0,
                            pid=99999999)
-        assert store.reassign_orphans({1: {}}) == 1
         sibling = JobManager(str(root), session=session, worker_id=1)
         sibling.run_pending()
         after = store.status(job_id)

@@ -22,8 +22,8 @@ from repro.schemes import ALL_SCHEMES
 from repro.service import create_service
 from repro.service.jsonapi import evaluate_payload, sweep_payload
 from repro.service.streaming import evaluate_stream, sweep_stream
-from repro.service.tracing import (decoder_params, parse_trace_payload,
-                                   parse_trace_query)
+from repro.service.tracing import (MAX_DECODER_BITS, decoder_params,
+                                   parse_trace_payload, parse_trace_query)
 
 #: name -> (job kind, payload).  Serial backend throughout: ``auto``
 #: may fold a whole buffered family through the vector kernel, which
@@ -77,7 +77,6 @@ def _job(kind, payload, chunk_size):
     result = plan.assemble(chunks)
     rows = result["results" if kind == "evaluate" else "rows"]
     assert result["count"] == len(rows)
-    assert plan.partial(chunks)["units_done"] == plan.units
     return plan.chunk_count, rows
 
 
@@ -173,26 +172,44 @@ BAD_DECODERS = {
     "rank_bits-bool": {"rank_bits": True},
     "channel_bits-fraction-text": {"channel_bits": "1.5"},
     "policy-unknown": {"policy": "diagonal"},
+    "rank_bits-129": {"rank_bits": MAX_DECODER_BITS + 1},
+    "offset_bits-1e9": {"offset_bits": 10**9},
 }
+
+
+def _decoder_fronts(tmp_path):
+    """Every reader of a decoder: the parser itself, JSON ``/trace``,
+    the ``/trace`` query string and a ``trace`` job submit."""
+    path = tmp_path / "t.trc"
+    path.write_text("0x0 READ 0\n")
+    return (
+        decoder_params,
+        lambda decoder: parse_trace_payload(
+            {"device": {}, "text": "0x0 READ 0", "decoder": decoder}),
+        lambda decoder: parse_trace_query(
+            {key: [str(value)] for key, value in decoder.items()}),
+        lambda decoder: parse_job_spec(
+            {"kind": "trace", "params": {"path": str(path),
+                                         "decoder": decoder}}),
+    )
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DECODERS))
 def test_decoder_parameters_are_refused_everywhere(case, tmp_path):
     decoder = BAD_DECODERS[case]
-    with pytest.raises(ServiceError):
-        decoder_params(decoder)
-    with pytest.raises(ServiceError):
-        parse_trace_payload({"device": {}, "text": "0x0 READ 0",
-                             "decoder": decoder})
-    with pytest.raises(ServiceError):
-        parse_trace_query({key: [str(value)]
-                           for key, value in decoder.items()})
-    path = tmp_path / "t.trc"
-    path.write_text("0x0 READ 0\n")
-    with pytest.raises(ServiceError):
-        parse_job_spec({"kind": "trace",
-                        "params": {"path": str(path),
-                                   "decoder": decoder}})
+    for parse in _decoder_fronts(tmp_path):
+        with pytest.raises(ServiceError) as caught:
+            parse(decoder)
+        assert caught.value.status == 400
+        assert any(key in str(caught.value) for key in decoder)
+
+
+def test_decoder_takes_the_widest_fields_everywhere(tmp_path):
+    widest = {"channel_bits": MAX_DECODER_BITS,
+              "rank_bits": MAX_DECODER_BITS,
+              "offset_bits": MAX_DECODER_BITS}
+    for parse in _decoder_fronts(tmp_path):
+        parse(widest)
 
 
 def test_decoder_parser_reads_query_text():

@@ -22,37 +22,7 @@ from repro.service import EvaluationService, create_service
 from repro.service.jsonapi import evaluate_payload
 from repro.service.routing import (WorkerRegistry, merge_admission,
                                    merge_request_counts, pid_alive,
-                                   preferred_worker,
                                    sum_counter_dicts)
-
-
-# ----------------------------------------------------------------------
-# Rendezvous hashing.
-# ----------------------------------------------------------------------
-class TestPreferredWorker:
-    def test_deterministic(self):
-        picks = {preferred_worker("some-key", [0, 1, 2, 3])
-                 for _ in range(10)}
-        assert len(picks) == 1
-
-    def test_empty_worker_set(self):
-        assert preferred_worker("key", []) is None
-
-    def test_spreads_keys(self):
-        owners = {preferred_worker(f"key-{i}", [0, 1, 2])
-                  for i in range(200)}
-        assert owners == {0, 1, 2}
-
-    def test_removal_only_moves_dead_workers_keys(self):
-        keys = [f"key-{i}" for i in range(300)]
-        before = {key: preferred_worker(key, [0, 1, 2])
-                  for key in keys}
-        after = {key: preferred_worker(key, [0, 2]) for key in keys}
-        for key in keys:
-            if before[key] != 1:
-                assert after[key] == before[key]
-            else:
-                assert after[key] in (0, 2)
 
 
 # ----------------------------------------------------------------------
