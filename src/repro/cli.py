@@ -32,9 +32,9 @@ from .analysis import (
 )
 from .core.idd import standard_idd_suite
 from .core.trace import TraceError, evaluate_trace
-from .trace import TRACE_BACKENDS, AddressDecoder, replay_trace_file
+from .trace import AddressDecoder, replay_trace_file
 from .description import DramDescription
-from .engine import AUTO, BACKENDS, VECTOR, EvaluationSession
+from .engine import AUTO, BACKENDS, EvaluationSession
 from .dsl import dumps, load
 from .schemes import compare_schemes, scheme_report
 from .units import parse_quantity
@@ -90,8 +90,7 @@ def _add_device_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """The uniform sweep-execution options of every sweep subcommand."""
-    parser.add_argument("--backend", default=AUTO,
-                        choices=BACKENDS + (AUTO, VECTOR),
+    parser.add_argument("--backend", default=AUTO, choices=BACKENDS,
                         help="sweep execution backend (default auto: "
                              "vector when numpy is installed and the "
                              "sweep holds a batchable family, serial "
@@ -592,11 +591,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="low address bits below the column field "
                             "(default: one access width)")
-    trace.add_argument("--backend", default="auto",
-                       choices=("auto",) + TRACE_BACKENDS,
-                       help="replay backend: serial fold, columnar "
-                            "kernel (numpy), or auto (default: "
-                            "columnar when numpy is installed)")
+    trace.add_argument("--backend", default=AUTO, choices=BACKENDS,
+                       help="replay backend (default auto): serial "
+                            "is the scalar fold; vector and auto run "
+                            "the columnar kernel when numpy is "
+                            "installed")
     trace.add_argument("--workload", default="random",
                        choices=["random", "streaming"])
     trace.add_argument("--accesses", type=int, default=2000)

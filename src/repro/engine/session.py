@@ -40,9 +40,6 @@ from .vector import (MIN_BATCH, VectorPlan, build_family_models,
 
 Result = TypeVar("Result")
 
-#: The concrete scalar backends.
-BACKENDS = ("serial",)
-
 #: The deferred backend name: vector when the sweep is eligible,
 #: serial otherwise (see :meth:`EvaluationSession.map`).
 AUTO = "auto"
@@ -53,22 +50,24 @@ AUTO = "auto"
 #: scalar path silently.
 VECTOR = "vector"
 
+#: Every backend name a fold takes: sweeps, trace file replays and
+#: ``/trace`` uploads alike.
+BACKENDS = ("serial", VECTOR, AUTO)
+
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """The validated backend name of a ``map`` call.
+    """The validated backend name of a fold.
 
     ``None`` is serial; ``"auto"`` passes through unresolved (the
-    caller holds the devices the decision needs).  Any other name not
-    in :data:`BACKENDS`, ``"auto"`` or ``"vector"`` raises
-    :class:`~repro.errors.ModelError` — the single validation point of
-    every sweep entry point.
+    caller holds the inputs the decision needs).  Any name not in
+    :data:`BACKENDS` raises :class:`~repro.errors.ModelError` — the
+    single validation point of every sweep, trace replay and upload.
     """
     if backend is None:
         return "serial"
-    choices = BACKENDS + (AUTO, VECTOR)
-    if backend not in choices:
+    if backend not in BACKENDS:
         raise ModelError(f"unknown backend {backend!r}; choose from "
-                         + "/".join(choices))
+                         + "/".join(BACKENDS))
     return backend
 
 

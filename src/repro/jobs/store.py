@@ -50,6 +50,14 @@ from .spec import JobSpec, parse_job_spec
 STATES = ("pending", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: The keys status.json holds, and the only ones a status write keeps,
+#: so a key an older release wrote drops out at the next write.
+#: ``cancel_requested`` is derived from the ``cancel`` marker at read.
+STATUS_KEYS = ("job", "state", "kind", "created_unix", "updated_unix",
+               "chunks_total", "chunks_done", "worker", "pid",
+               "idempotency_key", "error", "replayed_chunks",
+               "computed_chunks")
+
 #: Default seconds a finished job survives before GC.
 DEFAULT_TTL = 3600.0
 
@@ -215,10 +223,12 @@ class JobStore:
 
     # -- mutation ------------------------------------------------------
     def write_status(self, job_id: str, **fields: Any) -> Dict[str, Any]:
-        """Merge ``fields`` into status.json atomically."""
-        status = self.status(job_id)
-        status.update(fields)
-        status["updated_unix"] = self.clock()
+        """Merge ``fields`` into status.json atomically, keeping only
+        :data:`STATUS_KEYS`."""
+        merged = self.status(job_id)
+        merged.update(fields, updated_unix=self.clock())
+        status = {key: merged[key] for key in STATUS_KEYS
+                  if key in merged}
         write_json_atomic(self.job_dir(job_id) / "status.json",
                           status)
         return status

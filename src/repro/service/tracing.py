@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Mapping, Optional, Tuple)
 
-from ..core.trace import TraceAccumulator, TraceError, TraceResult
-from ..engine import EvaluationSession
+from ..core.trace import TraceAccumulator, TraceResult
+from ..engine import EvaluationSession, resolve_backend
 from ..errors import ReproError, ServiceError
 from ..trace import (DEFAULT_CLOCK, FORMATS, POLICIES, STRICT_REFUSAL,
                      AddressDecoder, ColumnarReplayer, iter_decompressed,
-                     iter_line_batches, resolve_trace_backend)
+                     iter_line_batches)
 from ..trace.columnar import LINES_PER_BATCH
 from .admission import Deadline
 from .jsonapi import _finite, device_from_payload
@@ -181,8 +181,8 @@ def _parse(request: TraceRequest, fields: Dict[str, Any],
     if not 0 < request.clock < math.inf:
         raise ServiceError("'clock' must be positive, finite Hz")
     try:
-        resolve_trace_backend(request.backend)
-    except TraceError as exc:
+        resolve_backend(request.backend)
+    except ReproError as exc:
         raise ServiceError(str(exc)) from None
     request.snapshot_every = max(MIN_SNAPSHOT_EVERY,
                                  int(request.snapshot_every))
@@ -271,8 +271,7 @@ def _trace_fold(session: EvaluationSession, request: TraceRequest,
         offset_bits=request.offset_bits)
     replayer = ColumnarReplayer(
         accumulator, request.fmt, decoder, request.clock,
-        source="<upload>",
-        backend=resolve_trace_backend(request.backend))
+        source="<upload>", backend=request.backend)
     # One line yields at least one command, so batching
     # ``snapshot_every`` lines guarantees each full batch crosses the
     # snapshot cadence; the cap keeps batches array-sized.

@@ -30,19 +30,20 @@ processes the same pipeline in *batches of lines*:
   and scalar replay are bit-for-bit identical — the scalar path stays
   on as the oracle, and the parity suite holds them together.
 
-numpy is optional (the ``repro[vector]`` extra), mirroring
-:mod:`repro.engine.vector`: with numpy missing the replayer folds
-every batch scalar and :func:`resolve_trace_backend` fires the
-one-time ``trace_downgrades`` marker, results unchanged.  Record
-traces carry no command timing, so replay is lenient only: a strict
-accumulator is refused with :data:`~repro.trace.ingest.STRICT_REFUSAL`.
+Backends take the engine's names (:data:`repro.engine.BACKENDS`):
+every name but ``serial`` asks for the kernel.  numpy is optional (the
+``repro[vector]`` extra), mirroring :mod:`repro.engine.vector`: with
+numpy missing the replayer folds every batch scalar, results
+unchanged, and :func:`~repro.trace.ingest.replay_trace_file` reports
+``serial``.  Record traces carry no command timing, so replay is
+lenient only: a strict accumulator is refused with
+:data:`~repro.trace.ingest.STRICT_REFUSAL`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 try:
     import numpy as _np
@@ -59,9 +60,6 @@ from .ingest import STRICT_REFUSAL, clock_period, commands_from_records
 #: amortize the per-batch array staging, small enough that a batch of
 #: 80-char lines stays ~5 MB of working set.
 LINES_PER_BATCH = 65_536
-
-#: Records per batch when folding an in-memory record stream.
-RECORDS_PER_BATCH = 65_536
 
 #: Token that can never appear inside a whitespace-split trace line —
 #: joining a batch around it makes per-line token arity checkable on
@@ -85,35 +83,6 @@ def _op_codes(ops: Dict[str, str]) -> Dict[str, int]:
 
 
 _CODE_MAPS = {"k6": _op_codes(K6_OPS), "mase": _op_codes(MASE_OPS)}
-
-# ----------------------------------------------------------------------
-# Degradation marker (the vector_downgrades idiom of repro.engine).
-# ----------------------------------------------------------------------
-_DOWNGRADES = 0
-
-
-def columnar_available() -> bool:
-    """Whether the columnar kernel can run in this process."""
-    return _np is not None
-
-
-def trace_downgrades() -> int:
-    """One-time marker: 1 once any caller wanted the columnar path
-    and degraded to scalar because numpy is missing, else 0."""
-    return _DOWNGRADES
-
-
-def record_downgrade() -> None:
-    """Fire the downgrade marker (idempotent after the first call)."""
-    global _DOWNGRADES
-    if _DOWNGRADES == 0:
-        _DOWNGRADES = 1
-
-
-def reset_downgrades() -> None:
-    """Test hook: clear the one-time downgrade marker."""
-    global _DOWNGRADES
-    _DOWNGRADES = 0
 
 
 class _ColumnarOverflow(Exception):
@@ -316,23 +285,22 @@ def fold_columns(accumulator: TraceAccumulator, columns: TraceColumns,
 # Streaming drivers.
 # ----------------------------------------------------------------------
 class ColumnarReplayer:
-    """Batched lenient replay into a :class:`TraceAccumulator`: the one
-    driver behind file, record-stream and upload replay.
+    """Batched lenient replay into a :class:`TraceAccumulator`, which
+    file and upload replay share.
 
-    Feed line batches with :meth:`feed_lines` or parsed record batches
-    with :meth:`feed_records`.  ``columnar`` holds on the ``vector``
-    backend with numpy present and a decoder whose fields fit int64
-    masks (``address_bits < 64``).  There a batch folds through
-    :func:`fold_columns`; every other batch, and one carrying integers
-    beyond int64 or a time beyond any float, folds through the scalar
-    pipeline.  The replayer tracks global line numbers (for exact
-    error parity) and carries the open-row register across batches of
-    either kind.  A strict accumulator is refused with
-    :data:`~repro.trace.ingest.STRICT_REFUSAL`.
+    Feed line batches with :meth:`feed_lines`.  ``columnar`` holds on
+    any backend but ``serial`` with numpy present and a decoder whose
+    fields fit int64 masks (``address_bits < 64``).  There a batch
+    folds through :func:`fold_columns`; every other batch, and one
+    carrying integers beyond int64 or a time beyond any float, folds
+    through the scalar pipeline.  The replayer tracks global line
+    numbers (for exact error parity) and carries the open-row register
+    across batches of either kind.  A strict accumulator is refused
+    with :data:`~repro.trace.ingest.STRICT_REFUSAL`.
     """
 
     def __init__(self, accumulator: TraceAccumulator,
-                 fmt: Optional[str], decoder: AddressDecoder,
+                 fmt: str, decoder: AddressDecoder,
                  clock: float, source: str = "<trace>",
                  backend: str = "vector"):
         if accumulator.strict:
@@ -343,94 +311,45 @@ class ColumnarReplayer:
         self.decoder = decoder
         self.clock = clock
         self.source = source
-        self.columnar = (backend == "vector" and _np is not None
+        self.columnar = (backend != "serial" and _np is not None
                          and decoder.address_bits < 64)
         self.open_rows: Dict[int, int] = {}
         self._next_line = 1
 
     def feed_lines(self, lines: Sequence[str]) -> None:
-        """Parse and fold one batch of lines."""
+        """Parse and fold one batch of lines: through the count
+        reduction when ``columnar`` holds and the batch fits it, else
+        through the scalar pipeline, which shares the open-row
+        register so the two splice exactly."""
         start = self._next_line
         self._next_line += len(lines)
-        if not self._fold_columnar(parse_columns, lines, self.fmt,
-                                   source=self.source, start=start):
-            self._feed_scalar(iter_records(
-                iter(lines), self.fmt, source=self.source, start=start))
-
-    def feed_records(self, batch: Sequence[TraceRecord]) -> None:
-        """Fold one batch of already-parsed records."""
-        if not self._fold_columnar(_columns_from_records, batch):
-            self._feed_scalar(iter(batch))
-
-    def _fold_columnar(self, parse, *args, **kwargs) -> bool:
-        """Fold the batch ``parse(*args, **kwargs)`` through the count
-        reduction; False (nothing folded) when it must go through
-        :meth:`_feed_scalar` instead."""
-        if not self.columnar:
-            return False
-        try:
-            fold_columns(self.accumulator, parse(*args, **kwargs),
-                         self.decoder, self.period, self.open_rows)
-        except _ColumnarOverflow:
-            return False
-        return True
-
-    def _feed_scalar(self, records: Iterable[TraceRecord]) -> None:
-        """Expand and fold records through the scalar pipeline, sharing
-        the open-row register so the streams splice exactly."""
+        if self.columnar:
+            try:
+                columns = parse_columns(lines, self.fmt,
+                                        source=self.source, start=start)
+                fold_columns(self.accumulator, columns, self.decoder,
+                             self.period, self.open_rows)
+                return
+            except _ColumnarOverflow:
+                pass  # this batch goes through the scalar pipeline
         self.accumulator.feed(commands_from_records(
-            records, self.decoder, self.clock, open_rows=self.open_rows,
+            iter_records(iter(lines), self.fmt, source=self.source,
+                         start=start),
+            self.decoder, self.clock, open_rows=self.open_rows,
             source=self.source))
 
 
-def batches(items: Iterable, size: int) -> Iterator[list]:
-    """Consecutive lists of ``size`` items (sliced in C, never item by
-    item); only the last may be shorter."""
-    items = iter(items)
-    return iter(lambda: list(itertools.islice(items, size)), [])
-
-
 def replay_lines_columnar(accumulator: TraceAccumulator,
-                          lines: Iterable[str], fmt: str,
-                          decoder: AddressDecoder, clock: float,
-                          source: str = "<trace>",
-                          batch_lines: int = LINES_PER_BATCH
-                          ) -> TraceAccumulator:
-    """Drive a whole line iterable through the replayer in batches of
-    ``batch_lines``."""
+                          line_batches: Iterable[Sequence[str]],
+                          fmt: str, decoder: AddressDecoder,
+                          clock: float, source: str = "<trace>"
+                          ) -> ColumnarReplayer:
+    """Drive a stream of line batches (as
+    :func:`~repro.trace.formats.iter_line_batches` yields them) through
+    one replayer; returns it, so ``columnar`` tells whether the kernel
+    folded."""
     replayer = ColumnarReplayer(accumulator, fmt, decoder, clock,
                                 source=source)
-    for batch in batches(lines, batch_lines):
+    for batch in line_batches:
         replayer.feed_lines(batch)
-    return accumulator
-
-
-# ----------------------------------------------------------------------
-# Backend choice.
-# ----------------------------------------------------------------------
-#: Replay backends accepted by every replay entry point; ``auto``
-#: defers to :func:`resolve_trace_backend`.
-TRACE_BACKENDS = ("serial", "vector")
-
-
-def resolve_trace_backend(backend: Optional[str]) -> str:
-    """The concrete backend (``serial``/``vector``) that runs a
-    ``backend`` request.
-
-    ``auto`` picks ``vector`` when numpy is present and serial
-    otherwise.  A request for the columnar path (``vector`` or
-    ``auto``) without numpy fires the one-time
-    :func:`trace_downgrades` marker.
-    """
-    if backend is None:
-        backend = "auto"
-    if backend != "auto" and backend not in TRACE_BACKENDS:
-        raise TraceError(
-            f"unknown trace backend {backend!r}; choose from "
-            + "/".join(TRACE_BACKENDS + ("auto",)), 0.0, None)
-    if backend == "serial":
-        return backend
-    if columnar_available():
-        return "vector"
-    record_downgrade()
-    return "serial"
+    return replayer

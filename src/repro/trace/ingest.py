@@ -3,7 +3,10 @@
 The pipeline is lazy end to end: file lines → :class:`TraceRecord`
 stream → open-page command expansion → :class:`TraceAccumulator` fold.
 Nothing materializes the trace, so multi-billion-command files evaluate
-in bounded memory.
+in bounded memory.  :func:`replay_trace_file` runs that scalar oracle
+on the ``serial`` backend; on any other it feeds the file's line
+batches to the batch replayer of :mod:`repro.trace.columnar`, exactly
+as a ``/trace`` upload does.
 
 Open-page expansion keeps one open-row register per bank: a transaction
 to a closed row emits ``PRE`` (when another row is open) + ``ACT``
@@ -21,9 +24,11 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 from ..core.model import DramPowerModel
 from ..core.trace import TraceAccumulator, TraceCommand, TraceResult
 from ..description import Command
+from ..engine import resolve_backend
 from .decoder import AddressDecoder
 from .formats import (TraceFormatError, TraceRecord, detect_format,
-                      iter_records, open_trace_lines)
+                      iter_line_batches, iter_records, open_trace_bytes,
+                      open_trace_lines)
 
 
 #: Default cycle clock (Hz) when a trace does not state one: 1 GHz, so
@@ -127,28 +132,36 @@ def replay_trace_file(model: DramPowerModel, path,
                       ) -> Tuple[TraceAccumulator, str]:
     """Replay an external trace file leniently on the chosen backend.
 
-    Returns ``(accumulator, backend_used)``.  The backend is resolved
-    by :func:`~repro.trace.columnar.resolve_trace_backend` (serial vs
-    the columnar kernels); both produce bit-for-bit identical
-    aggregates and errors, so the choice is purely a throughput
-    decision.  ``serial`` runs the scalar oracle: records → commands →
-    :meth:`TraceAccumulator.feed`.
+    Returns ``(accumulator, backend_used)``.  ``backend`` is a name
+    of :data:`repro.engine.BACKENDS`.  ``serial`` runs the scalar
+    oracle: records → commands → :meth:`TraceAccumulator.feed`.  Any
+    other feeds the file's line batches to
+    :func:`~repro.trace.columnar.replay_lines_columnar`;
+    ``backend_used`` is ``vector`` when its columnar kernel ran (numpy
+    present, a decoder that fits int64 masks) and ``serial``
+    otherwise.  Both produce bit-for-bit identical aggregates and
+    errors, so the choice is purely a throughput decision.
     """
-    from .columnar import replay_lines_columnar, resolve_trace_backend
+    backend = resolve_backend(backend)
     if decoder is None:
         decoder = AddressDecoder.from_device(model.device)
     resolved_fmt = resolve_trace_format(path, fmt)
-    backend = resolve_trace_backend(backend)
     accumulator = TraceAccumulator(model, strict=False)
-    if backend == "vector":
-        with open_trace_lines(path) as lines:
-            replay_lines_columnar(accumulator, lines, resolved_fmt,
-                                  decoder, clock, source=str(path))
-        return accumulator, "vector"
-    accumulator.feed(commands_from_records(
-        read_trace(path, resolved_fmt), decoder, clock,
-        source=str(path)))
-    return accumulator, "serial"
+    if backend == "serial":
+        accumulator.feed(commands_from_records(
+            read_trace(path, resolved_fmt), decoder, clock,
+            source=str(path)))
+        return accumulator, "serial"
+    from .columnar import LINES_PER_BATCH, replay_lines_columnar
+    blocks = open_trace_bytes(path)
+    try:
+        replayer = replay_lines_columnar(
+            accumulator,
+            iter_line_batches(blocks, LINES_PER_BATCH, str(path)),
+            resolved_fmt, decoder, clock, source=str(path))
+    finally:
+        blocks.close()
+    return accumulator, "vector" if replayer.columnar else "serial"
 
 
 def evaluate_trace_file(model: DramPowerModel, path,
@@ -162,28 +175,3 @@ def evaluate_trace_file(model: DramPowerModel, path,
                                        backend=backend)
     return accumulator.result()
 
-
-def accumulate_records(model: DramPowerModel,
-                       records: Iterable[TraceRecord],
-                       decoder: Optional[AddressDecoder] = None,
-                       clock: float = DEFAULT_CLOCK,
-                       backend: str = "auto") -> TraceAccumulator:
-    """Fold a record stream leniently into a fresh accumulator.
-
-    ``serial`` runs the scalar oracle; ``vector`` (what ``auto``
-    resolves to with numpy) feeds the batch replayer
-    :data:`~repro.trace.columnar.RECORDS_PER_BATCH` records at a
-    time.
-    """
-    from .columnar import (RECORDS_PER_BATCH, ColumnarReplayer, batches,
-                           resolve_trace_backend)
-    if decoder is None:
-        decoder = AddressDecoder.from_device(model.device)
-    accumulator = TraceAccumulator(model, strict=False)
-    if resolve_trace_backend(backend) == "serial":
-        accumulator.feed(commands_from_records(records, decoder, clock))
-        return accumulator
-    replayer = ColumnarReplayer(accumulator, None, decoder, clock)
-    for batch in batches(records, RECORDS_PER_BATCH):
-        replayer.feed_records(batch)
-    return accumulator

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import EvaluationSession
+from repro.engine import EvaluationSession, numpy_available
 from repro.errors import JobError, JobNotFound, ServiceError
 from repro.jobs import (DEFAULT_CHUNK_SIZE, JobJournal, JobManager,
                         JobRunner, JobSpec, JobStore, parse_job_spec,
@@ -379,9 +379,9 @@ class TestTracePlan:
     def test_folds_the_file_once(self, tmp_path, monkeypatch):
         """A 16-pair decoder at ``chunk_size`` 1 reads and folds its
         file in one columnar replay."""
-        from repro.trace import columnar, columnar_available
+        from repro.trace import columnar
 
-        if not columnar_available():
+        if not numpy_available():
             pytest.skip("numpy not installed")
         calls = []
         replay = columnar.replay_lines_columnar
@@ -700,6 +700,28 @@ class TestRunner:
                     / "snapshot.json").exists()
         assert {"partial", "assigned", "orphaned"}.isdisjoint(after)
         assert len(store.journal(status["job"]).replay()) == 20
+
+    def test_older_release_status_keys_drop_out(self, tmp_path):
+        """An ``evaluate`` job an older release left running under a
+        dead pid, with that release's ``partial``, ``assigned`` and
+        ``orphaned`` status keys, resumes to ``done`` without them."""
+        store = JobStore(tmp_path)
+        status, _ = store.submit(
+            {"kind": "evaluate", "chunk_size": 1,
+             "params": {"devices": [{"node": 55}, {"node": 65}]}})
+        job_id = status["job"]
+        older = dict(store.status(job_id), state="running",
+                     pid=99999999, chunks_total=2, chunks_done=1,
+                     partial={"units_done": 1}, assigned="w0",
+                     orphaned=True)
+        write_json_atomic(store.job_dir(job_id) / "status.json", older)
+        _run_all(tmp_path)
+        after = json.loads(
+            (store.job_dir(job_id) / "status.json").read_text())
+        assert after["state"] == "done"
+        assert after["chunks_done"] == after["chunks_total"] == 2
+        assert {"partial", "assigned", "orphaned",
+                "cancel_requested"}.isdisjoint(after)
 
     def test_older_release_snapshot_resumes(self, tmp_path):
         """A directory an older release left mid-run after compacting

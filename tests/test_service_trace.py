@@ -7,11 +7,12 @@ import threading
 
 import pytest
 
+from repro.cli import build_parser
 from repro.client import ServiceClient
 from repro.core.trace import evaluate_trace
 from repro.devices import build_device
-from repro.engine import EvaluationSession
-from repro.errors import ServiceError
+from repro.engine import BACKENDS, EvaluationSession
+from repro.errors import ModelError, ServiceError
 from repro.jobs import parse_job_spec
 from repro.service import create_service
 from repro.core.trace import TraceAccumulator
@@ -23,7 +24,7 @@ from repro.service.tracing import (MIN_SNAPSHOT_EVERY,
                                    trace_stream_records)
 from repro.trace import (DEFAULT_CLOCK, STRICT_REFUSAL, AddressDecoder,
                          ColumnarReplayer, commands_from_records,
-                         iter_records)
+                         iter_records, replay_trace_file)
 from repro.trace.columnar import LINES_PER_BATCH
 from repro import DramPowerModel
 
@@ -527,10 +528,10 @@ class TestBackendSelection:
             assert request.backend == backend
 
     def test_query_rejects_process_backend(self):
-        # ``process`` is no backend: the resolver's unknown-backend
+        # ``process`` is no backend: the engine's unknown-backend
         # error, like any other name.
         with pytest.raises(ServiceError,
-                           match="unknown trace backend 'process'"):
+                           match="unknown backend 'process'"):
             parse_trace_query({"backend": ["process"]})
 
     def test_query_rejects_unknown_backend(self):
@@ -558,7 +559,7 @@ class TestBackendSelection:
                                  "text": "0x0 READ 0",
                                  "backend": 7})
         with pytest.raises(ServiceError,
-                           match="unknown trace backend 'process'"):
+                           match="unknown backend 'process'"):
             parse_trace_payload({"device": {"node": 55},
                                  "text": "0x0 READ 0",
                                  "backend": "process"})
@@ -584,3 +585,58 @@ class TestBackendSelection:
         assert records[-1].get("done") is True
         assert records[-1]["result"]["energy_j"] \
             == local_result(text).energy
+
+
+class TestOneBackendVocabulary:
+    """Sweeps, file replays and uploads name their backend from one
+    tuple, ``repro.engine.BACKENDS``: an unknown name is refused with
+    one message on every surface, and both CLI ``--backend`` flags
+    offer the same choices."""
+
+    MESSAGE = ("unknown backend 'quantum'; choose from "
+               + "/".join(BACKENDS))
+
+    def test_unknown_name_gets_one_message(self, service, tmp_path):
+        path = tmp_path / "t.trc"
+        path.write_text(k6_text(20))
+        model = DramPowerModel(build_device(55))
+        messages = {}
+        with pytest.raises(ModelError) as excinfo:
+            EvaluationSession().map([model.device], len,
+                                    backend="quantum")
+        messages["EvaluationSession.map"] = str(excinfo.value)
+        with pytest.raises(ModelError) as excinfo:
+            replay_trace_file(model, path, backend="quantum")
+        messages["replay_trace_file"] = str(excinfo.value)
+        posts = {
+            "/sweep": (b"/sweep", b"application/json", json.dumps(
+                {"kind": "sensitivity", "backend": "quantum"})),
+            "/trace query": (b"/trace?node=55&backend=quantum",
+                             b"text/plain", "0x0 READ 0\n"),
+            "/trace JSON": (b"/trace", b"application/json", json.dumps(
+                {"device": {"node": 55}, "text": "0x0 READ 0",
+                 "backend": "quantum"})),
+        }
+        for name, (target, content_type, body) in posts.items():
+            status, reply = _post(service, target, content_type,
+                                  body.encode())
+            assert status == 400, name
+            messages[name] = json.loads(reply)["error"]
+        with pytest.raises(ServiceError) as excinfo:
+            parse_job_spec({"kind": "montecarlo",
+                            "params": {"samples": 4,
+                                       "backend": "quantum"}})
+        assert excinfo.value.status == 400
+        messages["montecarlo job"] = str(excinfo.value)
+        assert messages == dict.fromkeys(messages, self.MESSAGE)
+
+    def test_cli_flags_offer_the_same_choices(self, capsys):
+        refusals = []
+        for command in ("sensitivity", "trace"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [command, "--backend", "quantum"])
+            refusals.append(
+                capsys.readouterr().err.rpartition("error: ")[2])
+        assert refusals[0] == refusals[1]
+        assert all(name in refusals[0] for name in BACKENDS)

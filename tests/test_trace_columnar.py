@@ -14,18 +14,19 @@ import sys
 import pytest
 
 from repro import DramPowerModel
+from repro.cli import main
 from repro.client import ServiceClient
 from repro.core.trace import TraceAccumulator, TraceError
 from repro.devices import build_device
+from repro.engine import numpy_available
+from repro.errors import ModelError
 from repro.trace import (DEFAULT_CLOCK, STRICT_REFUSAL, AddressDecoder,
                          ColumnarReplayer, TraceFormatError,
-                         accumulate_records, columnar_available,
-                         evaluate_trace_file, iter_records,
-                         parse_columns, replay_lines_columnar,
-                         replay_trace_file, resolve_trace_backend)
-from repro.trace.columnar import reset_downgrades, trace_downgrades
+                         commands_from_records, evaluate_trace_file,
+                         iter_records, parse_columns,
+                         replay_lines_columnar, replay_trace_file)
 
-needs_numpy = pytest.mark.skipif(not columnar_available(),
+needs_numpy = pytest.mark.skipif(not numpy_available(),
                                  reason="numpy not installed")
 
 
@@ -70,9 +71,15 @@ def _fingerprint(accumulator):
 
 
 def _serial_fingerprint(model, records, decoder):
-    accumulator = accumulate_records(model, records, decoder=decoder,
-                                     backend="serial")
+    accumulator = TraceAccumulator(model, strict=False)
+    accumulator.feed(commands_from_records(records, decoder))
     return _fingerprint(accumulator)
+
+
+def _batches(lines, size):
+    """``lines`` cut into consecutive line batches of ``size``."""
+    return [lines[start:start + size]
+            for start in range(0, len(lines), size)]
 
 
 @needs_numpy
@@ -95,14 +102,15 @@ class TestColumnarParity:
         serial = evaluate_trace_file(model, path, fmt=fmt,
                                      decoder=decoder,
                                      backend="serial")
-        vector = evaluate_trace_file(model, path, fmt=fmt,
-                                     decoder=decoder,
-                                     backend="vector")
-        assert vector.energy == serial.energy
-        assert vector.duration == serial.duration
-        assert vector.counts == serial.counts
-        assert vector.row_hits == serial.row_hits
-        assert vector.breakdown.values == serial.breakdown.values
+        for backend in ("vector", "auto"):
+            result = evaluate_trace_file(model, path, fmt=fmt,
+                                         decoder=decoder,
+                                         backend=backend)
+            assert result.energy == serial.energy
+            assert result.duration == serial.duration
+            assert result.counts == serial.counts
+            assert result.row_hits == serial.row_hits
+            assert result.breakdown.values == serial.breakdown.values
 
     def test_batch_boundaries_carry_open_rows(self, ddr3_model):
         decoder = AddressDecoder.from_device(ddr3_model.device)
@@ -112,9 +120,9 @@ class TestColumnarParity:
                                      decoder)
         for batch_lines in (1, 3, 17, 499, 10_000):
             accumulator = TraceAccumulator(ddr3_model, strict=False)
-            replay_lines_columnar(accumulator, iter(lines), "k6",
-                                  decoder, DEFAULT_CLOCK,
-                                  batch_lines=batch_lines)
+            replay_lines_columnar(accumulator,
+                                  _batches(lines, batch_lines), "k6",
+                                  decoder, DEFAULT_CLOCK)
             assert _fingerprint(accumulator) == expect
 
     def test_comments_blanks_and_case_match_scalar(self, ddr3_model):
@@ -126,25 +134,9 @@ class TestColumnarParity:
         expect = _serial_fingerprint(ddr3_model, iter(records),
                                      decoder)
         accumulator = TraceAccumulator(ddr3_model, strict=False)
-        replay_lines_columnar(accumulator, iter(lines), "k6", decoder,
+        replay_lines_columnar(accumulator, [lines], "k6", decoder,
                               DEFAULT_CLOCK)
         assert _fingerprint(accumulator) == expect
-
-    def test_record_stream_backend_parity(self, ddr3_model):
-        decoder = AddressDecoder.from_device(ddr3_model.device,
-                                             channel_bits=1)
-        lines = make_lines("k6", 2000,
-                           address_bits=decoder.address_bits)
-        records = list(iter_records(iter(lines), "k6"))
-        serial = _serial_fingerprint(ddr3_model, iter(records),
-                                     decoder)
-        vector = accumulate_records(ddr3_model, iter(records),
-                                    decoder=decoder,
-                                    backend="vector")
-        auto = accumulate_records(ddr3_model, iter(records),
-                                  decoder=decoder)
-        assert _fingerprint(vector) == serial
-        assert _fingerprint(auto) == serial
 
     def test_oversize_addresses_fall_back_exactly(self, ddr3_model):
         # 1 << 70 cannot live in an int64 array: the batch must drop
@@ -156,8 +148,8 @@ class TestColumnarParity:
         expect = _serial_fingerprint(ddr3_model, iter(records),
                                      decoder)
         accumulator = TraceAccumulator(ddr3_model, strict=False)
-        replay_lines_columnar(accumulator, iter(lines), "k6", decoder,
-                              DEFAULT_CLOCK, batch_lines=10)
+        replay_lines_columnar(accumulator, _batches(lines, 10), "k6",
+                              decoder, DEFAULT_CLOCK)
         assert _fingerprint(accumulator) == expect
 
 
@@ -226,14 +218,12 @@ class TestStrictRejection:
             with pytest.raises(TraceError) as excinfo:
                 ColumnarReplayer(
                     TraceAccumulator(ddr3_model, strict=True), "k6",
-                    decoder, DEFAULT_CLOCK,
-                    backend=resolve_trace_backend(name))
+                    decoder, DEFAULT_CLOCK, backend=name)
             errors.append(str(excinfo.value))
         assert errors == [STRICT_REFUSAL, STRICT_REFUSAL]
 
     def test_entry_points_take_no_strict(self):
         for function in (replay_trace_file, evaluate_trace_file,
-                         accumulate_records,
                          ServiceClient.trace_stream):
             assert "strict" not in inspect.signature(
                 function).parameters, function.__name__
@@ -241,17 +231,46 @@ class TestStrictRejection:
     def test_unknown_backend_rejected(self, ddr3_model, tmp_path):
         path = tmp_path / "s.trc"
         path.write_text("0x100 READ 1\n")
-        with pytest.raises(TraceError, match="unknown trace backend"):
+        with pytest.raises(ModelError,
+                           match="unknown backend 'quantum'"):
             evaluate_trace_file(ddr3_model, path, backend="quantum")
 
 
 class TestBackendChoice:
-    def test_serial_means_serial(self):
-        assert resolve_trace_backend("serial") == "serial"
+    """``replay_trace_file`` reports the backend that folded."""
+
+    def _used(self, model, tmp_path, backend, **decoder):
+        path = tmp_path / "t.trc"
+        path.write_text("\n".join(make_lines("k6", 200)) + "\n")
+        decoder = AddressDecoder.from_device(model.device, **decoder)
+        accumulator, used = replay_trace_file(model, path,
+                                              decoder=decoder,
+                                              backend=backend)
+        return _fingerprint(accumulator), used
+
+    def test_serial_means_serial(self, ddr3_model, tmp_path):
+        assert self._used(ddr3_model, tmp_path, "serial")[1] == "serial"
 
     @needs_numpy
-    def test_numpy_means_vector(self):
-        assert resolve_trace_backend("auto") == "vector"
+    def test_numpy_means_vector(self, ddr3_model, tmp_path):
+        for backend in ("auto", "vector"):
+            assert self._used(ddr3_model, tmp_path,
+                              backend)[1] == "vector"
+
+    def test_wide_decoder_reports_serial(self, ddr3_model, tmp_path,
+                                         capsys):
+        """A decoder too wide for int64 masks folds every batch
+        scalar, so every backend reports ``serial`` (the CLI too) and
+        prices what the serial oracle prices."""
+        serial = self._used(ddr3_model, tmp_path, "serial",
+                            rank_bits=70)
+        for backend in ("auto", "vector"):
+            assert self._used(ddr3_model, tmp_path, backend,
+                              rank_bits=70) == serial
+            assert main(["trace", str(tmp_path / "t.trc"),
+                         "--rank-bits", "70",
+                         "--backend", backend]) == 0
+            assert "backend       : serial\n" in capsys.readouterr().out
 
 
 def _import_columnar_without_numpy(monkeypatch):
@@ -267,48 +286,26 @@ def _import_columnar_without_numpy(monkeypatch):
 
 class TestNoNumpyDegradation:
     """Without numpy every columnar entry point degrades to scalar,
-    fires the one-time marker, and changes no results."""
+    reports ``serial``, and changes no results."""
 
-    def test_auto_degrades_serially_with_marker(self, ddr3_model,
-                                                monkeypatch):
-        decoder = AddressDecoder.from_device(ddr3_model.device)
+    @pytest.mark.parametrize("backend", ["auto", "vector"])
+    def test_file_replay_degrades_serially(self, ddr3_model,
+                                           monkeypatch, tmp_path,
+                                           backend):
         lines = make_lines("k6", 300)
-        records = list(iter_records(iter(lines), "k6"))
-        expect = _serial_fingerprint(ddr3_model, iter(records),
-                                     decoder)
-        stub = _import_columnar_without_numpy(monkeypatch)
-        assert stub.columnar_available() is False
-        assert stub.trace_downgrades() == 0
-        # ingest imports the columnar module lazily, so installing
-        # the numpy-free instance reroutes the auto backend.
-        monkeypatch.setitem(sys.modules, "repro.trace.columnar", stub)
-        first = accumulate_records(ddr3_model, iter(records),
-                                   decoder=decoder)
-        assert stub.trace_downgrades() == 1
-        second = accumulate_records(ddr3_model, iter(records),
-                                    decoder=decoder)
-        assert stub.trace_downgrades() == 1  # marker is one-time
-        assert _fingerprint(first) == expect
-        assert _fingerprint(second) == expect
-
-    def test_explicit_vector_degrades_with_marker(self, ddr3_model,
-                                                  monkeypatch,
-                                                  tmp_path):
         path = tmp_path / "t.trc"
-        path.write_text("\n".join(make_lines("k6", 200)) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         decoder = AddressDecoder.from_device(ddr3_model.device)
-        expect = evaluate_trace_file(ddr3_model, path,
-                                     decoder=decoder,
-                                     backend="serial")
+        expect = _serial_fingerprint(
+            ddr3_model, iter_records(iter(lines), "k6"), decoder)
         stub = _import_columnar_without_numpy(monkeypatch)
+        # ingest imports the columnar module lazily, so installing
+        # the numpy-free instance reroutes the columnar backends.
         monkeypatch.setitem(sys.modules, "repro.trace.columnar", stub)
-        accumulator, backend = replay_trace_file(
-            ddr3_model, path, decoder=decoder, backend="vector")
-        assert backend == "serial"
-        assert stub.trace_downgrades() == 1
-        result = accumulator.result()
-        assert result.energy == expect.energy
-        assert result.counts == expect.counts
+        accumulator, used = replay_trace_file(
+            ddr3_model, path, decoder=decoder, backend=backend)
+        assert used == "serial"
+        assert _fingerprint(accumulator) == expect
 
     def test_stub_replayer_folds_scalar(self, ddr3_model,
                                         monkeypatch):
@@ -319,23 +316,9 @@ class TestNoNumpyDegradation:
         expect = _serial_fingerprint(ddr3_model, iter(records),
                                      decoder)
         stub = _import_columnar_without_numpy(monkeypatch)
-        by_lines = TraceAccumulator(ddr3_model, strict=False)
-        stub.replay_lines_columnar(by_lines, iter(lines), "k6",
-                                   decoder, DEFAULT_CLOCK,
-                                   batch_lines=64)
-        by_records = TraceAccumulator(ddr3_model, strict=False)
-        replayer = stub.ColumnarReplayer(by_records, None, decoder,
-                                         DEFAULT_CLOCK)
+        accumulator = TraceAccumulator(ddr3_model, strict=False)
+        replayer = stub.replay_lines_columnar(
+            accumulator, _batches(lines, 64), "k6", decoder,
+            DEFAULT_CLOCK)
         assert replayer.columnar is False
-        replayer.feed_records(records[:100])
-        replayer.feed_records(records[100:])
-        assert _fingerprint(by_lines) == expect
-        assert _fingerprint(by_records) == expect
-
-    def test_downgrade_marker_reset_hook(self):
-        before = trace_downgrades()
-        reset_downgrades()
-        assert trace_downgrades() == 0
-        if before:  # leave the process-global marker as found
-            from repro.trace.columnar import record_downgrade
-            record_downgrade()
+        assert _fingerprint(accumulator) == expect

@@ -9,9 +9,10 @@ import pytest
 
 from repro.core.trace import TraceAccumulator, evaluate_trace
 from repro.description import Command
+from repro.engine import numpy_available
 from repro.trace import (AddressDecoder, ColumnarReplayer,
                          DecodedAddress, TraceFormatError, TraceRecord,
-                         columnar_available, commands_from_records,
+                         commands_from_records,
                          detect_format, evaluate_trace_file,
                          iter_decompressed, iter_jsonl, iter_k6,
                          iter_lines, iter_mase, iter_records,
@@ -323,7 +324,7 @@ class TestFileReplayMemory:
     @pytest.mark.parametrize("backend,transactions,budget", [
         pytest.param("vector", 400_000, 64 * 2 ** 20,
                      marks=pytest.mark.skipif(
-                         not columnar_available(),
+                         not numpy_available(),
                          reason="numpy not installed")),
         ("serial", 10_000, 2 * 2 ** 20),
     ], ids=["vector", "serial"])
@@ -388,13 +389,14 @@ class TestNonFiniteTimes:
                              ids=["cycle-overflow", "tiny-clock"])
     def test_record_streams_raise_at_the_line(self, ddr3_model, text,
                                               clock):
-        from repro.trace import accumulate_records
-        records = list(iter_records(iter(text.splitlines()), "k6"))
-        for backend in ("serial", "vector"):
-            with pytest.raises(TraceFormatError) as excinfo:
-                accumulate_records(ddr3_model, iter(records),
-                                   clock=clock, backend=backend)
-            assert excinfo.value.line == 2
+        """An in-memory record stream folds through the scalar pieces
+        and fails at the same line as a file."""
+        decoder = AddressDecoder.from_device(ddr3_model.device)
+        records = iter_records(iter(text.splitlines()), "k6")
+        with pytest.raises(TraceFormatError) as excinfo:
+            TraceAccumulator(ddr3_model, strict=False).feed(
+                commands_from_records(records, decoder, clock))
+        assert excinfo.value.line == 2
 
 
 class TestDecoderEdgeGeometries:
@@ -402,19 +404,20 @@ class TestDecoderEdgeGeometries:
     row widths, and field-layout consistency — each geometry must
     decode identically through the scalar and columnar paths."""
 
-    def _parity(self, decoder, lines, ddr3_model):
-        from repro.trace import accumulate_records, columnar_available
-        records = list(iter_records(iter(lines), "k6"))
-        serial = accumulate_records(ddr3_model, iter(records),
-                                    decoder=decoder,
-                                    backend="serial").result()
-        if columnar_available():
-            vector = accumulate_records(ddr3_model, iter(records),
-                                        decoder=decoder,
-                                        backend="vector").result()
-            assert vector.energy == serial.energy
-            assert vector.counts == serial.counts
-            assert vector.row_hits == serial.row_hits
+    def _parity(self, decoder, lines, ddr3_model, tmp_path):
+        """The serial result of ``lines`` replayed from a file, which
+        every other backend must match."""
+        path = tmp_path / "edge.trc"
+        path.write_text("\n".join(lines) + "\n")
+        serial = evaluate_trace_file(ddr3_model, path, decoder=decoder,
+                                     backend="serial")
+        for backend in ("vector", "auto"):
+            result = evaluate_trace_file(ddr3_model, path,
+                                         decoder=decoder,
+                                         backend=backend)
+            assert result.energy == serial.energy
+            assert result.counts == serial.counts
+            assert result.row_hits == serial.row_hits
         return serial
 
     def _lines(self, decoder, count=400):
@@ -427,14 +430,14 @@ class TestDecoderEdgeGeometries:
             lines.append(f"0x{address:x} READ {i * 4}")
         return lines
 
-    def test_zero_channel_and_rank_bits(self, ddr3_model):
+    def test_zero_channel_and_rank_bits(self, ddr3_model, tmp_path):
         decoder = AddressDecoder.from_device(ddr3_model.device)
         assert decoder.channel_bits == 0 and decoder.rank_bits == 0
         assert decoder.num_shards == 1
         lines = self._lines(decoder)
-        self._parity(decoder, lines, ddr3_model)
+        self._parity(decoder, lines, ddr3_model, tmp_path)
 
-    def test_max_width_rows(self, ddr3_model):
+    def test_max_width_rows(self, ddr3_model, tmp_path):
         decoder = AddressDecoder(bank_bits=1, row_bits=30, col_bits=1,
                                  rank_bits=1, offset_bits=0)
         top = decoder.encode(DecodedAddress(rank=1,
@@ -444,24 +447,22 @@ class TestDecoderEdgeGeometries:
         assert decoded.row == (1 << 30) - 1
         assert decoder.flat_bank(decoded) >> decoder.bank_bits == 1
         lines = self._lines(decoder)
-        self._parity(decoder, lines, ddr3_model)
+        self._parity(decoder, lines, ddr3_model, tmp_path)
 
     def test_wide_fields_fold_scalar(self, ddr3_model, tmp_path):
         # A 70-bit rank field overflows the int64 masks of the
-        # columnar kernel: every backend must price it scalar.
+        # columnar kernel: every backend must price it scalar, the
+        # scalar pieces on a record stream too.
         decoder = AddressDecoder.from_device(ddr3_model.device,
                                              rank_bits=70)
         assert decoder.address_bits >= 64
         lines = self._lines(decoder)
-        serial = self._parity(decoder, lines, ddr3_model)
-        path = tmp_path / "wide.trc"
-        path.write_text("\n".join(lines) + "\n")
-        for backend in ("auto", "vector"):
-            result = evaluate_trace_file(ddr3_model, path,
-                                         decoder=decoder,
-                                         backend=backend)
-            assert result.energy == serial.energy
-            assert result.counts == serial.counts
+        serial = self._parity(decoder, lines, ddr3_model, tmp_path)
+        stream = TraceAccumulator(ddr3_model, strict=False).feed(
+            commands_from_records(iter_records(iter(lines), "k6"),
+                                  decoder)).result()
+        assert stream.energy == serial.energy
+        assert stream.counts == serial.counts
 
     @pytest.mark.parametrize("policy", ["row-bank-column",
                                         "bank-row-column"])

@@ -24,11 +24,11 @@ from repro.core.trace import (TraceAccumulator, TraceCommand, TraceError,
                               evaluate_trace)
 from repro.description import Command
 from repro.devices import build_device
-from repro.trace import columnar_available
+from repro.engine import numpy_available
 from repro.workloads import (Request, copy_trace, random_trace,
                              schedule_frfcfs, streaming_trace)
 
-pytestmark = pytest.mark.skipif(not columnar_available(),
+pytestmark = pytest.mark.skipif(not numpy_available(),
                                 reason="numpy not installed")
 
 #: The 55 nm DDR3 device (one bank group) and the 31 nm DDR4 device,

@@ -81,24 +81,3 @@ def test_generator_and_list_inputs_agree(device_models):
     from_list = evaluate_trace(model, trace)
     from_generator = evaluate_trace(model, iter(trace))
     _assert_identical(from_list, from_generator)
-
-
-# ----------------------------------------------------------------------
-# Record streams name their backend like every replay entry point.
-# ----------------------------------------------------------------------
-from repro.core.trace import TraceError
-from repro.trace import AddressDecoder, accumulate_records, iter_records
-
-
-class TestRecordStreamBackends:
-    def test_record_streams_refuse_process(self, ddr3_model):
-        """``process`` is an unknown backend like any other name."""
-        decoder = AddressDecoder.from_device(ddr3_model.device,
-                                             rank_bits=2)
-        lines = [f"0x{i * 4099:x} READ {i * 4}" for i in range(10)]
-        for backend in ("thread", "process"):
-            records = iter_records(iter(lines), "k6")
-            with pytest.raises(TraceError,
-                               match="unknown trace backend"):
-                accumulate_records(ddr3_model, records,
-                                   decoder=decoder, backend=backend)

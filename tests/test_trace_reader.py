@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main
 from repro.devices import build_device
 from repro.engine import EvaluationSession
+from repro.service import tracing
 from repro.service.tracing import (parse_trace_query,
                                    trace_result_row,
                                    trace_stream_records)
 from repro import DramPowerModel
-from repro.trace import (TraceFormatError, iter_line_batches,
+from repro.trace import (TraceFormatError, columnar, iter_line_batches,
                          replay_trace_file)
 
 #: Byte pieces the generated streams are built from: ASCII, 2/3/4-byte
@@ -146,6 +147,31 @@ def test_file_and_upload_agree_on_error_lines(ending, model, tmp_path):
         record = upload(data, backend=backend)[-1]
         assert record["status"] == 400
         assert record["error"].startswith("<upload>:3: expected")
+
+
+def test_error_past_a_batch_boundary(model, tmp_path, monkeypatch):
+    """A malformed line just past the first line batch fails at its
+    global line number with one text: file replay on every backend
+    and an upload of the same bytes (``<upload>`` naming the source)."""
+    batch = 1000
+    monkeypatch.setattr(columnar, "LINES_PER_BATCH", batch)
+    monkeypatch.setattr(tracing, "LINES_PER_BATCH", batch)
+    lines = [f"0x{i * 0x40:X} P_MEM_RD {i}" for i in range(batch + 2)]
+    lines[-1] = "0x10 BOGUS 5"
+    data = trace_bytes(lines, "lf")
+    path = tmp_path / "edge.trc"
+    path.write_bytes(data)
+    errors = set()
+    for backend in ("serial", "vector"):
+        with pytest.raises(TraceFormatError) as excinfo:
+            replay_trace_file(model, path, fmt="k6", backend=backend)
+        errors.add((excinfo.value.reason, excinfo.value.line))
+    (reason, line), = errors
+    assert line == batch + 2
+    for backend in ("serial", "auto"):
+        record = upload(data, backend=backend)[-1]
+        assert record["status"] == 400
+        assert record["error"] == f"<upload>:{line}: {reason}"
 
 
 # ----------------------------------------------------------------------

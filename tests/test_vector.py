@@ -108,6 +108,8 @@ def test_auto_routes_wide_families_through_vector(ddr3_device):
     stats = session.stats
     assert stats.vector_batches >= 1
     assert stats.vector_builds == len(devices)
+    assert stats.vector_fallbacks == 0
+    assert stats.vector_downgrades == 0
     oracle = EvaluationSession().map(devices, _power, backend="serial")
     _assert_parity(auto, oracle)
 
