@@ -18,12 +18,14 @@ whose ``status`` attribute carries the HTTP code (``0`` when the
 service could not be reached at all) and whose ``retry_after``
 attribute carries the server's backoff hint when one was sent.
 
-Transport: persistent HTTP/1.1 keep-alive connections pooled per
-thread and endpoint (``connections_opened`` stays at 1 across many
-sequential requests), transparent gzip response decoding and optional
-``api_key`` authentication.  :meth:`ServiceClient.evaluate_stream` and
+Transport: the client speaks HTTP/1.1 itself, through the codec the
+service also uses (:mod:`repro.wire`), over plain sockets: one
+persistent keep-alive socket per thread (``connections_opened`` stays
+at 1 across many sequential requests), each request sent in one
+write, transparent gzip response decoding and optional ``api_key``
+authentication.  :meth:`ServiceClient.evaluate_stream` and
 :meth:`ServiceClient.sweep_stream` consume the chunked NDJSON
-streaming mode record by record on a dedicated connection;
+streaming mode record by record on a dedicated socket;
 :meth:`ServiceClient.trace_stream` uploads external memory traces
 (files, blobs or chunk iterables, gzip forwarded as-is) with chunked
 transfer encoding and yields the server's incremental aggregates.
@@ -44,7 +46,6 @@ of this is unit-testable without waiting.
 from __future__ import annotations
 
 import gzip
-import http.client
 import json
 import os
 import random
@@ -56,6 +57,7 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator,
                     Optional, Tuple)
 from urllib.parse import urlencode, urlsplit
 
+from . import wire
 from .errors import (CircuitOpenError, JobError, JobNotFound,
                      ServiceError)
 
@@ -67,11 +69,39 @@ RETRYABLE_STATUSES = frozenset({429, 503})
 #: model stack in.
 API_KEY_HEADER = "X-Api-Key"
 
-#: Transport failures on a *reused* connection that mean the server
-#: closed an idle keep-alive socket — safe to reconnect and resend.
-_STALE_ERRORS = (http.client.RemoteDisconnected,
-                 http.client.CannotSendRequest,
-                 BrokenPipeError, ConnectionResetError)
+
+class _Connection:
+    """One socket to the service and the buffered reader over it."""
+
+    def __init__(self, address: Tuple[str, int], timeout: float):
+        self.sock: Optional[socket.socket] = socket.create_connection(
+            address, timeout)
+        # Requests are small back-to-back writes; without TCP_NODELAY,
+        # Nagle pairs with the peer's delayed ACK into ~40 ms stalls on
+        # reused connections.
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def read_reply(self) -> Tuple[int, wire.Headers, Iterator[bytes]]:
+        """``(status, headers, body pieces)`` of the next reply.
+
+        The body is framed by ``Content-Length`` or chunked; any other
+        framing, like a malformed head, raises :class:`ServiceError`.
+        """
+        start_line, headers = wire.read_head(self.rfile)
+        words = start_line.split(None, 2)
+        if (len(words) < 2 or not words[0].startswith("HTTP/")
+                or len(words[1]) != 3 or not words[1].isdigit()):
+            raise ServiceError(f"malformed status line {start_line!r}")
+        body = wire.iter_body(self.rfile, wire.body_length(headers))
+        return int(words[1]), headers, body
+
+    def close(self) -> None:
+        """Idempotently close the reader and the socket."""
+        if self.sock is not None:
+            self.rfile.close()
+            self.sock.close()
+            self.sock = None
 
 
 def _trace_body(source: Any, gzipped: Optional[bool]
@@ -261,22 +291,36 @@ class NDJSONStream:
     ``closed`` is observable for tests and callers.
     """
 
-    def __init__(self, conn: http.client.HTTPConnection, url: str,
-                 response: Any):
+    def __init__(self, conn: _Connection, url: str,
+                 body: Iterator[bytes]):
         self._conn = conn
         self._url = url
-        self._response = response
+        self._body = body
+        self._pending = b""
         self.closed = False
 
     def __iter__(self) -> "NDJSONStream":
         return self
 
+    def _readline(self) -> bytes:
+        """The next line of the body with its ``\\n``; ``b""`` at the
+        end."""
+        while b"\n" not in self._pending:
+            piece = next(self._body, b"")
+            if not piece:
+                line, self._pending = self._pending, b""
+                return line
+            self._pending += piece
+        cut = self._pending.index(b"\n") + 1
+        line, self._pending = self._pending[:cut], self._pending[cut:]
+        return line
+
     def __next__(self) -> Dict[str, Any]:
         if self.closed:
             raise StopIteration
         try:
-            line = self._response.readline()
-        except (http.client.HTTPException, OSError) as exc:
+            line = self._readline()
+        except (ServiceError, OSError) as exc:
             self.close()
             raise ServiceError(
                 f"stream from {self._url} broke: "
@@ -333,6 +377,10 @@ class ServiceClient:
         #: threads) — ``1`` after many keep-alive requests proves
         #: connection reuse is working.
         self.connections_opened = 0
+        parts = urlsplit(self.base_url)
+        self._address = (parts.hostname or "localhost", parts.port or 80)
+        self._host = parts.netloc
+        self._prefix = parts.path
         self._counter_lock = threading.Lock()
         self._local = threading.local()
         self._sleep = sleep
@@ -395,11 +443,13 @@ class ServiceClient:
                        request_timeout: Optional[float]
                        ) -> Tuple[Optional[bytes], Dict[str, str]]:
         body = None
-        headers = {"Accept": "application/json",
+        headers = {"Host": self._host,
+                   "Accept": "application/json",
                    "Accept-Encoding": "gzip"}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+            headers["Content-Length"] = str(len(body))
         if request_timeout is not None:
             headers["X-Request-Timeout"] = f"{request_timeout:g}"
         if self.api_key is not None:
@@ -414,97 +464,76 @@ class ServiceClient:
                           max(1e-3, expires - self._clock()))
         return timeout
 
-    # -- persistent-connection pool (one per thread and netloc) --------
-    def _pool(self) -> Dict[str, http.client.HTTPConnection]:
-        pool = getattr(self._local, "pool", None)
-        if pool is None:
-            pool = self._local.pool = {}
-        return pool
+    # -- persistent connections (one per thread) -----------------------
+    def _dial(self, timeout: float) -> _Connection:
+        """A new socket to the service, counted in
+        ``connections_opened``."""
+        with self._counter_lock:
+            self.connections_opened += 1
+        return _Connection(self._address, timeout)
 
-    def _connection(self, netloc: str, timeout: float
-                    ) -> Tuple[http.client.HTTPConnection, bool]:
-        """A pooled connection to ``netloc`` and whether it is fresh.
+    def _connection(self, timeout: float) -> Tuple[_Connection, bool]:
+        """This thread's pooled connection and whether it is fresh.
 
         Reused connections may have been closed server-side while
         idle; the caller resends once on a *stale* reuse but treats a
         fresh connection's failure as the service being down.
         """
-        pool = self._pool()
-        conn = pool.get(netloc)
-        fresh = conn is None
-        if fresh:
-            host, _, raw_port = netloc.partition(":")
-            conn = http.client.HTTPConnection(
-                host, int(raw_port or 80), timeout=timeout)
-            pool[netloc] = conn
-            with self._counter_lock:
-                self.connections_opened += 1
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
-            # Requests are small back-to-back writes; without
-            # TCP_NODELAY, Nagle pairs with the peer's delayed ACK
-            # into ~40 ms stalls on reused connections.
-            conn.sock.setsockopt(socket.IPPROTO_TCP,
-                                 socket.TCP_NODELAY, 1)
-        return conn, fresh
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._dial(timeout)
+            return conn, True
+        conn.sock.settimeout(timeout)
+        return conn, False
 
-    def _drop_connection(self, netloc: str) -> None:
-        conn = self._pool().pop(netloc, None)
+    def close(self) -> None:
+        """Close this thread's pooled connection (idempotent)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
         if conn is not None:
             conn.close()
 
-    def close(self) -> None:
-        """Close this thread's pooled connections (idempotent)."""
-        pool = self._pool()
-        for conn in pool.values():
-            conn.close()
-        pool.clear()
-
     # ------------------------------------------------------------------
-    def _roundtrip(self, url: str, method: str,
+    def _roundtrip(self, method: str, path: str,
                    body: Optional[bytes], headers: Dict[str, str],
                    timeout: float
-                   ) -> Tuple[int, Dict[str, str], bytes]:
-        """One exchange on a pooled keep-alive connection.
+                   ) -> Tuple[int, wire.Headers, bytes]:
+        """One exchange on this thread's keep-alive connection.
 
-        Returns ``(status, headers, decoded body)``; raises a
-        status-``0`` :class:`ServiceError` on transport failure.  A
-        stale reused connection (server closed it while idle) is
-        reconnected and resent exactly once — evaluations are pure,
-        so the resend is safe.
+        The request goes out in one write.  Returns ``(status,
+        headers, decoded body)``; raises a status-``0``
+        :class:`ServiceError` on transport failure.  A stale reused
+        connection (EOF or a reset before the first reply byte: the
+        server closed it while idle) is reconnected and resent exactly
+        once — evaluations are pure, so the resend is safe.
         """
-        parts = urlsplit(url)
-        netloc = parts.netloc
-        path = parts.path or "/"
-        if parts.query:
-            path += "?" + parts.query
+        request = wire.write_head(f"{method} {self._prefix}{path} "
+                                  "HTTP/1.1", headers)
+        if body is not None:
+            request += body
         for attempt in (0, 1):
-            conn, fresh = self._connection(netloc, timeout)
+            fresh, replied = True, False
             try:
-                conn.request(method, path, body=body,
-                             headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            except _STALE_ERRORS as exc:
-                self._drop_connection(netloc)
-                if fresh or attempt:
-                    raise ServiceError(
-                        f"service unreachable at http://{netloc}: "
-                        f"{type(exc).__name__}: {exc}",
-                        status=0) from exc
-                continue  # stale keep-alive socket: resend once
-            except (http.client.HTTPException, OSError) as exc:
-                self._drop_connection(netloc)
+                conn, fresh = self._connection(timeout)
+                conn.sock.sendall(request)
+                replied = bool(conn.rfile.peek(1))
+                if not replied:
+                    raise ConnectionResetError("closed before replying")
+                status, reply_headers, pieces = conn.read_reply()
+                data = b"".join(pieces)
+            except (ServiceError, OSError) as exc:
+                self.close()
+                if (isinstance(exc, (BrokenPipeError, ConnectionResetError))
+                        and not (fresh or replied or attempt)):
+                    continue  # stale keep-alive socket: resend once
                 raise ServiceError(
-                    f"connection to http://{netloc} failed: "
+                    f"connection to {self.base_url} failed: "
                     f"{type(exc).__name__}: {exc}", status=0) from exc
-            reply_headers = dict(response.headers)
-            if response.will_close:
-                self._drop_connection(netloc)
+            if reply_headers.get("Connection", "").lower() == "close":
+                self.close()
             if reply_headers.get("Content-Encoding") == "gzip":
                 data = gzip.decompress(data)
-            return response.status, reply_headers, data
+            return status, reply_headers, data
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _request_once(self, method: str, path: str,
@@ -513,9 +542,8 @@ class ServiceClient:
                       expires: Optional[float]) -> Dict[str, Any]:
         """One wire round-trip, no retries."""
         body, headers = self._build_headers(payload, request_timeout)
-        url = self.base_url + path
         status, reply_headers, data = self._roundtrip(
-            url, method, body, headers,
+            method, path, body, headers,
             self._request_timeout_budget(expires))
         if status >= 400:
             raise ServiceError(
@@ -526,7 +554,8 @@ class ServiceClient:
             return json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise ServiceError(
-                f"invalid JSON from {url}: {exc}", status=0) from exc
+                f"invalid JSON from {self.base_url}{path}: {exc}",
+                status=0) from exc
 
     @staticmethod
     def _error_detail(status: int, data: bytes) -> str:
@@ -611,52 +640,45 @@ class ServiceClient:
         consumed stream is not safe to do silently.  A transport
         failure before the response raises a status-``0``
         :class:`ServiceError` from this call, an error status raises
-        from :meth:`_ndjson_records`, and a connection lost
+        its :class:`ServiceError` from here too, and a connection lost
         mid-stream raises from the iterator.  ``chunked`` sends
         ``body`` (an iterable of byte chunks) chunk-framed.
         """
-        host, _, raw_port = urlsplit(self.base_url).netloc.partition(":")
-        conn = http.client.HTTPConnection(
-            host, int(raw_port or 80), timeout=self.timeout)
-        with self._counter_lock:
-            self.connections_opened += 1
         url = self.base_url + path
+        head = wire.write_head(f"POST {self._prefix}{path} HTTP/1.1",
+                               headers)
+        conn = None
         try:
+            conn = self._dial(self.timeout)
             try:
-                conn.request("POST", path, body=body, headers=headers,
-                             encode_chunked=chunked)
+                if not chunked:
+                    conn.sock.sendall(head + body)
+                else:
+                    conn.sock.sendall(head)
+                    for piece in body:
+                        if piece:  # an empty chunk would end the body
+                            conn.sock.sendall(wire.chunk(piece))
+                    conn.sock.sendall(wire.chunk(b""))
             except (BrokenPipeError, ConnectionResetError):
                 # The server may answer (a 400 for a bad query) and
                 # close before reading the body; its reply is still
                 # readable, so only a missing reply is status 0.
                 pass
-            response = conn.getresponse()
-        except (http.client.HTTPException, OSError) as exc:
-            conn.close()
+            status, reply_headers, pieces = conn.read_reply()
+            data = b"".join(pieces) if status >= 400 else None
+        except (ServiceError, OSError) as exc:
+            if conn is not None:
+                conn.close()
             raise ServiceError(
                 f"POST {url} failed: {type(exc).__name__}: {exc}",
                 status=0) from exc
-        return self._ndjson_records(conn, url, response)
-
-    def _ndjson_records(self, conn: http.client.HTTPConnection,
-                        url: str, response: Any) -> "NDJSONStream":
-        """Consume a chunked NDJSON response record by record.
-
-        Raises :class:`ServiceError` for an error *status* before
-        yielding anything; the returned :class:`NDJSONStream` owns
-        the dedicated connection and closes it *eagerly* — on the
-        terminal record, an in-band error record, EOF, or transport
-        failure — not merely when the iterator is garbage-collected.
-        """
-        if response.status >= 400:
-            data = response.read()
+        if data is not None:
             conn.close()
             raise ServiceError(
-                self._error_detail(response.status, data),
-                status=response.status,
+                self._error_detail(status, data), status=status,
                 retry_after=_parse_retry_after(
-                    response.headers.get("Retry-After")))
-        return NDJSONStream(conn, url, response)
+                    reply_headers.get("Retry-After")))
+        return NDJSONStream(conn, url, pieces)
 
     # ------------------------------------------------------------------
     def trace_stream(self, source: Any,

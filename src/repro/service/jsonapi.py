@@ -73,20 +73,19 @@ def _finite(value: float) -> Optional[float]:
 
 
 class ResultCache:
-    """Bounded LRU of whole ``/evaluate`` responses.
+    """Bounded LRU of whole ``/evaluate`` replies, encoded.
 
-    Keyed on :func:`request_key`, the SHA-256 digest of the canonical
-    request body: the reply is a pure function of the body, so a warm
-    repeat skips device decoding, fingerprinting, the model build,
-    the evaluation and response assembly.  Thread safe; a zero
-    capacity disables it.  Hit/miss counters surface in
-    ``GET /stats`` under ``result_cache``.
+    Maps :func:`request_key`, the SHA-256 digest of the canonical
+    request body, to the reply's JSON bytes: the reply is a pure
+    function of the body, so a warm repeat skips device decoding,
+    fingerprinting, the model build, the evaluation and encoding the
+    reply.  Thread safe; a zero capacity disables it.  Hit/miss
+    counters surface in ``GET /stats`` under ``result_cache``.
     """
 
     def __init__(self, capacity: int = 256):
         self.capacity = max(0, capacity)
-        self._entries: "OrderedDict[bytes, Dict[str, Any]]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -95,8 +94,8 @@ class ResultCache:
     def enabled(self) -> bool:
         return self.capacity > 0
 
-    def get(self, key: bytes) -> Optional[Dict[str, Any]]:
-        """The cached response for ``key``, counting hit or miss."""
+    def get(self, key: bytes) -> Optional[bytes]:
+        """The cached reply for ``key``, counting hit or miss."""
         if not self.enabled:
             return None
         with self._lock:
@@ -108,7 +107,7 @@ class ResultCache:
             self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: bytes, value: Dict[str, Any]) -> None:
+    def put(self, key: bytes, value: bytes) -> None:
         if not self.enabled:
             return
         with self._lock:
@@ -272,31 +271,19 @@ def request_key(payload: Any) -> bytes:
     return hashlib.sha256(canonical.encode("utf-8")).digest()
 
 
-def evaluate_payload(session: EvaluationSession, payload: Any,
-                     cache: Optional[ResultCache] = None
-                     ) -> Dict[str, Any]:
+def evaluate_payload(session: EvaluationSession,
+                     payload: Any) -> Dict[str, Any]:
     """``POST /evaluate``: one description or a batch.
 
     ``{"device": {...}}`` or ``{"devices": [{...}, ...]}``, plus an
     optional ``"pattern"`` command loop evaluated on every device
     (the device default pattern when omitted).  Results keep the
-    request order.  With a :class:`ResultCache` the whole response is
-    memoized on :func:`request_key`, looked up before the body is
-    parsed: a repeat request does no model work at all.  Only
-    successful replies are stored.
+    request order.  The service memoizes the encoded reply in a
+    :class:`ResultCache` around this call.
     """
-    key = None
-    if cache is not None and cache.enabled:
-        key = request_key(payload)
-        memoized = cache.get(key)
-        if memoized is not None:
-            return memoized
     request = parse_evaluate_request(payload)
     results = _buffered_rows(session, EVALUATE, request)
-    body = {"count": len(results), "results": results}
-    if key is not None:
-        cache.put(key, body)
-    return body
+    return {"count": len(results), "results": results}
 
 
 # ----------------------------------------------------------------------

@@ -18,11 +18,8 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.request
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
-
-from .auth import API_KEY_HEADER
+from typing import Any, Dict, Iterable, List
 
 #: Response header naming the worker that produced the reply.
 WORKER_HEADER = "X-Repro-Worker"
@@ -133,17 +130,6 @@ class WorkerRegistry:
 # ----------------------------------------------------------------------
 # Cluster-wide /stats aggregation helpers.
 # ----------------------------------------------------------------------
-def fetch_worker_stats(url: str, api_key: Optional[str] = None,
-                       timeout: float = 2.0) -> Dict[str, Any]:
-    """One sibling worker's local ``/stats`` payload (may raise)."""
-    headers = {"Accept": "application/json"}
-    if api_key is not None:
-        headers[API_KEY_HEADER] = api_key
-    request = urllib.request.Request(url, headers=headers)
-    with urllib.request.urlopen(request, timeout=timeout) as reply:
-        return json.loads(reply.read().decode("utf-8"))
-
-
 def sum_counter_dicts(payloads: Iterable[Dict[str, Any]],
                       keys: Iterable[str]) -> Dict[str, Any]:
     """Key-wise integer sums over ``payloads`` (missing keys are 0)."""

@@ -19,8 +19,11 @@ carries an exact ``Content-Length`` (or chunked framing for streams),
 large JSON bodies are gzip-compressed when the client advertises
 ``Accept-Encoding: gzip``, and a POST that failed before its body was
 consumed closes the connection rather than desynchronise the next
-request on it.  ``{"stream": true}`` in an ``/evaluate`` or ``/sweep``
-body switches the response to chunked NDJSON records
+request on it.  Request heads and bodies are read, and reply heads
+written, by :mod:`repro.wire`, the codec the client speaks too; the
+stdlib keeps the connection loop and the request-line rules.
+``{"stream": true}`` in an ``/evaluate`` or ``/sweep`` body switches
+the response to chunked NDJSON records
 (:mod:`repro.service.streaming`), one per finished device or sweep
 row, so long batches deliver results as they complete.  JSON POSTs
 dispatch through one route table (:data:`JSON_ROUTES`) onto the
@@ -74,10 +77,13 @@ import socket
 import struct
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from .. import wire
+from ..client import NO_RETRY, ServiceClient
 from ..engine import EngineStats, EvaluationSession, merge_stats
 from ..engine.cache import DEFAULT_CAPACITY
 from ..errors import ReproError, ServiceError
@@ -87,12 +93,11 @@ from .admission import (AdmissionController, AdmissionShed, Deadline,
 from .auth import API_KEY_HEADER, ApiKeyAuth
 from .faults import FaultInjector, InjectedFault
 from .jsonapi import (ResultCache, engine_payload, evaluate_payload,
-                      sweep_payload)
+                      request_key, sweep_payload)
 from .jsonapi import stats_payload as engine_stats_payload
 from .routing import (RESULT_CACHE_SUM_KEYS, WORKER_HEADER,
-                      WorkerRegistry, fetch_worker_stats,
-                      merge_admission, merge_request_counts,
-                      sum_counter_dicts)
+                      WorkerRegistry, merge_admission,
+                      merge_request_counts, sum_counter_dicts)
 from .streaming import (STREAM_CONTENT_TYPE, evaluate_stream,
                         sweep_stream, wants_stream)
 from .tracing import (parse_trace_query, trace_payload,
@@ -104,9 +109,9 @@ _LOG = logging.getLogger("repro.service")
 #: so one misbehaving client cannot balloon the daemon.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: A chunk-size line of a chunked request body: one or more hex
-#: digits, optional ``;`` extensions, then the line end.
-_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)(?:;[^\r\n]*)?\r?\n")
+#: The version word of a request line, as the stdlib reads it: two
+#: dot-separated numbers of at most 10 digits each.
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 #: Per-request deadline override header (seconds, e.g. ``0.5``).
 TIMEOUT_HEADER = "X-Request-Timeout"
@@ -121,10 +126,27 @@ SERVICE_SUM_KEYS = ("requests_total", "errors", "timeouts",
                     "auth_failures")
 
 
+def _encode(payload: Any) -> bytes:
+    """A JSON reply body."""
+    return json.dumps(payload).encode("utf-8")
+
+
 def _evaluate(server, session, payload, deadline, stream):
+    """``/evaluate``: the reply's encoded bytes, memoized in the result
+    cache on :func:`request_key` and looked up before the body is
+    parsed, so a repeat does no model work and encodes nothing.  Only
+    successful replies are stored."""
     if stream:
         return evaluate_stream(session, payload)
-    return evaluate_payload(session, payload, cache=server.result_cache)
+    cache = server.result_cache
+    if not cache.enabled:
+        return _encode(evaluate_payload(session, payload))
+    key = request_key(payload)
+    blob = cache.get(key)
+    if blob is None:
+        blob = _encode(evaluate_payload(session, payload))
+        cache.put(key, blob)
+    return blob
 
 
 def _sweep(server, session, payload, deadline, stream):
@@ -137,8 +159,9 @@ def _trace(server, session, payload, deadline, stream):
 
 
 #: ``POST`` routes taking a JSON body: ``route(server, session,
-#: payload, deadline, stream)`` returns the buffered reply or, with
-#: ``stream``, its NDJSON records.  Each route names its functions as
+#: payload, deadline, stream)`` returns the buffered reply (a JSON
+#: value or its encoded bytes) or, with ``stream``, its NDJSON
+#: records.  Each route names its functions as
 #: module globals, resolved per request, so a wrapper installed on
 #: them after import sees every call.  ``/trace`` also takes raw
 #: uploads and ``/jobs`` submits; both are dispatched by ``_post``.
@@ -230,6 +253,72 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self.busy = False
         if self.server.draining:
             self.close_connection = True
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the head after it.
+
+        The stdlib's rules for the request line: 400 for a bad line or
+        version, 505 for HTTP/2 and up, HTTP/0.9 ``GET``, a leading
+        ``//`` collapsed, the HTTP/1.0 and 1.1 keep-alive defaults,
+        the ``Connection`` header and ``Expect: 100-continue``.  The
+        header block is read by :func:`repro.wire.read_headers`, not
+        the ``email`` parser, and the body framing once by
+        :func:`repro.wire.body_length`; their refusals (431, 400) close
+        the connection.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _VERSION.fullmatch(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+                return False
+            number = int(number[1]), int(number[2])
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # gh-87389: "//host/x" reads as a scheme-relative URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") \
+            else path
+        try:
+            self.headers = wire.read_headers(self.rfile)
+            self.body_length = wire.body_length(self.headers)
+        except ServiceError as exc:
+            self.send_error(exc.status, explain=str(exc))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:
@@ -398,78 +487,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         trace of unknown length) and plain ``Content-Length`` bodies;
         either way at most 64 KiB is resident at once.
         """
-        transfer = (self.headers.get("Transfer-Encoding")
-                    or "").lower()
-        if "chunked" in transfer:
-            return self._iter_chunked_body()
-        length = self._content_length()
-        if length is None:
-            raise ServiceError(
-                "trace upload needs Content-Length or "
-                "Transfer-Encoding: chunked")
-        return self._iter_sized_body(length)
-
-    def _content_length(self) -> Optional[int]:
-        """The declared ``Content-Length``; ``None`` when absent."""
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            return None
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise ServiceError(
-                f"malformed Content-Length {raw_length!r}") from None
-        if length < 0:
-            raise ServiceError(f"negative Content-Length {length}")
-        return length
-
-    def _iter_sized_body(self, length: int):
-        """Exactly ``length`` body bytes in chunks of at most 64 KiB.
-
-        ``rfile.read(n)`` may legally return fewer bytes than asked
-        (slow or half-closed peers), so loop until the declared length
-        arrived; a connection that drops early is a client error, not
-        an internal one.
-        """
-        remaining = length
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 65536))
-            if not chunk:
-                raise ServiceError(
-                    f"request body truncated: got "
-                    f"{length - remaining} of {length} bytes")
-            remaining -= len(chunk)
-            yield chunk
-
-    def _iter_chunked_body(self):
-        """Decode ``Transfer-Encoding: chunked`` frames from rfile."""
-        while True:
-            line = self.rfile.readline(1026)
-            if not line:
-                raise ServiceError("chunked request body truncated")
-            match = _CHUNK_SIZE_LINE.fullmatch(line)
-            if match is None:
-                raise ServiceError(
-                    "malformed chunk-size line in request body")
-            size = int(match.group(1), 16)
-            if size == 0:
-                # Consume optional trailers up to the blank line.
-                while True:
-                    trailer = self.rfile.readline(1026)
-                    if trailer in (b"\r\n", b"\n", b""):
-                        return
-                continue
-            remaining = size
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    raise ServiceError(
-                        "chunked request body truncated")
-                remaining -= len(chunk)
-                yield chunk
-            if self.rfile.read(2) != b"\r\n":
-                raise ServiceError(
-                    "chunk data not followed by CRLF in request body")
+        return wire.iter_body(self.rfile, self.body_length)
 
     # ------------------------------------------------------------------
     def _authorized(self, path: str) -> bool:
@@ -510,12 +528,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         return None
 
     def _read_json(self) -> Any:
-        length = self._content_length()
-        if not length:
+        length = self.body_length
+        if not length or length == wire.CHUNKED:
             raise ServiceError("request needs a JSON body")
         if length > MAX_BODY_BYTES:
             raise ServiceError("request body too large", status=413)
-        raw = b"".join(self._iter_sized_body(length))
+        raw = b"".join(wire.iter_sized_body(self.rfile, length))
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError, RecursionError) as exc:
@@ -526,8 +544,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         accept = self.headers.get("Accept-Encoding", "")
         return "gzip" in accept.lower()
 
-    def _reply(self, status: int, payload: Dict[str, Any],
+    def _reply(self, status: int, payload: Any,
                retry_after: Optional[float] = None) -> None:
+        """Send one buffered JSON reply, head and body in one write.
+
+        ``payload`` is a JSON value or its encoded bytes (a result
+        cache hit), sent as they are.
+        """
         server = self.server
         if retry_after is None and status in (429, 503):
             # Every shedding-class reply carries the Retry-After
@@ -539,44 +562,49 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # response and immediately asks /stats must find the request
         # already counted.
         server.counters.count_request(urlsplit(self.path).path, status)
-        blob = json.dumps(payload).encode("utf-8")
-        encoding = None
-        if len(blob) >= GZIP_MIN_BYTES and self._accepts_gzip():
+        blob = payload if isinstance(payload, bytes) else _encode(payload)
+        gzipped = len(blob) >= GZIP_MIN_BYTES and self._accepts_gzip()
+        if gzipped:
             # mtime=0 keeps the compressed bytes deterministic, so
             # equal answers from different workers stay bit-identical.
             blob = gzip_module.compress(blob, mtime=0)
-            encoding = "gzip"
             server.counters.count("gzipped")
+        headers = {"Content-Type": "application/json",
+                   "Content-Length": str(len(blob))}
+        if gzipped:
+            headers["Content-Encoding"] = "gzip"
+            headers["Vary"] = "Accept-Encoding"
+        if retry_after is not None:
+            # RFC 7231 wants integral delay-seconds; round up so the
+            # hint never understates the wait.
+            headers["Retry-After"] = str(max(0, int(retry_after + 0.999)))
         if status >= 400 and self.command == "POST":
             # The request body may not have been consumed (shed, 401,
             # oversized post): reusing this connection would read the
             # leftover body as the next request line.
             self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        if encoding is not None:
-            self.send_header("Content-Encoding", encoding)
-            self.send_header("Vary", "Accept-Encoding")
-        if retry_after is not None:
-            # RFC 7231 wants integral delay-seconds; round up so the
-            # hint never understates the wait.
-            self.send_header("Retry-After",
-                             str(max(0, int(retry_after + 0.999))))
-        self.send_header(WORKER_HEADER, str(server.worker_id))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        # One write for the header block, its blank line and the body
-        # (``end_headers`` would send the headers on their own).  An
-        # HTTP/0.9 reply has no header block.
-        if self.request_version == "HTTP/0.9":
-            self._headers_buffer = [blob]
-        else:
-            self._headers_buffer += [b"\r\n", blob]
         try:
-            self.flush_headers()
+            self.wfile.write(self._head(status, headers) + blob)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing left to tell it
+
+    def _head(self, status: int, headers: Dict[str, str]) -> bytes:
+        """The reply head: the status line, ``Server`` and ``Date``,
+        ``headers``, the worker id and, when this reply ends the
+        connection, ``Connection: close``.  An HTTP/0.9 reply has no
+        head."""
+        self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            return b""
+        fields = {"Server": self.version_string(),
+                  "Date": self.date_time_string()}
+        fields.update(headers)
+        fields[WORKER_HEADER] = str(self.server.worker_id)
+        if self.close_connection:
+            fields["Connection"] = "close"
+        reason = self.responses.get(status, ("",))[0]
+        return wire.write_head(
+            f"{self.protocol_version} {status} {reason}", fields)
 
     def _stream_reply(self, path: str, records: Any) -> None:
         """Send NDJSON records as they arrive, chunk-framed.
@@ -589,25 +617,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
         server = self.server
         server.counters.count("streams")
         server.counters.count_request(path, 200)
-        self.send_response(200)
-        self.send_header("Content-Type", STREAM_CONTENT_TYPE)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header(WORKER_HEADER, str(server.worker_id))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
+        head = self._head(200, {"Content-Type": STREAM_CONTENT_TYPE,
+                                "Transfer-Encoding": "chunked"})
         try:
+            self.wfile.write(head)
             for record in records:
-                blob = json.dumps(record).encode("utf-8") + b"\n"
-                self._write_chunk(blob)
-            self._write_chunk(b"")  # terminal zero-length chunk
+                self.wfile.write(wire.chunk(_encode(record) + b"\n"))
+            self.wfile.write(wire.chunk(b""))  # the last chunk
         except (BrokenPipeError, ConnectionResetError, OSError):
             server.counters.count("stream_aborts")
             self.close_connection = True
-
-    def _write_chunk(self, blob: bytes) -> None:
-        self.wfile.write(b"%x\r\n" % len(blob) + blob + b"\r\n")
-        self.wfile.flush()
 
     def _abort_connection(self) -> None:
         """Drop the connection without a response (injected reset)."""
@@ -801,11 +820,15 @@ class EvaluationService(ThreadingHTTPServer):
             if wid == self.worker_id:
                 continue
             host = entry.get("direct_host", "127.0.0.1")
-            url = f"http://{host}:{entry['direct_port']}/stats"
+            sibling = ServiceClient(
+                f"http://{host}:{entry['direct_port']}", timeout=2.0,
+                retry=NO_RETRY, breaker=None, api_key=key)
             try:
-                payloads[wid] = fetch_worker_stats(url, api_key=key)
-            except Exception:
+                payloads[wid] = sibling.stats()
+            except ServiceError:
                 unreachable.append(wid)
+            finally:
+                sibling.close()
         ordered = [payloads[wid] for wid in sorted(payloads)]
         stats_list = [EngineStats.from_dict(body.get("engine", {}))
                       for body in ordered]

@@ -339,12 +339,13 @@ def iter_line_batches(byte_blocks: Iterable[bytes], batch_lines: int,
             pending += b"".join(partial).decode("utf-8",
                                                 "replace").split("\n")
             partial = [block[cut + 1:]]
-            if len(pending) >= batch_lines:
-                full = len(pending) - len(pending) % batch_lines
-                for start in range(0, full, batch_lines):
-                    yield pending[start:start + batch_lines]
-                emitted += full
-                pending = pending[full:]
+            while len(pending) >= batch_lines:
+                # Cut the batch off before handing it out, so its
+                # line references are not held twice while it folds.
+                batch = pending[:batch_lines]
+                del pending[:batch_lines]
+                emitted += batch_lines
+                yield batch
     except TraceFormatError as exc:
         reached = emitted + len(pending) + (1 if any(partial) else 0)
         raise TraceFormatError(exc.reason, reached, source) from None

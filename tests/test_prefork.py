@@ -147,6 +147,21 @@ def test_shared_with_aliases_state():
             assert not thread.is_alive()
 
 
+def test_refusing_sibling_is_reported_unreachable(tmp_path):
+    # A live registry entry whose direct port refuses connections: the
+    # cluster view still answers, with that worker named unreachable.
+    registry = WorkerRegistry(str(tmp_path))
+    registry.write(1, {"worker": 1, "pid": os.getpid(), "port": 0,
+                       "direct_port": _free_port()})
+    svc = create_service(host="127.0.0.1", port=0, registry=registry)
+    try:
+        body = svc.cluster_stats_payload()
+    finally:
+        svc.server_close()
+    assert body["workers"] == [0]
+    assert body["workers_unreachable"] == [1]
+
+
 # ----------------------------------------------------------------------
 # Live two-worker fleet (subprocess, real CLI entry point).
 # ----------------------------------------------------------------------

@@ -76,6 +76,17 @@ def test_rejects_empty_batches():
         list(iter_line_batches([b"x\n"], 0))
 
 
+def test_a_handed_out_batch_is_not_held_twice():
+    # Blocks of 30 lines, batches of 100: while the consumer holds a
+    # batch, the generator's own lists hold less than one batch.
+    batches = iter_line_batches([b"x\n" * 30] * 10, 100)
+    for batch in batches:
+        held = sum(len(value) for value in
+                   batches.gi_frame.f_locals.values()
+                   if isinstance(value, list) and value is not batch)
+        assert held < 100
+
+
 # ----------------------------------------------------------------------
 # File and upload parity.
 # ----------------------------------------------------------------------
